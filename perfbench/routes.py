@@ -1,6 +1,5 @@
-"""The library step of the oneshot workload: one fresh interpreter that
-calls only the public hypident API and checks that its independent routes
-agree.
+"""The route_agreement workload: one fresh interpreter that calls only the
+public hypident API and checks that its independent routes agree.
 
 - Rows 1..100 of the triangle by R recurrence, L closed form, L recurrence,
   R closed form and L series; all five must be equal.

@@ -10,11 +10,11 @@ so neither an installed copy nor a stray setting is measured. Without
 
 Workloads (the reason for each is in BENCHMARK.json):
   fast_sweep       verify --j 1..120 --n 1..100 --mode fast --format csv, K=1
-  cross_sweep      verify --j 1..50 --n 1..120 --mode cross --format json, K=2
-  oneshot          table L/R/C to level 100, four eval points, one mapcount
-                   and routes.py (the library's five triangle routes, the
-                   vanishing sum and the summand check), each in a fresh
-                   process
+  cross_sweep      verify --j 1..40 --n 1..100 --mode cross --format json, K=2
+  oneshot          table L/R/C to level 150, four eval points and one
+                   mapcount, each in a fresh process
+  route_agreement  routes.py in a fresh process: the library's five triangle
+                   routes, the vanishing sum and the summand check
   all              every workload in turn, with a table of the results
 
 With ``--trace 0`` the workload is repeated, each repetition in fresh
@@ -24,9 +24,16 @@ wall_s (time of one repetition, measured by spawn.py), points_per_s
 (results the oracle checked per second of wall_s), cpu_s (user + system
 time of the commands, pool workers included) and peak_rss_mb (the largest
 resident set of any process in the repetition). setup_s is the median time
-of a fresh ``hypident --version`` process. Single-process repetitions are
-pinned to each CPU in turn and their median is taken per CPU, then
-averaged (see ``cpu_strata``).
+of a fresh process that runs ``hypident --version`` (``import hypident``
+on route_agreement). Single-process repetitions are pinned to each CPU in
+turn and their median is taken per CPU, then averaged (see ``cpu_strata``).
+
+The shared host's CPU speed drifts by up to a factor of two over seconds
+to minutes, so wall_s, cpu_s and setup_s are given in reference seconds:
+spawn.py times a fixed probe computation on the same CPUs right before and
+after each repetition, and the measured times are multiplied by
+PROBE_REF_S over the probe's mean time. The unscaled times are in the
+details line as raw_*.
 
 With ``--trace 1`` each command runs once more in-process through
 ``tracer.py``, at K=1, in three fresh interpreters: plain (untraced
@@ -73,8 +80,12 @@ MIN_REPETITIONS = 3
 SAMPLE_ROWS = 16
 STEP_TIMEOUT_S = 60.0
 RUN_BUDGET_S = 170.0
+# Times are reported as if spawn.probe_work took this long: a round figure
+# near its time on one vCPU of the 2-vCPU machine the benchmark was tuned on.
+PROBE_REF_S = 0.005
 
-SETUP_COMMAND = [sys.executable, "-m", "hypident", "--version"]
+CLI_SETUP = [sys.executable, "-m", "hypident", "--version"]
+IMPORT_SETUP = [sys.executable, "-c", "import hypident; print('hypident', hypident.__version__)"]
 
 
 def child_env() -> dict[str, str]:
@@ -111,6 +122,7 @@ class Plan:
     steps: list[Step]
     points: int  # results the oracle checks in one repetition
     parallelism: int = 1
+    setup: tuple[str, ...] = tuple(CLI_SETUP)  # the fresh process setup_s times
 
 
 def sweep_plan(rng: random.Random, j: tuple[int, int], n: tuple[int, int],
@@ -126,7 +138,7 @@ def sweep_plan(rng: random.Random, j: tuple[int, int], n: tuple[int, int],
 
 
 def oneshot_plan(rng: random.Random, work: str) -> Plan:
-    levels = 100
+    levels = 150
     rows = oracle.l_rows(levels)
     c_rows = oracle.c_rows(levels)
     steps = [
@@ -150,13 +162,15 @@ def oneshot_plan(rng: random.Random, work: str) -> Plan:
     count = oracle.map_count(nu, g, j, weights)
     steps.append(Step("mapcount", ["mapcount", path, "--j", str(j)],
                       lambda text: oracle.check_mapcount(text, count)))
-    steps.append(routes_step(rows[:routes.ROW_LEVELS]))
-    return Plan(steps, 3 * levels + 4 + 1 + routes.expected_checks())
+    return Plan(steps, 3 * levels + 4 + 1)
 
 
-def routes_step(rows: list[tuple[int, ...]]) -> Step:
-    """routes.py, checked against the oracle's rows 1..routes.ROW_LEVELS."""
-    digest = oracle.rows_digest(rows)
+def routes_plan(rng: random.Random, work: str) -> Plan:
+    """routes.py, checked against the oracle's rows 1..routes.ROW_LEVELS.
+
+    Its inputs are fixed; the seed has nothing to pick here.
+    """
+    digest = oracle.rows_digest(oracle.l_rows(routes.ROW_LEVELS))
     checks = routes.expected_checks()
 
     def check(text: str) -> list[str]:
@@ -173,13 +187,14 @@ def routes_step(rows: list[tuple[int, ...]]) -> Step:
             problems.append(f"{result.get('checks')} checks made, expected {checks}")
         return problems
 
-    return Step("routes", None, check)
+    return Plan([Step("routes", None, check)], checks, setup=tuple(IMPORT_SETUP))
 
 
 WORKLOADS: dict[str, Callable[[random.Random, str], Plan]] = {
     "fast_sweep": lambda rng, work: sweep_plan(rng, (1, 120), (1, 100), "fast", "csv", 1),
-    "cross_sweep": lambda rng, work: sweep_plan(rng, (1, 50), (1, 120), "cross", "json", 2),
+    "cross_sweep": lambda rng, work: sweep_plan(rng, (1, 40), (1, 100), "cross", "json", 2),
     "oneshot": oneshot_plan,
+    "route_agreement": routes_plan,
 }
 
 
@@ -219,6 +234,14 @@ class Spawner:
                    "cpus": cpus}
         self._proc.stdin.write(json.dumps(request) + "\n")
         self._proc.stdin.flush()
+        return self._reply()
+
+    def probe(self, cpus: list[int]) -> float:
+        self._proc.stdin.write(json.dumps({"probe": cpus}) + "\n")
+        self._proc.stdin.flush()
+        return self._reply()["probe_s"]
+
+    def _reply(self) -> dict:
         reply = self._proc.stdout.readline()
         if not reply:
             raise RuntimeError("spawn.py exited")
@@ -249,6 +272,10 @@ class Runner:
             stderr_lines = fh.read().decode("utf-8", "replace").strip().splitlines()
         return Proc(reply["exit"], reply["timed_out"], reply["wall_s"], reply["cpu_s"],
                     reply["rss_kb"] / 1024, stdout, stderr_lines[-1] if stderr_lines else "")
+
+    def speed_scale(self, cpus: list[int] | None) -> float:
+        """PROBE_REF_S over the speed probe's time now on these CPUs (all if None)."""
+        return PROBE_REF_S / self.spawner.probe(cpus or sorted(os.sched_getaffinity(0)))
 
     def judge(self, step: Step, proc: Proc, extra: list[str] = ()) -> bool:
         """Count one operation; record its problems and return True if it passed."""
@@ -297,41 +324,54 @@ def stratified_median(values: list[float], strata: list[int]) -> float:
     return statistics.fmean(statistics.median(group) for group in groups.values())
 
 
-def measure_setup(runner: Runner, repeats: int) -> dict[str, list[float]]:
+def measure_setup(plan: Plan, runner: Runner, repeats: int) -> dict[str, list[float]]:
     """Time fresh-process set-up; the first, warm-up run is not kept."""
     step = Step("setup", None, lambda text: [] if text.startswith("hypident ")
                 else [f"unexpected version text {text[:40]!r}"])
     strata = cpu_strata(1)
-    samples: dict[str, list[float]] = {"setup_s": [], "stratum": []}
+    samples: dict[str, list[float]] = {"setup_s": [], "raw_setup_s": [], "stratum": []}
     for rep in range(repeats + 1):
         stratum = rep % len(strata)
-        proc = runner.run(SETUP_COMMAND, strata[stratum])
+        before = runner.speed_scale(strata[stratum])
+        proc = runner.run(list(plan.setup), strata[stratum])
+        scale = (before + runner.speed_scale(strata[stratum])) / 2
         runner.judge(step, proc)
         if rep:
-            samples["setup_s"].append(proc.wall_s)
+            samples["setup_s"].append(proc.wall_s * scale)
+            samples["raw_setup_s"].append(proc.wall_s)
             samples["stratum"].append(stratum)
     return samples
 
 
 def measure_untraced(plan: Plan, runner: Runner, seconds: float) -> dict[str, list[float]]:
-    samples: dict[str, list[float]] = {"wall_s": [], "cpu_s": [], "peak_rss_mb": [], "stratum": []}
+    """Repeat the plan; each repetition's times are scaled to the probe's
+    speed before and after it (see speed_scale), and kept unscaled as raw_*."""
+    samples: dict[str, list[float]] = {"wall_s": [], "cpu_s": [], "peak_rss_mb": [],
+                                       "raw_wall_s": [], "raw_cpu_s": [], "scale": [], "stratum": []}
     strata = cpu_strata(plan.parallelism)
     start = time.perf_counter()
+    after = None
     while time.perf_counter() < runner.deadline:
-        wall = cpu = rss = 0.0
+        began = time.perf_counter()
+        raw_wall = raw_cpu = rss = 0.0
         stratum = len(samples["wall_s"]) % len(strata)
+        # With one CPU set, the probe after a repetition is the next one's before.
+        before = after if after and len(strata) == 1 else runner.speed_scale(strata[stratum])
         for step in plan.steps:
             proc = runner.run(step.command(), strata[stratum])
             runner.judge(step, proc)
-            wall += proc.wall_s
-            cpu += proc.cpu_s
+            raw_wall += proc.wall_s
+            raw_cpu += proc.cpu_s
             rss = max(rss, proc.rss_mb)
-        samples["wall_s"].append(wall)
-        samples["cpu_s"].append(cpu)
-        samples["peak_rss_mb"].append(rss)
-        samples["stratum"].append(stratum)
+        after = runner.speed_scale(strata[stratum])
+        scale = (before + after) / 2
+        for key, value in (("wall_s", raw_wall * scale), ("cpu_s", raw_cpu * scale),
+                           ("peak_rss_mb", rss), ("raw_wall_s", raw_wall),
+                           ("raw_cpu_s", raw_cpu), ("scale", scale), ("stratum", stratum)):
+            samples[key].append(value)
         elapsed = time.perf_counter() - start
-        if len(samples["wall_s"]) >= MIN_REPETITIONS and elapsed + wall > seconds:
+        took = time.perf_counter() - began
+        if len(samples["wall_s"]) >= MIN_REPETITIONS and elapsed + took > seconds:
             break
     return samples
 
@@ -505,7 +545,7 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool, spec: di
         rng = random.Random(f"{workload}:{seed}")
         plan = WORKLOADS[workload](rng, work)
         runner = Runner(work, start + RUN_BUDGET_S, spawner)
-        setup = measure_setup(runner, 0 if trace else SETUP_REPEATS)
+        setup = measure_setup(plan, runner, 0 if trace else SETUP_REPEATS)
         listed = spec["per_layer"] if trace else spec["end_to_end"]
         names = [m["name"] for m in listed]
         if trace:
@@ -516,7 +556,7 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool, spec: di
             samples = measure_untraced(plan, runner, seconds)
             values = end_to_end_metrics(plan, samples, setup)
             counts = {"setup_s": len(setup["setup_s"]),
-                      **{k: len(v) for k, v in samples.items() if k != "stratum"}}
+                      **{k: len(samples[k]) for k in ("wall_s", "cpu_s", "peak_rss_mb")}}
             samples["setup"] = setup
             notes = []
     finally:

@@ -10,6 +10,8 @@ Protocol: one JSON request per line on standard input,
      "cpus": [CPU, ...] or null}
 and one JSON reply per line on standard output,
     {"exit": CODE, "timed_out": BOOL, "wall_s": S, "cpu_s": S, "rss_kb": KB}.
+A request {"probe": [CPU, ...]} instead times the speed probe on each of
+those CPUs and replies {"probe_s": S} (see probe).
 The command's standard output goes to FILE and its standard error to
 FILE.err. A command given "cpus" runs only on those CPUs. Each command runs
 in its own process group; on timeout the whole group is killed, and any
@@ -22,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import threading
@@ -37,6 +40,50 @@ def kill_group(pgid: int, flag: threading.Event | None = None) -> bool:
     except ProcessLookupError:
         return False
     return True
+
+
+PROBE_TRIALS = 9
+
+
+def probe_work() -> int:
+    """A fixed piece of work like the program's: interpreter loops, dict
+    stores and big-integer multiply and divide (rows of binomials)."""
+    total = 0
+    for _ in range(25):
+        for N in (120, 160, 200):
+            binom = 1
+            cache = {}
+            for l in range(N + 1):
+                total += binom * (l * l + 2 * N + 1)
+                binom = binom * (N - l) // (l + 1)
+                cache[l] = binom & 0xFFFF
+            total ^= sum(cache.values())
+    return len(str(total))
+
+
+def probe(cpus: list[int]) -> float:
+    """How long probe_work takes now at the CPUs' mean speed: the median of a
+    few trials on each CPU, combined as the harmonic mean, because a pool
+    spread over several CPUs does work at the sum of their speeds.
+
+    The shared host's speed drifts by tens of percent over seconds to
+    minutes; timing this fixed work right before and after a command tells
+    the benchmark how fast the CPU was while the command ran.
+    """
+    allowed = os.sched_getaffinity(0)
+    times = []
+    try:
+        for cpu in cpus:
+            os.sched_setaffinity(0, [cpu])
+            trials = []
+            for _ in range(PROBE_TRIALS):
+                start = time.perf_counter()
+                probe_work()
+                trials.append(time.perf_counter() - start)
+            times.append(statistics.median(trials))
+    finally:
+        os.sched_setaffinity(0, allowed)
+    return len(times) / sum(1 / t for t in times)
 
 
 def run(request: dict) -> dict:
@@ -75,7 +122,9 @@ def run(request: dict) -> dict:
 
 def main() -> int:
     for line in sys.stdin:
-        print(json.dumps(run(json.loads(line))), flush=True)
+        request = json.loads(line)
+        reply = {"probe_s": probe(request["probe"])} if "probe" in request else run(request)
+        print(json.dumps(reply), flush=True)
     return 0
 
 
