@@ -7,9 +7,7 @@ from .factorial_basis import (
     FallingPoly,
     falling,
     monomial_to_falling,
-    poly_add,
     poly_eval,
-    poly_scale,
     rising,
     rising_to_falling,
     stirling2,
@@ -41,7 +39,6 @@ from .triangles import (
     IndexOutOfTriangle,
     Triangle,
     c_entry,
-    c_entry_oracle,
     export_csv,
     export_json,
     l_entry_closed,

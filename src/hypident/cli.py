@@ -44,7 +44,7 @@ __all__ = ["SweepConfig", "entrypoint", "main", "run_sweep"]
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """A verification sweep: inclusive j/N ranges plus execution knobs."""
+    """A verification sweep: inclusive j/N ranges, mode and worker count."""
 
     j_min: int
     j_max: int
@@ -52,9 +52,6 @@ class SweepConfig:
     n_max: int
     mode: str = "fast"
     parallelism: int = 1
-    output: str = "plain"
-    output_path: str | None = None
-    timings: bool = False
 
     def __post_init__(self) -> None:
         if self.j_min < 0 or self.j_min > self.j_max:
@@ -71,12 +68,16 @@ def _sweep_cell(cell: tuple[int, int, int, str]) -> list[VerifyReport]:
 
 
 def run_sweep(config: SweepConfig) -> list[VerifyReport]:
-    """Run the grid, one cell per j value, and return reports ordered by (j, N)."""
+    """Run the grid, one cell per j value, and return reports ordered by (j, N).
+
+    The pool never has more workers than cells or than CPUs, whatever
+    parallelism asks for; the reports do not depend on the worker count.
+    """
     cells = [
         (j, config.n_min, config.n_max, config.mode)
         for j in range(config.j_min, config.j_max + 1)
     ]
-    workers = min(config.parallelism, len(cells))
+    workers = min(config.parallelism, len(cells), os.cpu_count() or 1)
     if workers <= 1:
         chunks = [_sweep_cell(cell) for cell in cells]
     else:
@@ -142,30 +143,26 @@ def _span(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _default_parallelism() -> int:
-    raw = os.environ.get(PARALLELISM_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
+    parallelism = args.parallelism
+    if parallelism is None:
+        raw = os.environ.get(PARALLELISM_ENV) or "1"
+        try:
+            parallelism = int(raw)
+        except ValueError:
+            raise ValueError(f"${PARALLELISM_ENV} must be an integer, got {raw!r}") from None
     config = SweepConfig(
         j_min=args.j[0],
         j_max=args.j[1],
         n_min=args.n[0],
         n_max=args.n[1],
         mode=args.mode,
-        parallelism=args.parallelism,
-        output=args.format,
-        output_path=args.out,
-        timings=args.timings,
+        parallelism=parallelism,
     )
     start = time.perf_counter()
     reports = run_sweep(config)
     wall = time.perf_counter() - start
-    _emit(_render_reports(reports, config.output, config.timings), config.output_path)
+    _emit(_render_reports(reports, args.format, args.timings), args.out)
     failures = [r for r in reports if not r.equal]
     print(
         f"verify j={config.j_min}..{config.j_max} N={config.n_min}..{config.n_max} "
@@ -233,8 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="report format (default plain)")
     p_verify.add_argument("--out", metavar="FILE", default=None,
                           help="write reports to FILE instead of stdout")
-    p_verify.add_argument("--parallelism", type=int, default=_default_parallelism(),
-                          metavar="K",
+    p_verify.add_argument("--parallelism", type=int, default=None, metavar="K",
                           help=f"worker processes, partitioned by j "
                                f"(default ${PARALLELISM_ENV} or 1)")
     p_verify.add_argument("--timings", action="store_true",

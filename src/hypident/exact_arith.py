@@ -24,20 +24,17 @@ __all__ = [
 ]
 
 
-def binomial(n: int, k: int, *, extended: bool = False) -> int:
+def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k) with zero-fill for out-of-range indices.
 
     Returns the ordinary coefficient for n >= k >= 0 and 0 whenever k < 0
-    or k > n >= 0. With ``extended=True`` the single exceptional value
-    C(-1, -1) = 1 is honored; that convention is needed by exactly one
-    telescoping sum (see ``triangles.vanishing_sum``) and is flag-gated so
-    it cannot leak into other call sites.
+    or k > n >= 0. The exceptional value C(-1, -1) = 1 is not honored
+    here: exactly one telescoping sum needs that convention, and
+    ``triangles.vanishing_sum`` writes the single term out itself.
 
     Raises ValueError for negative n with k >= 0: no generalized
     (Pochhammer) extension is provided.
     """
-    if extended and n == -1 and k == -1:
-        return 1
     if k < 0:
         return 0
     if n < 0:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from itertools import zip_longest
 
 from .exact_arith import binomial, factorial
 
@@ -26,9 +25,7 @@ __all__ = [
     "FallingPoly",
     "falling",
     "monomial_to_falling",
-    "poly_add",
     "poly_eval",
-    "poly_scale",
     "rising",
     "rising_to_falling",
     "stirling2",
@@ -131,18 +128,6 @@ def poly_eval(p: FallingPoly, x: int) -> int:
         total += c * ff
         ff *= x - i
     return total
-
-
-def poly_add(p: FallingPoly, q: FallingPoly) -> FallingPoly:
-    """Coefficient-wise sum."""
-    return FallingPoly(
-        tuple(a + b for a, b in zip_longest(p.coeffs, q.coeffs, fillvalue=0))
-    )
-
-
-def poly_scale(p: FallingPoly, c: int) -> FallingPoly:
-    """Scale every coefficient by c."""
-    return FallingPoly(tuple(c * a for a in p.coeffs))
 
 
 def monomial_to_falling(k: int) -> FallingPoly:

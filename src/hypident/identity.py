@@ -50,7 +50,6 @@ __all__ = [
     "VerifyReport",
     "binomial_falling_sum",
     "check_identity",
-    "lhs_direct",
     "lhs_fast",
     "map_count",
     "map_summand",
@@ -68,6 +67,16 @@ class CoefficientLengthMismatch(ValueError):
     """Coefficient vector length differs from the required 3g."""
 
 
+def _check_point(N: int, j: int) -> None:
+    if N < 1:
+        raise ValueError(
+            f"N = {N} is outside the identity's domain (N >= 1); "
+            "no value is defined at N = 0"
+        )
+    if j < 0:
+        raise ValueError(f"j = {j} must be >= 0")
+
+
 @dataclass(frozen=True)
 class IdentityPoint:
     """One (N, j) evaluation point. N >= 1; j >= 0 (j = 0 is the extension)."""
@@ -76,13 +85,7 @@ class IdentityPoint:
     j: int
 
     def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ValueError(
-                f"N = {self.N} is outside the identity's domain (N >= 1); "
-                "no value is defined at N = 0"
-            )
-        if self.j < 0:
-            raise ValueError(f"j = {self.j} must be >= 0")
+        _check_point(self.N, self.j)
 
 
 @dataclass(frozen=True)
@@ -96,13 +99,9 @@ class VerifyReport:
     elapsed: float  # seconds
 
 
-def _require_point(N: int, j: int) -> None:
-    IdentityPoint(N, j)
-
-
 def rhs_direct(N: int, j: int) -> int:
     """The binomial sum side, term by term: sum_l C(N,l) prod_i 2(2i+1+l)."""
-    _require_point(N, j)
+    _check_point(N, j)
     total = 0
     for l in range(N + 1):
         prod = 1
@@ -114,7 +113,7 @@ def rhs_direct(N: int, j: int) -> int:
 
 def rhs_fast(N: int, j: int) -> int:
     """The binomial sum side via its falling-basis polynomial: 2^N R_j(N)."""
-    _require_point(N, j)
+    _check_point(N, j)
     if j == 0:
         return pow2(N)
     return pow2(N) * poly_eval(r_poly(j), N)
@@ -122,7 +121,7 @@ def rhs_fast(N: int, j: int) -> int:
 
 def lhs_fast(N: int, j: int) -> int:
     """The hypergeometric side via its falling-basis polynomial: 2^N L_j(N)."""
-    _require_point(N, j)
+    _check_point(N, j)
     if j == 0:
         return pow2(N)
     return pow2(N) * poly_eval(l_poly(j), N)
@@ -141,25 +140,22 @@ def check_identity(point: IdentityPoint, mode: CheckMode = "fast") -> VerifyRepo
     """Evaluate both sides at ``point`` and report whether they agree.
 
     mode "direct" compares the two brute-force routes, "fast" the two
-    polynomial routes, and "cross" all four pairwise. Inequality is
-    reported, not raised.
+    polynomial routes, and "cross" all four. The report's lhs is the
+    first route's value and its rhs the last's; equal means every route
+    agrees. Inequality is reported, not raised.
     """
     start = time.perf_counter()
+    N, j = point.N, point.j
     if mode == "direct":
-        lhs = lhs_direct(point.N, point.j)
-        rhs = rhs_direct(point.N, point.j)
-        equal = lhs == rhs
+        values = (lhs_direct(N, j), rhs_direct(N, j))
     elif mode == "fast":
-        lhs = lhs_fast(point.N, point.j)
-        rhs = rhs_fast(point.N, point.j)
-        equal = lhs == rhs
+        values = (lhs_fast(N, j), rhs_fast(N, j))
     elif mode == "cross":
-        lhs = lhs_direct(point.N, point.j)
-        rhs = rhs_direct(point.N, point.j)
-        equal = lhs == lhs_fast(point.N, point.j) == rhs_fast(point.N, point.j) == rhs
+        values = (lhs_direct(N, j), lhs_fast(N, j), rhs_fast(N, j), rhs_direct(N, j))
     else:
         raise ValueError(f"unknown mode {mode!r}; expected direct, fast or cross")
-    return VerifyReport(point, lhs, rhs, equal, time.perf_counter() - start)
+    equal = all(v == values[0] for v in values[1:])
+    return VerifyReport(point, values[0], values[-1], equal, time.perf_counter() - start)
 
 
 def map_summand(g: int, l: int, j: int, nu: int) -> Fraction:

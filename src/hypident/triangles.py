@@ -35,13 +35,12 @@ from functools import lru_cache
 from typing import Callable
 
 from .exact_arith import binomial, double_factorial_odd, factorial, pow2
-from .factorial_basis import FallingPoly, poly_add, poly_scale, rising_to_falling, stirling2
+from .factorial_basis import FallingPoly, rising_to_falling, stirling2
 
 __all__ = [
     "IndexOutOfTriangle",
     "Triangle",
     "c_entry",
-    "c_entry_oracle",
     "export_csv",
     "export_json",
     "l_entry_closed",
@@ -138,23 +137,6 @@ def c_entry(k: int, j: int) -> int:
     return _C.entry(k, j)
 
 
-def c_entry_oracle(k: int, j: int) -> int:
-    """C(k, j) by direct monomial-basis expansion of prod (2i+1+x).
-
-    Independent of the recurrence path; intended for cross-checks.
-    """
-    _check_index(k, j, "C")
-    poly = [1]
-    for i in range(j):
-        lin = (2 * i + 1, 1)
-        out = [0] * (len(poly) + 1)
-        for d, pd in enumerate(poly):
-            out[d] += pd * lin[0]
-            out[d + 1] += pd * lin[1]
-        poly = out
-    return poly[k]
-
-
 def r_entry(i: int, j: int) -> int:
     """R(i, j) by the level recurrence from the R marginals."""
     return _R.entry(i, j)
@@ -211,8 +193,7 @@ def r_poly(j: int) -> FallingPoly:
 
 def l_poly(j: int) -> FallingPoly:
     """The degree-j falling-basis polynomial with coefficients L(., j)."""
-    _check_index(0, j, "L")
-    return FallingPoly(_l_closed_row(j))
+    return FallingPoly(triangle_row("L", j))
 
 
 def l_poly_from_series(j: int) -> FallingPoly:
@@ -223,12 +204,13 @@ def l_poly_from_series(j: int) -> FallingPoly:
     independent of both l_entry paths.
     """
     _check_index(0, j, "L")
-    acc = FallingPoly(())
+    coeffs = [0] * (j + 1)
     fact_2j = factorial(2 * j)
     for k in range(j + 1):
-        coeff = binomial(j, k) * (fact_2j // factorial(j + k))
-        acc = poly_add(acc, poly_scale(rising_to_falling(k), coeff))
-    return acc
+        scale = binomial(j, k) * (fact_2j // factorial(j + k))
+        for i, c in enumerate(rising_to_falling(k).coeffs):
+            coeffs[i] += scale * c
+    return FallingPoly(tuple(coeffs))
 
 
 def vanishing_sum(i: int, j: int) -> int:
@@ -238,8 +220,9 @@ def vanishing_sum(i: int, j: int) -> int:
         sum_{k=i-1}^{j} C(2j, j+k) * [ 2(i-1) C(k-1, i-1)
                                        + i C(k-1, i-2)
                                        - (j+1) C(k-2, i-3) ],
-    where at i = 2 the k = i-1 term needs the extended convention
-    C(-1,-1) = 1 (and C(k-2,-1) = 0 for k >= 2). For i = 1 the bracket
+    where at i = 2 the k = i-1 term needs the convention C(-1,-1) = 1
+    (and C(k-2,-1) = 0 for k >= 2); ``binomial`` zero-fills C(-1,-1), so
+    that one term is written out here. For i = 1 the bracket
     degenerates under pure zero-fill, so the i = 1 reduction is used
     instead: (j+1)! * [C(2j, j) - C(2j, j+1)] - (2j)!/j!.
 
@@ -252,22 +235,14 @@ def vanishing_sum(i: int, j: int) -> int:
         reduced = binomial(2 * j, j) - binomial(2 * j, j + 1)
         return factorial(j + 1) * reduced - factorial(2 * j) // factorial(j)
     total = 0
-    extended = i == 2
     for k in range(i - 1, j + 1):
         bracket = (
             2 * (i - 1) * binomial(k - 1, i - 1)
             + i * binomial(k - 1, i - 2)
-            - (j + 1) * binomial(k - 2, i - 3, extended=extended)
+            - (j + 1) * (1 if k == 1 else binomial(k - 2, i - 3))
         )
         total += binomial(2 * j, j + k) * bracket
     return total
-
-
-_KINDS: dict[str, Callable[[int], tuple[int, ...]]] = {
-    "C": _C.row,
-    "R": _R.row,
-    "L": lambda j: _l_closed_row(j),
-}
 
 
 def triangle_row(kind: str, j: int) -> tuple[int, ...]:
@@ -276,11 +251,14 @@ def triangle_row(kind: str, j: int) -> tuple[int, ...]:
     The L row comes from the closed form; by the table equality it matches
     the recurrence route, which tests assert separately.
     """
-    try:
-        rows = _KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown triangle kind {kind!r}; expected C, R or L") from None
-    return rows(j)
+    if kind == "C":
+        return _C.row(j)
+    if kind == "R":
+        return _R.row(j)
+    if kind == "L":
+        _check_index(0, j, "L")
+        return _l_closed_row(j)
+    raise ValueError(f"unknown triangle kind {kind!r}; expected C, R or L")
 
 
 def export_csv(kind: str, j_max: int) -> str:

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's own computation paths:
 rising/falling factorials are bare products, the hypergeometric sum is
-direct Pochhammer summation (no ratio recurrence), and Stirling/Bell
-numbers come from enumerating actual set partitions.
+direct Pochhammer summation (no ratio recurrence), Stirling/Bell
+numbers come from enumerating actual set partitions, and C-triangle
+entries come from expanding the product in the monomial basis.
 """
 
 from __future__ import annotations
@@ -66,3 +67,16 @@ def stirling2_by_enumeration(k: int, i: int) -> int:
 
 def bell_by_enumeration(k: int) -> int:
     return sum(1 for _ in partition_block_sizes(k))
+
+
+def c_entry_by_expansion(k: int, j: int) -> int:
+    """C(k, j): the coefficient of x^k in prod_{i=0}^{j-1} (2i+1+x),
+    by direct monomial-basis expansion (no level recurrence)."""
+    poly = [1]
+    for i in range(j):
+        out = [0] * (len(poly) + 1)
+        for d, pd in enumerate(poly):
+            out[d] += pd * (2 * i + 1)
+            out[d + 1] += pd
+        poly = out
+    return poly[k]

@@ -7,11 +7,14 @@ line for that criterion.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
+import hypident
 from hypident.exact_arith import binomial, pow2
 from hypident.factorial_basis import (
     falling,
@@ -94,7 +97,7 @@ def test_criterion_4_vanishing_sum():
     for j in range(1, 51):
         for i in range(1, j + 1):
             assert vanishing_sum(i, j) == 0, (i, j)
-    # the extended-convention branch is the i = 2 column
+    # the i = 2 column holds the one C(-1,-1) = 1 term
     assert vanishing_sum(2, 2) == 0
     _passline(4, "vanishing telescoping sum (j <= 50, incl. i=2 branch)",
               time.perf_counter() - start)
@@ -153,8 +156,10 @@ def test_criterion_8_cli_determinism():
         sys.executable, "-m", "hypident", "verify",
         "--j", "1..5", "--n", "1..20", "--format", "json",
     ]
+    # the child imports the same hypident as this test, installed or not
+    env = {**os.environ, "PYTHONPATH": str(Path(hypident.__file__).parents[1])}
     runs = [
-        subprocess.run(base + ["--parallelism", p], capture_output=True, check=True)
+        subprocess.run(base + ["--parallelism", p], capture_output=True, check=True, env=env)
         for p in ("1", "8")
     ]
     assert runs[0].stdout == runs[1].stdout

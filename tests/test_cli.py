@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hypident
 from hypident import cli
 from hypident.identity import IdentityPoint, VerifyReport
 
@@ -122,13 +125,54 @@ def test_verify_timings_flag(capsys):
     assert report["micros"] >= 1
 
 
-def test_parallelism_env_default(monkeypatch):
+def test_parallelism_env_default(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_sweep", lambda config: seen.append(config.parallelism) or [])
     monkeypatch.setenv(cli.PARALLELISM_ENV, "6")
-    args = cli.build_parser().parse_args(["verify"])
-    assert args.parallelism == 6
-    monkeypatch.setenv(cli.PARALLELISM_ENV, "bogus")
-    args = cli.build_parser().parse_args(["verify"])
-    assert args.parallelism == 1
+    assert run_cli(capsys, "verify")[0] == 0
+    assert run_cli(capsys, "verify", "--parallelism", "2")[0] == 0
+    monkeypatch.delenv(cli.PARALLELISM_ENV)
+    assert run_cli(capsys, "verify")[0] == 0
+    assert seen == [6, 2, 1]
+    for bad in ("bogus", "0", "-3"):
+        monkeypatch.setenv(cli.PARALLELISM_ENV, bad)
+        code, out, err = run_cli(capsys, "verify")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert seen == [6, 2, 1]
+    # only verify reads the variable
+    assert run_cli(capsys, "eval", "both", "1", "2")[0] == 0
+
+
+def test_pool_is_capped_at_cpu_count(monkeypatch):
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    config = cli.SweepConfig(1, 8, 1, 4, parallelism=5000)
+    reports = cli.run_sweep(config)
+    assert started == [3]
+    serial = cli.run_sweep(cli.SweepConfig(1, 8, 1, 4))
+    assert [(r.point, r.lhs, r.rhs, r.equal) for r in reports] == [
+        (r.point, r.lhs, r.rhs, r.equal) for r in serial
+    ]
+    assert started == [3]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    cli.run_sweep(config)
+    assert started == [3]
 
 
 # -- eval ----------------------------------------------------------------------
@@ -237,6 +281,8 @@ def test_python_m_entrypoint():
         [sys.executable, "-m", "hypident", "eval", "both", "1", "1"],
         capture_output=True,
         text=True,
+        # the child imports the same hypident as this test, installed or not
+        env={**os.environ, "PYTHONPATH": str(Path(hypident.__file__).parents[1])},
     )
     assert proc.returncode == 0
     assert proc.stdout == "lhs=6 rhs=6 equal=true\n"

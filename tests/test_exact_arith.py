@@ -19,15 +19,7 @@ def test_binomial_zero_fill_out_of_range():
     assert binomial(3, 5) == 0
     assert binomial(0, 1) == 0
     assert binomial(7, -1) == 0
-    assert binomial(-1, -1) == 0  # without the flag, k < 0 zero-fills
-
-
-def test_binomial_extended_convention():
-    """The single exceptional value C(-1,-1) = 1 is gated behind the flag."""
-    assert binomial(-1, -1, extended=True) == 1
-    assert binomial(0, -1, extended=True) == 0
-    assert binomial(5, -1, extended=True) == 0
-    assert binomial(4, 2, extended=True) == 6
+    assert binomial(-1, -1) == 0  # k < 0 always zero-fills
 
 
 def test_binomial_negative_n_rejected():

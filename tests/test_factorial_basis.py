@@ -4,9 +4,7 @@ from hypident.factorial_basis import (
     FallingPoly,
     falling,
     monomial_to_falling,
-    poly_add,
     poly_eval,
-    poly_scale,
     rising,
     rising_to_falling,
     stirling2,
@@ -100,23 +98,6 @@ def test_poly_eval():
         assert poly_eval(one, x) == 1
     assert poly_eval(FallingPoly((2, 1)), 1) == 3
     assert poly_eval(FallingPoly((12, 10, 1)), 1) == 22
-
-
-def test_poly_add_and_scale():
-    assert poly_add(FallingPoly((1,)), FallingPoly((0,))).coeffs == (1,)
-    assert poly_add(FallingPoly((1, 2)), FallingPoly((3,))).coeffs == (4, 2)
-    assert poly_scale(FallingPoly((2, 1)), 2).coeffs == (4, 2)
-    assert poly_scale(FallingPoly((2, 1)), 0).coeffs == ()
-    # cancellation trims the degree
-    assert poly_add(FallingPoly((1, 2)), FallingPoly((1, -2))).coeffs == (2,)
-
-
-def test_poly_add_evaluates_pointwise():
-    p = FallingPoly((3, -1, 4))
-    q = FallingPoly((0, 2))
-    for x in range(-5, 11):
-        assert poly_eval(poly_add(p, q), x) == poly_eval(p, x) + poly_eval(q, x)
-        assert poly_eval(poly_scale(p, -7), x) == -7 * poly_eval(p, x)
 
 
 # -- basis transforms ----------------------------------------------------

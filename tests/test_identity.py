@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from hypident import identity
 from hypident.exact_arith import binomial, factorial, pow2
 from hypident.factorial_basis import falling
+from hypident.hypergeom import lhs_direct
 from hypident.identity import (
     CoefficientLengthMismatch,
     IdentityPoint,
@@ -12,7 +14,6 @@ from hypident.identity import (
     VerifyReport,
     binomial_falling_sum,
     check_identity,
-    lhs_direct,
     lhs_fast,
     map_count,
     map_summand,
@@ -113,6 +114,22 @@ def test_check_identity_default_is_fast():
 def test_check_identity_unknown_mode():
     with pytest.raises(ValueError):
         check_identity(IdentityPoint(1, 1), "slow")
+
+
+MODE_ROUTES = {
+    "direct": {"lhs_direct", "rhs_direct"},
+    "fast": {"lhs_fast", "rhs_fast"},
+    "cross": {"lhs_direct", "lhs_fast", "rhs_fast", "rhs_direct"},
+}
+
+
+@pytest.mark.parametrize("route", ["lhs_direct", "rhs_direct", "lhs_fast", "rhs_fast"])
+def test_every_mode_catches_one_wrong_route(monkeypatch, route):
+    right = getattr(identity, route)
+    monkeypatch.setattr(identity, route, lambda N, j: right(N, j) + 1)
+    for mode, routes in MODE_ROUTES.items():
+        report = check_identity(IdentityPoint(5, 3), mode)
+        assert report.equal == (route not in routes), mode
 
 
 def test_report_equal_mirrors_values():

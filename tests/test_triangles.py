@@ -11,7 +11,6 @@ from hypident.triangles import (
     IndexOutOfTriangle,
     Triangle,
     c_entry,
-    c_entry_oracle,
     export_csv,
     export_json,
     l_entry_closed,
@@ -25,6 +24,8 @@ from hypident.triangles import (
     vanishing_sum,
 )
 
+from oracles import c_entry_by_expansion
+
 
 def test_c_entry_values():
     assert (c_entry(0, 1), c_entry(1, 1)) == (1, 1)
@@ -35,7 +36,7 @@ def test_c_entry_values():
 def test_c_recurrence_matches_product_expansion():
     for j in range(1, 31):
         for k in range(j + 1):
-            assert c_entry(k, j) == c_entry_oracle(k, j), (k, j)
+            assert c_entry(k, j) == c_entry_by_expansion(k, j), (k, j)
 
 
 def test_r_entry_values():
@@ -174,6 +175,12 @@ def test_triangle_row_kinds():
         triangle_row("Q", 2)
     with pytest.raises(IndexOutOfTriangle):
         triangle_row("R", 0)
+    for kind in ("C", "R", "L"):
+        with pytest.raises(IndexOutOfTriangle):
+            triangle_row(kind, -1)
+    # a rejected L row must not have been cached as an empty row
+    with pytest.raises(IndexOutOfTriangle):
+        triangle_row("L", -1)
 
 
 # -- concurrency contract ---------------------------------------------------
