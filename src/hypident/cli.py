@@ -18,12 +18,14 @@ byte-identical output no matter the parallelism.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import TextIO
 
 from . import __version__
 from .identity import (
@@ -120,12 +122,15 @@ def _render_reports(reports: list[VerifyReport], fmt: str, timings: bool) -> str
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, path: str | None) -> None:
+def _open_out(path: str | None) -> contextlib.AbstractContextManager[TextIO]:
+    """The report destination: stdout, or the file at path.
+
+    Callers open it before doing the work that fills it, so an unwritable
+    path fails at once instead of after a sweep.
+    """
     if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
 
 
 def _span(text: str) -> tuple[int, int]:
@@ -159,10 +164,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         mode=args.mode,
         parallelism=parallelism,
     )
-    start = time.perf_counter()
-    reports = run_sweep(config)
-    wall = time.perf_counter() - start
-    _emit(_render_reports(reports, args.format, args.timings), args.out)
+    with _open_out(args.out) as out:
+        start = time.perf_counter()
+        reports = run_sweep(config)
+        wall = time.perf_counter() - start
+        out.write(_render_reports(reports, args.format, args.timings))
     failures = [r for r in reports if not r.equal]
     print(
         f"verify j={config.j_min}..{config.j_max} N={config.n_min}..{config.n_max} "
@@ -181,11 +187,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.jmax < 1:
         raise ValueError(f"--jmax must be >= 1, got {args.jmax}")
-    if args.format == "json":
-        text = export_json(args.kind, args.jmax)
-    else:
-        text = export_csv(args.kind, args.jmax)
-    _emit(text, args.out)
+    export = export_json if args.format == "json" else export_csv
+    with _open_out(args.out) as out:
+        out.write(export(args.kind, args.jmax))
     return 0
 
 

@@ -121,12 +121,16 @@ class FallingPoly:
 
 
 def poly_eval(p: FallingPoly, x: int) -> int:
-    """Evaluate p at the integer point x, exactly."""
+    """Evaluate p at the integer point x, exactly, by Horner's rule.
+
+    In the falling basis the nesting is
+        c_0 + x (c_1 + (x-1) (c_2 + ... + (x-d+1) c_d)),
+    so each step multiplies the running total by the small int x - i.
+    """
+    coeffs = p.coeffs
     total = 0
-    ff = 1
-    for i, c in enumerate(p.coeffs):
-        total += c * ff
-        ff *= x - i
+    for i in range(len(coeffs) - 1, -1, -1):
+        total = total * (x - i) + coeffs[i]
     return total
 
 

@@ -276,4 +276,6 @@ def mapcount_spec_from_file(path: str, j: int) -> MapCountSpec:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     return mapcount_spec_from_obj(raw, j)

@@ -13,7 +13,13 @@ plus a two-term recurrence:
       R(i,j+1) = 2(2j+i+1) R(i,j) + R(i-1,j).
   L(i, j): falling-basis coefficients of the polynomial L_j with
       2^N L_j(N) equal to the hypergeometric side; closed form
-      L(0,j) = (2j)!/j!,  L(i,j) = j!/i! sum_{k=i}^j C(2j, j+k) C(k-1, i-1).
+      L(0,j) = (2j)!/j!,  L(i,j) = j!/i! S_i,
+      S_i = sum_{k=i}^j C(2j, j+k) C(k-1, i-1).
+      The inner sums have the generating function
+          sum_{i>=1} S_i y^(i-1) = sum_{k=1}^j C(2j, j+k) (1+y)^(k-1),
+      so a closed-form row is built whole: one Taylor shift by 1 of the
+      vector C(2j, j+1..2j) (Pascal's rule, about j^2/2 additions), then
+      a running product for the j!/i! factors.
 
 R and L are provably the same table, but they are kept as separate objects
 with independent construction routes on purpose: their entry-by-entry
@@ -21,10 +27,11 @@ equality (plus the recurrence/closed-form agreement within each family and
 the companion ``vanishing_sum`` telescoping check) is the package's
 principal verification target, so collapsing them would test nothing.
 
-Construction is level-by-level with whole rows cached; random access to
-(i, j) builds every row up to j. Rows grow under an internal lock and are
-immutable once published, so concurrent readers only ever observe complete
-rows.
+Rows are built whole and cached. The recurrence routes build level by
+level, so random access to (i, j) builds every row up to j; an L
+closed-form row is built on its own from the binomials of its level.
+Recurrence rows grow under an internal lock, and every row is immutable
+once published, so concurrent readers only ever observe complete rows.
 """
 
 from __future__ import annotations
@@ -160,15 +167,11 @@ def l_entry_closed(i: int, j: int) -> int:
     """L(i, j) by the binomial closed form.
 
     j!/i! * sum_{k=i}^{j} C(2j, j+k) C(k-1, i-1) for i >= 1; the i = 0
-    column is (2j)!/j!.
+    column is (2j)!/j!. Reads the cached row j, which is built whole from
+    the generating function of the inner sums (see the module docstring).
     """
     _check_index(i, j, "L")
-    if i == 0:
-        return factorial(2 * j) // factorial(j)
-    scale = factorial(j) // factorial(i)
-    return scale * sum(
-        binomial(2 * j, j + k) * binomial(k - 1, i - 1) for k in range(i, j + 1)
-    )
+    return _l_closed_row(j)[i]
 
 
 def l_entry_recurrence(i: int, j: int) -> int:
@@ -183,7 +186,18 @@ def l_entry_recurrence(i: int, j: int) -> int:
 
 @lru_cache(maxsize=None)
 def _l_closed_row(j: int) -> tuple[int, ...]:
-    return tuple(l_entry_closed(i, j) for i in range(j + 1))
+    # a[m] = C(2j, j+1+m). The Taylor shift turns sum_m a[m] y^m into
+    # sum_m a[m] (1+y)^m in place, after which a[i-1] = S_i.
+    a = [binomial(2 * j, j + k) for k in range(1, j + 1)]
+    for i in range(j - 1):
+        for k in range(j - 2, i - 1, -1):
+            a[k] += a[k + 1]
+    row = [factorial(2 * j) // factorial(j)] + a
+    scale = 1  # j!/i!
+    for i in range(j, 0, -1):
+        row[i] *= scale
+        scale *= i
+    return tuple(row)
 
 
 def r_poly(j: int) -> FallingPoly:

@@ -3,14 +3,16 @@
 Everything here deliberately avoids the package's own computation paths:
 rising/falling factorials are bare products, the hypergeometric sum is
 direct Pochhammer summation (no ratio recurrence), Stirling/Bell
-numbers come from enumerating actual set partitions, and C-triangle
-entries come from expanding the product in the monomial basis.
+numbers come from enumerating actual set partitions, C-triangle
+entries come from expanding the product in the monomial basis, and
+L-triangle entries come from the binomial closed form summed entry by
+entry with ``math.comb``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 
 def falling_product(a: int, n: int) -> int:
@@ -80,3 +82,12 @@ def c_entry_by_expansion(k: int, j: int) -> int:
             out[d + 1] += pd
         poly = out
     return poly[k]
+
+
+def l_entry_by_binomial_sum(i: int, j: int) -> int:
+    """L(i, j) by its binomial closed form, one entry at a time:
+    (2j)!/j! for i = 0, else j!/i! sum_{k=i}^{j} C(2j, j+k) C(k-1, i-1)."""
+    if i == 0:
+        return factorial(2 * j) // factorial(j)
+    inner = sum(comb(2 * j, j + k) * comb(k - 1, i - 1) for k in range(i, j + 1))
+    return factorial(j) // factorial(i) * inner

@@ -78,6 +78,19 @@ def test_verify_out_file(tmp_path, capsys):
     assert json.loads(target.read_text(encoding="utf-8"))[0]["lhs"] == "6"
 
 
+def test_verify_unwritable_out_fails_before_sweep(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_sweep", lambda config: calls.append(config) or [])
+    code, out, err = run_cli(
+        capsys, "verify", "--j", "1..40", "--n", "1..100", "--mode", "cross",
+        "--out", str(tmp_path / "missing" / "report.txt"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert calls == []
+
+
 def test_verify_deterministic_across_parallelism(capsys):
     args = ("verify", "--j", "1..4", "--n", "1..10", "--format", "json")
     _, first, _ = run_cli(capsys, *args, "--parallelism", "1")
@@ -266,6 +279,14 @@ def test_mapcount_malformed_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "mapcount", path, "--j", "1")
     assert code == 2
     assert "JSON" in err
+
+
+def test_mapcount_deeply_nested_file(tmp_path, capsys):
+    path = write_coeffs(tmp_path, "[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "mapcount", path, "--j", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: JSON nested too deeply\n"
 
 
 def test_mapcount_missing_file(capsys):

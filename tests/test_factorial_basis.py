@@ -9,8 +9,9 @@ from hypident.factorial_basis import (
     rising_to_falling,
     stirling2,
 )
+from hypident.triangles import l_poly, r_poly
 
-from oracles import bell_by_enumeration, stirling2_by_enumeration
+from oracles import bell_by_enumeration, falling_product, stirling2_by_enumeration
 
 
 def test_falling_values():
@@ -96,8 +97,17 @@ def test_poly_eval():
     one = FallingPoly((1,))
     for x in (-7, 0, 3, 100):
         assert poly_eval(one, x) == 1
+        assert poly_eval(FallingPoly(()), x) == 0
     assert poly_eval(FallingPoly((2, 1)), 1) == 3
     assert poly_eval(FallingPoly((12, 10, 1)), 1) == 22
+    # Horner's rule never stops early, so check below the degree, where
+    # (x)_i = 0 for 0 <= x < i, and at negative x, against the basis sum
+    polys = [f(j) for j in range(1, 13) for f in (l_poly, r_poly)]
+    polys += [f(k) for k in range(13) for f in (monomial_to_falling, rising_to_falling)]
+    for p in polys:
+        for x in range(-3, p.degree + 3):
+            expected = sum(c * falling_product(x, i) for i, c in enumerate(p.coeffs))
+            assert poly_eval(p, x) == expected, (p, x)
 
 
 # -- basis transforms ----------------------------------------------------

@@ -24,7 +24,7 @@ from hypident.triangles import (
     vanishing_sum,
 )
 
-from oracles import c_entry_by_expansion
+from oracles import c_entry_by_expansion, l_entry_by_binomial_sum
 
 
 def test_c_entry_values():
@@ -55,6 +55,18 @@ def test_l_entry_closed_values():
     assert l_entry_closed(0, 2) == 12  # (2j)!/j!
     assert l_entry_closed(1, 2) == 10  # 2*(C(4,3) + C(4,4))
     assert l_entry_closed(2, 2) == 1
+
+
+def test_l_closed_rows_match_binomial_sum():
+    for j in range(1, 61):
+        row = triangle_row("L", j)
+        assert row == tuple(l_entry_by_binomial_sum(i, j) for i in range(j + 1)), j
+
+
+def test_l_closed_rows_equal_r_rows_beyond_1000_bits():
+    for j in range(1, 151):
+        assert triangle_row("L", j) == triangle_row("R", j), j
+    assert max(triangle_row("L", 150)).bit_length() > 1000
 
 
 def test_l_entry_recurrence_values():
