@@ -4,7 +4,8 @@ evaluation, and map counts.
 Subcommands:
 
   verify    sweep check_identity over a (j, N) grid; exit 0 iff every
-            point verifies, 1 if any fails, 2 on usage/domain errors
+            point verifies, 1 if any fails, 2 on usage/domain errors,
+            3 on an internal error
   table     dump triangle rows as CSV or JSON
   eval      evaluate one side (or both) of the identity at a single point
   mapcount  evaluate the map-count formula from a JSON coefficient file
@@ -24,6 +25,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -270,6 +272,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, BrokenProcessPool) as exc:
+        # A failed integrality check or a dead worker is a fault of the
+        # program, not a disagreement of the identity (exit 1).
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entrypoint() -> None:

@@ -44,7 +44,9 @@ class Hyp2F1Spec:
 
     Requires at least one nonpositive integer among a, b (termination) and
     c^(k) != 0 for every k up to the termination index (so each term's
-    denominator is nonzero). z may be an int or an exact rational.
+    denominator is nonzero). a, b and c must be ints and z an int or an
+    exact rational; anything else, bools included, is a TypeError, so no
+    float can reach the series.
     """
 
     a: int
@@ -53,7 +55,11 @@ class Hyp2F1Spec:
     z: ExactRat
 
     def __post_init__(self) -> None:
-        if not isinstance(self.z, (int, Fraction)):
+        for name in ("a", "b", "c"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+        if not isinstance(self.z, (int, Fraction)) or isinstance(self.z, bool):
             raise TypeError(f"z must be an exact rational, got {type(self.z).__name__}")
         object.__setattr__(self, "z", Fraction(self.z))
         if self.a > 0 and self.b > 0:
@@ -79,17 +85,21 @@ class Hyp2F1Spec:
 def hyp2f1_terminating(spec: Hyp2F1Spec) -> Fraction:
     """Exact rational value of the finite series, k = 0 .. termination index.
 
-    Terms are accumulated by the ratio recurrence
-    term_{k+1} = term_k * (a+k)(b+k) / ((c+k)(k+1)) * z
-    rather than by recomputing rising factorials.
+    Consecutive terms have the ratio
+    r_k = term_{k+1} / term_k = (a+k)(b+k) p / ((c+k)(k+1) q)  with z = p/q,
+    so the sum is 1 + r_0 (1 + r_1 (1 + ... (1 + r_{K-1}))). That nest is
+    evaluated by Horner's rule from the inside out on a plain integer pair
+    num/den, left unreduced; one Fraction (one gcd) is built at the end
+    instead of reducing after every term.
     """
-    a, b, c, z = spec.a, spec.b, spec.c, spec.z
-    term = Fraction(1)
-    total = term
-    for k in range(spec.termination_index):
-        term = term * ((a + k) * (b + k)) / ((c + k) * (k + 1)) * z
-        total += term
-    return total
+    a, b, c = spec.a, spec.b, spec.c
+    p, q = spec.z.numerator, spec.z.denominator
+    num = den = 1
+    for k in range(spec.termination_index - 1, -1, -1):
+        step = (c + k) * (k + 1) * q
+        num = num * ((a + k) * (b + k) * p) + den * step
+        den *= step
+    return Fraction(num, den)
 
 
 def lhs_direct(N: int, j: int) -> int:
@@ -97,7 +107,9 @@ def lhs_direct(N: int, j: int) -> int:
 
     Defined for N >= 1 (at N = 0 the series parameters are invalid: c^(k)
     hits zero inside the terminating range) and j >= 0 (j = 0 gives 2^N).
-    The product is provably an integer; that is checked, not assumed.
+    The series is the brute-force sum of all j+1 terms from
+    ``hyp2f1_terminating``. The product is provably an integer; that is
+    checked, not assumed, and a non-integer raises ArithmeticError.
     """
     if N < 1:
         raise ValueError(f"lhs_direct(N={N}, j={j}): N must be >= 1")

@@ -100,14 +100,26 @@ class VerifyReport:
 
 
 def rhs_direct(N: int, j: int) -> int:
-    """The binomial sum side, term by term: sum_l C(N,l) prod_i 2(2i+1+l)."""
+    """The binomial sum side, term by term: sum_l C(N,l) P(l), where
+    P(l) = prod_{i=0}^{j-1} 2(2i+1+l).
+
+    All N+1 terms are added. Each factor comes from its neighbour by an
+    exact integer ratio: C(N,l+1) = C(N,l)(N-l)/(l+1), and P(l+2) =
+    P(l)(l+2j+1)/(l+1) because the product telescopes, so P(0) and P(1)
+    are the only full products. This route reads no polynomial or
+    triangle, so it stays independent of ``rhs_fast``.
+    """
     _check_point(N, j)
+    p = p_next = 1
+    for i in range(j):
+        p *= 2 * (2 * i + 1)
+        p_next *= 2 * (2 * i + 2)
+    c = 1
     total = 0
     for l in range(N + 1):
-        prod = 1
-        for i in range(j):
-            prod *= 2 * (2 * i + 1 + l)
-        total += binomial(N, l) * prod
+        total += c * p
+        c = c * (N - l) // (l + 1)
+        p, p_next = p_next, p * (l + 2 * j + 1) // (l + 1)
     return total
 
 

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's own computation paths:
 rising/falling factorials are bare products, the hypergeometric sum is
-direct Pochhammer summation (no ratio recurrence), Stirling/Bell
+direct Pochhammer summation (no ratio recurrence), the binomial-sum
+side of the identity is its definition with ``math.comb``, Stirling/Bell
 numbers come from enumerating actual set partitions, C-triangle
 entries come from expanding the product in the monomial basis, and
 L-triangle entries come from the binomial closed form summed entry by
@@ -39,6 +40,17 @@ def hyp2f1_by_pochhammer(a: int, b: int, c: int, z) -> Fraction:
         num = rising_product(a, k) * rising_product(b, k)
         den = rising_product(c, k) * factorial(k)
         total += Fraction(num, den) * Fraction(z) ** k
+    return total
+
+
+def rhs_by_definition(N: int, j: int) -> int:
+    """sum_{l=0}^{N} C(N, l) prod_{i=0}^{j-1} 2(2i+1+l), every product in full."""
+    total = 0
+    for l in range(N + 1):
+        prod = 1
+        for i in range(j):
+            prod *= 2 * (2 * i + 1 + l)
+        total += comb(N, l) * prod
     return total
 
 

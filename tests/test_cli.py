@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import hypident
-from hypident import cli
+from hypident import cli, hypergeom
 from hypident.identity import IdentityPoint, VerifyReport
 
 
@@ -89,6 +91,30 @@ def test_verify_unwritable_out_fails_before_sweep(tmp_path, capsys, monkeypatch)
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert calls == []
+
+
+def test_verify_non_integral_series_is_internal_error(capsys, monkeypatch):
+    original = hypergeom.hyp2f1_terminating
+    monkeypatch.setattr(hypergeom, "hyp2f1_terminating",
+                        lambda spec: original(spec) + Fraction(1, 3))
+    monkeypatch.delenv(cli.PARALLELISM_ENV, raising=False)
+    code, out, err = run_cli(capsys, "verify", "--j", "1..2", "--n", "1..3",
+                             "--mode", "direct")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: lhs_direct(") and err.count("\n") == 1
+
+
+def test_verify_broken_pool_is_internal_error(capsys, monkeypatch):
+    def broken(config):
+        raise BrokenProcessPool("a worker process died")
+
+    monkeypatch.setattr(cli, "run_sweep", broken)
+    code, out, err = run_cli(capsys, "verify", "--j", "1..4", "--n", "1..10",
+                             "--parallelism", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: a worker process died\n"
 
 
 def test_verify_deterministic_across_parallelism(capsys):

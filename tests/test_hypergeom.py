@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from hypident import hypergeom
 from hypident.hypergeom import (
     DenominatorPochhammerZero,
     Hyp2F1Spec,
@@ -65,6 +66,33 @@ def test_float_z_rejected():
         Hyp2F1Spec(-1, -2, -1, 0.5)
 
 
+@pytest.mark.parametrize("a, b, c, z", [
+    (-1, -2, -1, True),
+    (-2, -4, -2.5, -1),
+    (-2.0, -4, -3, -1),
+    (-2, Fraction(-4), -3, -1),
+    (-2, -4, False, -1),
+])
+def test_non_integer_parameters_rejected(a, b, c, z):
+    """Only ints (not bools) as a, b, c and exact rationals as z reach the
+    series, so no float can leak into a value."""
+    with pytest.raises(TypeError):
+        Hyp2F1Spec(a, b, c, z)
+
+
+def test_matches_pochhammer_in_map_count_regime():
+    """The parameters map_summand uses: a = -j, b = -nu j, c = 2-2g-l-j,
+    z = 1/(1-nu), for every l < 3g."""
+    for nu in range(2, 5):
+        z = Fraction(1, 1 - nu)
+        for g in range(1, 4):
+            for l in range(3 * g):
+                for j in range(1, 26):
+                    a, b, c = -j, -nu * j, 2 - 2 * g - l - j
+                    assert hyp2f1_terminating(Hyp2F1Spec(a, b, c, z)) == \
+                        hyp2f1_by_pochhammer(a, b, c, z), (nu, g, l, j)
+
+
 terminating_params = st.tuples(
     st.integers(min_value=-8, max_value=0),
     st.integers(min_value=-8, max_value=0),
@@ -103,6 +131,14 @@ def test_lhs_direct_always_integer():
     for j in range(1, 21):
         for n in range(1, 51):
             assert isinstance(lhs_direct(n, j), int)
+
+
+def test_lhs_direct_integrality_check_fires(monkeypatch):
+    original = hypergeom.hyp2f1_terminating
+    monkeypatch.setattr(hypergeom, "hyp2f1_terminating",
+                        lambda spec: original(spec) + Fraction(1, 3))
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        lhs_direct(1, 1)  # prefactor 1! 2^1 C(1,1) = 2 keeps the 1/3
 
 
 def test_lhs_direct_rejects_n0():

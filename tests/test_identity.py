@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypident import identity
+from hypident import hypergeom, identity
 from hypident.exact_arith import binomial, factorial, pow2
 from hypident.factorial_basis import falling
 from hypident.hypergeom import lhs_direct
@@ -24,11 +24,28 @@ from hypident.identity import (
     summand_equivalence,
 )
 
+from oracles import rhs_by_definition
+
 
 def test_rhs_direct_values():
     assert rhs_direct(1, 1) == 6  # 2 + 4
     assert rhs_direct(2, 1) == 16  # 2 + 8 + 6
     assert rhs_direct(1, 2) == 44  # 12 + 32
+
+
+def test_rhs_direct_matches_definition():
+    for j in range(31):
+        for n in range(1, 61):
+            assert rhs_direct(n, j) == rhs_by_definition(n, j), (n, j)
+
+
+def test_brute_force_routes_read_no_polynomial_route():
+    """rhs_direct and the hypergeom module reach no falling-basis polynomial
+    or triangle, so the brute-force routes stay independent of the fast ones."""
+    polynomial_names = {"poly_eval", "r_poly", "l_poly", "triangle_row",
+                        "binomial_falling_sum", "falling"}
+    assert polynomial_names.isdisjoint(rhs_direct.__code__.co_names)
+    assert polynomial_names.isdisjoint(vars(hypergeom))
 
 
 def test_j0_extension_collapses_to_power_of_two():
