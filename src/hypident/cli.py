@@ -5,7 +5,7 @@ Subcommands:
 
   verify    sweep check_identity over a (j, N) grid; exit 0 iff every
             point verifies, 1 if any fails, 2 on usage/domain errors,
-            3 on an internal error
+            3 on an internal error, 130 when interrupted
   table     dump triangle rows as CSV or JSON
   eval      evaluate one side (or both) of the identity at a single point
   mapcount  evaluate the map-count formula from a JSON coefficient file
@@ -85,8 +85,12 @@ def run_sweep(config: SweepConfig) -> list[VerifyReport]:
     if workers <= 1:
         chunks = [_sweep_cell(cell) for cell in cells]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
             chunks = list(pool.map(_sweep_cell, cells))
+        finally:
+            # A failed or interrupted sweep drops the cells not yet started.
+            pool.shutdown(cancel_futures=True)
     return [report for chunk in chunks for report in chunk]
 
 
@@ -267,8 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):
+        # Exact values pass CPython's default 4300-digit limit on str(int).
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,8 +2,8 @@
 
 All arithmetic in this package is exact: integers are Python's unbounded
 ``int``, rationals are ``fractions.Fraction`` (always canonical: positive
-denominator, gcd-reduced, structural equality). The aliases ``ExactInt``
-and ``ExactRat`` name those roles in signatures. No floats anywhere.
+denominator, gcd-reduced, structural equality). The alias ``ExactRat``
+names that role in signatures. No floats anywhere.
 """
 
 from __future__ import annotations
@@ -11,11 +11,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-ExactInt = int
 ExactRat = Fraction
 
 __all__ = [
-    "ExactInt",
     "ExactRat",
     "binomial",
     "double_factorial_odd",

@@ -102,6 +102,17 @@ def hyp2f1_terminating(spec: Hyp2F1Spec) -> Fraction:
     return Fraction(num, den)
 
 
+def _check_point(N: int, j: int) -> None:
+    """The identity's point domain, shared by every route: N >= 1, j >= 0."""
+    if N < 1:
+        raise ValueError(
+            f"N = {N} is outside the identity's domain (N >= 1); "
+            "no value is defined at N = 0"
+        )
+    if j < 0:
+        raise ValueError(f"j = {j} must be >= 0")
+
+
 def lhs_direct(N: int, j: int) -> int:
     """j! * 2^N * C(N+j-1, j) * 2F1(-j, -2j; -N-j+1; -1), as an integer.
 
@@ -111,10 +122,7 @@ def lhs_direct(N: int, j: int) -> int:
     ``hyp2f1_terminating``. The product is provably an integer; that is
     checked, not assumed, and a non-integer raises ArithmeticError.
     """
-    if N < 1:
-        raise ValueError(f"lhs_direct(N={N}, j={j}): N must be >= 1")
-    if j < 0:
-        raise ValueError(f"lhs_direct(N={N}, j={j}): j must be >= 0")
+    _check_point(N, j)
     series = hyp2f1_terminating(Hyp2F1Spec(-j, -2 * j, -N - j + 1, Fraction(-1)))
     value = factorial(j) * pow2(N) * binomial(N + j - 1, j) * series
     if value.denominator != 1:

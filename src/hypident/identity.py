@@ -40,7 +40,7 @@ from typing import Literal
 
 from .exact_arith import ExactRat, binomial, factorial, pow2
 from .factorial_basis import falling, poly_eval
-from .hypergeom import Hyp2F1Spec, hyp2f1_terminating, lhs_direct
+from .hypergeom import Hyp2F1Spec, _check_point, hyp2f1_terminating, lhs_direct
 from .triangles import l_poly, r_poly
 
 __all__ = [
@@ -65,16 +65,6 @@ CheckMode = Literal["direct", "fast", "cross"]
 
 class CoefficientLengthMismatch(ValueError):
     """Coefficient vector length differs from the required 3g."""
-
-
-def _check_point(N: int, j: int) -> None:
-    if N < 1:
-        raise ValueError(
-            f"N = {N} is outside the identity's domain (N >= 1); "
-            "no value is defined at N = 0"
-        )
-    if j < 0:
-        raise ValueError(f"j = {j} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -205,7 +195,13 @@ def summand_equivalence(g: int, l: int, j: int) -> bool:
 @dataclass(frozen=True)
 class MapCountSpec:
     """Inputs for one map count: half-valence nu, genus g, vertices j,
-    and the 3g externally supplied weights a."""
+    and the 3g externally supplied weights a.
+
+    nu, g and j must be ints; each weight an int, a Fraction or a rational
+    string such as "-3/4", stored as a Fraction. Bools and floats are
+    rejected, so no inexact value reaches the count. Every fault is a
+    ValueError naming the offending field or weight.
+    """
 
     nu: int
     g: int
@@ -213,18 +209,33 @@ class MapCountSpec:
     a: tuple[ExactRat, ...]
 
     def __post_init__(self) -> None:
+        for name in ("nu", "g", "j"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name!r} must be an integer, got {value!r}")
+        weights = []
+        for idx, entry in enumerate(self.a):
+            if isinstance(entry, bool):
+                raise ValueError(f"a[{idx}]: booleans are not rationals")
+            if not isinstance(entry, (int, Fraction, str)):
+                raise ValueError(
+                    f"a[{idx}]: expected a rational string or integer, got {entry!r}"
+                )
+            try:
+                weights.append(Fraction(entry))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"a[{idx}]: malformed rational {entry!r} ({exc})") from None
         if self.nu < 2:
             raise ValueError(f"nu = {self.nu} must be >= 2")
         if self.g < 1:
             raise ValueError(f"g = {self.g} must be >= 1")
         if self.j < 1:
             raise ValueError(f"j = {self.j} must be >= 1")
-        weights = tuple(Fraction(x) for x in self.a)
         if len(weights) != 3 * self.g:
             raise CoefficientLengthMismatch(
                 f"need 3g = {3 * self.g} coefficients, got {len(weights)}"
             )
-        object.__setattr__(self, "a", weights)
+        object.__setattr__(self, "a", tuple(weights))
 
 
 def map_count(spec: MapCountSpec) -> Fraction:
@@ -248,37 +259,18 @@ def mapcount_spec_from_obj(obj: object, j: int) -> MapCountSpec:
     """Build a MapCountSpec from a decoded coefficient-file object.
 
     Expected shape: {"nu": int, "g": int, "a": [entries]} where each entry
-    is an exact rational as a string ("7", "-3/4") or a JSON integer.
-    Anything else is a ValueError with a pointer at the offending entry.
+    is an exact rational as a string ("7", "-3/4") or a JSON integer. The
+    shape is checked here and the values by MapCountSpec; anything else is
+    a ValueError with a pointer at the offending key or entry.
     """
     if not isinstance(obj, dict):
         raise ValueError("coefficient file must contain a JSON object")
     missing = [key for key in ("nu", "g", "a") if key not in obj]
     if missing:
         raise ValueError(f"coefficient file is missing key(s): {', '.join(missing)}")
-    nu, g, entries = obj["nu"], obj["g"], obj["a"]
-    if not isinstance(nu, int) or isinstance(nu, bool):
-        raise ValueError(f"'nu' must be an integer, got {nu!r}")
-    if not isinstance(g, int) or isinstance(g, bool):
-        raise ValueError(f"'g' must be an integer, got {g!r}")
-    if not isinstance(entries, list):
+    if not isinstance(obj["a"], list):
         raise ValueError("'a' must be an array of rational strings")
-    return MapCountSpec(nu=nu, g=g, j=j, a=tuple(
-        _parse_rational(entry, idx) for idx, entry in enumerate(entries)
-    ))
-
-
-def _parse_rational(entry: object, idx: int) -> Fraction:
-    if isinstance(entry, bool):
-        raise ValueError(f"a[{idx}]: booleans are not rationals")
-    if isinstance(entry, int):
-        return Fraction(entry)
-    if isinstance(entry, str):
-        try:
-            return Fraction(entry)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"a[{idx}]: malformed rational {entry!r} ({exc})") from None
-    raise ValueError(f"a[{idx}]: expected a rational string or integer, got {entry!r}")
+    return MapCountSpec(nu=obj["nu"], g=obj["g"], j=j, a=tuple(obj["a"]))
 
 
 def mapcount_spec_from_file(path: str, j: int) -> MapCountSpec:

@@ -183,23 +183,29 @@ def test_parallelism_env_default(capsys, monkeypatch):
     assert run_cli(capsys, "eval", "both", "1", "2")[0] == 0
 
 
-def test_pool_is_capped_at_cpu_count(monkeypatch):
-    started = []
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replace the process pool by one that runs cells in this process and
+    records the worker count of every pool and the cancel flag of every
+    shutdown."""
+    log = {"started": [], "shutdowns": []}
 
     class FakePool:
         def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+            log["started"].append(max_workers)
 
         def map(self, fn, cells):
             return map(fn, cells)
 
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            log["shutdowns"].append(cancel_futures)
+
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    return log
+
+
+def test_pool_is_capped_at_cpu_count(monkeypatch, fake_pool):
+    started = fake_pool["started"]
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     config = cli.SweepConfig(1, 8, 1, 4, parallelism=5000)
     reports = cli.run_sweep(config)
@@ -212,6 +218,35 @@ def test_pool_is_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     cli.run_sweep(config)
     assert started == [3]
+
+
+def test_interrupted_sweep_cancels_pending_cells(monkeypatch, fake_pool):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    config = cli.SweepConfig(1, 4, 1, 3, parallelism=2)
+    cli.run_sweep(config)
+    assert fake_pool["shutdowns"] == [True]
+
+    def interrupted(cell):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_sweep_cell", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.run_sweep(config)
+    assert fake_pool["shutdowns"] == [True, True]
+
+
+def test_interrupt_exits_130(capsys, monkeypatch):
+    def interrupted(config):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_sweep", interrupted)
+    try:
+        code, out, err = run_cli(capsys, "verify", "--j", "1..4", "--n", "1..10")
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped cli.main")
+    assert code == 130
+    assert out == ""
+    assert err == "interrupted\n"
 
 
 # -- eval ----------------------------------------------------------------------
@@ -227,6 +262,16 @@ def test_eval_single_sides(capsys):
     assert (code, out) == (0, "16\n")
     code, out, _ = run_cli(capsys, "eval", "lhs", "1", "1")
     assert (code, out) == (0, "6\n")
+
+
+def test_values_beyond_4300_digits_print(capsys):
+    code, out, err = run_cli(capsys, "eval", "rhs", "15000", "0")
+    assert (code, err) == (0, "")
+    assert out == f"{2**15000}\n"
+    code, out, _ = run_cli(capsys, "verify", "--j", "1..1", "--n", "15000..15000",
+                           "--format", "csv")
+    assert code == 0
+    assert out.endswith(",true,0\n")
 
 
 def test_eval_n0_domain_error(capsys):

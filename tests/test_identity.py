@@ -57,9 +57,11 @@ def test_j0_extension_collapses_to_power_of_two():
 
 
 def test_n0_rejected_everywhere():
-    for fn in (rhs_direct, rhs_fast, lhs_fast):
-        with pytest.raises(ValueError):
+    for fn in (lhs_direct, rhs_direct, rhs_fast, lhs_fast):
+        with pytest.raises(ValueError, match="N = 0"):
             fn(0, 3)
+        with pytest.raises(ValueError, match="j = -1"):
+            fn(2, -1)
     with pytest.raises(ValueError):
         IdentityPoint(0, 3)
     with pytest.raises(ValueError):
@@ -230,6 +232,14 @@ def test_map_count_spec_validation():
         MapCountSpec(2, 0, 1, ())
     with pytest.raises(ValueError):
         MapCountSpec(2, 1, 0, (1, 0, 0))
+    with pytest.raises(ValueError, match=r"a\[0\]: expected a rational"):
+        MapCountSpec(2, 1, 1, (0.1, 0, 0))
+    with pytest.raises(ValueError, match=r"a\[1\]: booleans are not rationals"):
+        MapCountSpec(2, 1, 1, (0, True, 0))
+    with pytest.raises(ValueError, match="'nu' must be an integer, got 2.0"):
+        MapCountSpec(2.0, 1, 1, (1, 0, 0))
+    spec = MapCountSpec(2, 1, 1, (Fraction(1, 2), "-3/4", 5))
+    assert spec.a == (Fraction(1, 2), Fraction(-3, 4), Fraction(5))
 
 
 # -- coefficient files --------------------------------------------------------
