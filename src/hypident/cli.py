@@ -3,7 +3,7 @@ evaluation, and map counts.
 
 Subcommands:
 
-  verify    sweep check_identity over a (j, N) grid; exit 0 iff every
+  verify    check the identity over a (j, N) grid; exit 0 iff every
             point verifies, 1 if any fails, 2 on usage/domain errors,
             3 on an internal error, 130 when interrupted
   table     dump triangle rows as CSV or JSON
@@ -34,6 +34,7 @@ from .identity import (
     IdentityPoint,
     VerifyReport,
     check_identity,
+    check_range,
     lhs_fast,
     map_count,
     mapcount_spec_from_file,
@@ -67,8 +68,7 @@ class SweepConfig:
 
 
 def _sweep_cell(cell: tuple[int, int, int, str]) -> list[VerifyReport]:
-    j, n_min, n_max, mode = cell
-    return [check_identity(IdentityPoint(N, j), mode) for N in range(n_min, n_max + 1)]
+    return check_range(*cell)
 
 
 def run_sweep(config: SweepConfig) -> list[VerifyReport]:

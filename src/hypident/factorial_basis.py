@@ -12,12 +12,20 @@ are converted on entry:
 Stirling numbers are produced by the triangular recurrence
 S(k+1, i) = i*S(k, i) + S(k, i-1) with full-table memoization; closed
 forms are reserved for the test oracles.
+
+A polynomial is evaluated at one point by Horner's rule (``poly_eval``)
+and over a run of consecutive integers by forward differences
+(``poly_values``): since Delta (x)_i = i (x)_{i-1}, the differences at 0
+are Delta^k p(0) = k! c_k, and each unit step is one pass of additions.
+When walking up from 0 would cost more than twice the run itself,
+``poly_values`` falls back to Horner's rule at each point.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from operator import add
 
 from .exact_arith import binomial, factorial
 
@@ -26,6 +34,7 @@ __all__ = [
     "falling",
     "monomial_to_falling",
     "poly_eval",
+    "poly_values",
     "rising",
     "rising_to_falling",
     "stirling2",
@@ -132,6 +141,26 @@ def poly_eval(p: FallingPoly, x: int) -> int:
     for i in range(len(coeffs) - 1, -1, -1):
         total = total * (x - i) + coeffs[i]
     return total
+
+
+def poly_values(p: FallingPoly, lo: int, hi: int) -> list[int]:
+    """Evaluate p at every integer lo, lo+1, ..., hi, exactly.
+
+    Starts from the forward differences at 0, d[k] = Delta^k p(0) = k! c_k,
+    and steps x by one with d[k] += d[k+1], so d[0] = p(x) throughout.
+    The walk from 0 costs lo steps before the first value; when that is
+    more than the hi-lo+1 steps that collect values (or lo < 0), each
+    point is evaluated by ``poly_eval`` instead.
+    """
+    if lo < 0 or lo > hi - lo + 1:
+        return [poly_eval(p, x) for x in range(lo, hi + 1)]
+    d = [factorial(k) * c for k, c in enumerate(p.coeffs)] or [0]
+    values = []
+    for x in range(hi + 1):
+        if x >= lo:
+            values.append(d[0])
+        d = list(map(add, d, d[1:])) + d[-1:]
+    return values
 
 
 def monomial_to_falling(k: int) -> FallingPoly:

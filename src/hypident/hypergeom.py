@@ -103,7 +103,14 @@ def hyp2f1_terminating(spec: Hyp2F1Spec) -> Fraction:
 
 
 def _check_point(N: int, j: int) -> None:
-    """The identity's point domain, shared by every route: N >= 1, j >= 0."""
+    """The identity's point domain, shared by every route: N >= 1, j >= 0.
+
+    N and j must be ints; anything else, bools included, is a TypeError,
+    as in ``Hyp2F1Spec``.
+    """
+    for name, value in (("N", N), ("j", j)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     if N < 1:
         raise ValueError(
             f"N = {N} is outside the identity's domain (N >= 1); "

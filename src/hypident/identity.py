@@ -9,7 +9,9 @@ Each side has a brute-force route (``lhs_direct`` in ``hypergeom``,
 ``rhs_direct`` here) and a fast route through the falling-basis
 polynomials (``lhs_fast``/``rhs_fast`` evaluate 2^N L_j(N) and
 2^N R_j(N)). ``check_identity`` compares any combination and reports the
-outcome; an unequal pair is a result, never an exception.
+outcome; an unequal pair is a result, never an exception. ``check_range``
+does the same for one j over a run of N; in the fast mode it evaluates
+each polynomial over the whole run at once.
 
 The j = 0 boundary is accepted as a harmless extension (both sides
 collapse to 2^N). N = 0 is rejected: there the hypergeometric side's
@@ -39,7 +41,7 @@ from fractions import Fraction
 from typing import Literal
 
 from .exact_arith import ExactRat, binomial, factorial, pow2
-from .factorial_basis import falling, poly_eval
+from .factorial_basis import FallingPoly, falling, poly_eval, poly_values
 from .hypergeom import Hyp2F1Spec, _check_point, hyp2f1_terminating, lhs_direct
 from .triangles import l_poly, r_poly
 
@@ -50,6 +52,7 @@ __all__ = [
     "VerifyReport",
     "binomial_falling_sum",
     "check_identity",
+    "check_range",
     "lhs_fast",
     "map_count",
     "map_summand",
@@ -158,6 +161,33 @@ def check_identity(point: IdentityPoint, mode: CheckMode = "fast") -> VerifyRepo
         raise ValueError(f"unknown mode {mode!r}; expected direct, fast or cross")
     equal = all(v == values[0] for v in values[1:])
     return VerifyReport(point, values[0], values[-1], equal, time.perf_counter() - start)
+
+
+def check_range(
+    j: int, n_min: int, n_max: int, mode: CheckMode = "fast"
+) -> list[VerifyReport]:
+    """Check the identity at (N, j) for N = n_min..n_max, in N order.
+
+    The "direct" and "cross" modes call ``check_identity`` at each point.
+    The "fast" mode builds L_j and R_j once (both the constant 1 at j = 0)
+    and evaluates each over the whole run with ``poly_values``; lhs and rhs
+    are those values times 2^N, compared at every point. Each fast report's
+    elapsed is its equal share of the run's time.
+    """
+    ns = range(n_min, n_max + 1)
+    if mode != "fast":
+        return [check_identity(IdentityPoint(N, j), mode) for N in ns]
+    start = time.perf_counter()
+    points = [IdentityPoint(N, j) for N in ns]
+    one = FallingPoly((1,))
+    l_row, r_row = (l_poly(j), r_poly(j)) if j else (one, one)
+    lhs = [v << N for v, N in zip(poly_values(l_row, n_min, n_max), ns)]
+    rhs = [v << N for v, N in zip(poly_values(r_row, n_min, n_max), ns)]
+    share = (time.perf_counter() - start) / max(len(points), 1)
+    return [
+        VerifyReport(point, left, right, left == right, share)
+        for point, left, right in zip(points, lhs, rhs)
+    ]
 
 
 def map_summand(g: int, l: int, j: int, nu: int) -> Fraction:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,10 +8,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hypident
-from hypident import cli, hypergeom
-from hypident.identity import IdentityPoint, VerifyReport
+from hypident import cli, hypergeom, identity
+from hypident.factorial_basis import FallingPoly
+from hypident.identity import IdentityPoint, VerifyReport, check_identity
 
 
 def run_cli(capsys, *argv):
@@ -142,16 +146,63 @@ def test_verify_n0_rejected(capsys):
 def test_verify_failing_point_exits_1(capsys, monkeypatch):
     """The sweep exit code contract: any unequal report means exit 1."""
 
-    def rigged(point, mode="fast"):
-        bad = point.N == 2
-        return VerifyReport(point, 1 if bad else 6, 6, not bad, 0.0)
+    def rigged(j, n_min, n_max, mode="fast"):
+        return [
+            VerifyReport(IdentityPoint(N, j), 1 if N == 2 else 6, 6, N != 2, 0.0)
+            for N in range(n_min, n_max + 1)
+        ]
 
-    monkeypatch.setattr(cli, "check_identity", rigged)
-    code, out, err = run_cli(capsys, "verify", "--j", "1..1", "--n", "1..3")
+    monkeypatch.setattr(cli, "check_range", rigged)
+    for mode in ("fast", "direct", "cross"):
+        code, out, err = run_cli(capsys, "verify", "--j", "1..1", "--n", "1..3",
+                                 "--mode", mode)
+        assert code == 1
+        assert "FAIL j=1 N=2" in err
+        assert "2/3 points verified" in err
+        assert "equal=false" in out
+
+
+def outcomes(reports):
+    return [(r.point, r.lhs, r.rhs, r.equal) for r in reports]
+
+
+@pytest.mark.parametrize("j_min, j_max, n_min, n_max", [
+    (0, 12, 1, 60),      # the forward-difference walk
+    (1, 8, 400, 430),    # n_min far above the range width: Horner per point
+    (0, 0, 1, 9),        # the j = 0 extension alone
+])
+def test_fast_sweep_matches_check_identity(j_min, j_max, n_min, n_max):
+    reports = cli.run_sweep(cli.SweepConfig(j_min, j_max, n_min, n_max))
+    expected = [
+        check_identity(IdentityPoint(N, j), "fast")
+        for j in range(j_min, j_max + 1)
+        for N in range(n_min, n_max + 1)
+    ]
+    assert outcomes(reports) == outcomes(expected)
+    assert all(r.equal for r in reports)
+
+
+@pytest.mark.parametrize("row", ["l_poly", "r_poly"])
+@pytest.mark.parametrize("index", [0, -1])
+def test_fast_sweep_catches_one_wrong_coefficient(capsys, monkeypatch, row, index):
+    right = getattr(identity, row)
+
+    def wrong(j):
+        coeffs = list(right(j).coeffs)
+        coeffs[index] += 1
+        return FallingPoly(tuple(coeffs))
+
+    monkeypatch.setattr(identity, row, wrong)
+    # N >= j, so the top falling factorial (N)_j never vanishes
+    for n_min, n_max in ((3, 40), (300, 310)):
+        reports = cli.run_sweep(cli.SweepConfig(3, 3, n_min, n_max))
+        assert len(reports) == n_max - n_min + 1
+        assert not any(r.equal for r in reports)
+    code, out, err = run_cli(capsys, "verify", "--j", "2..3", "--n", "3..12")
     assert code == 1
-    assert "FAIL j=1 N=2" in err
-    assert "2/3 points verified" in err
-    assert "equal=false" in out
+    assert "0/20 points verified" in err
+    assert err.count("\nFAIL j=") == 20
+    assert out.count("equal=false") == 20
 
 
 def test_verify_timings_flag(capsys):
@@ -247,6 +298,30 @@ def test_interrupt_exits_130(capsys, monkeypatch):
     assert code == 130
     assert out == ""
     assert err == "interrupted\n"
+
+
+@given(st.integers(), st.integers())
+def test_span_parses_ranges(a, b):
+    lo, hi = sorted((a, b))
+    assert cli._span(f"{lo}..{hi}") == (lo, hi)
+    assert cli._span(str(a)) == (a, a)
+
+
+@given(st.integers(), st.integers())
+def test_span_rejects_descending_ranges(a, b):
+    lo, hi = sorted((a, b))
+    if lo < hi:
+        with pytest.raises(argparse.ArgumentTypeError, match="empty range"):
+            cli._span(f"{hi}..{lo}")
+
+
+@given(st.text() | st.text(alphabet="0123456789.-+_ x"))
+def test_span_parses_or_rejects_any_text(text):
+    try:
+        lo, hi = cli._span(text)
+    except argparse.ArgumentTypeError:
+        return
+    assert type(lo) is int and type(hi) is int and lo <= hi
 
 
 # -- eval ----------------------------------------------------------------------

@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from hypident import factorial_basis
 from hypident.factorial_basis import (
     FallingPoly,
     falling,
     monomial_to_falling,
     poly_eval,
+    poly_values,
     rising,
     rising_to_falling,
     stirling2,
@@ -108,6 +112,45 @@ def test_poly_eval():
         for x in range(-3, p.degree + 3):
             expected = sum(c * falling_product(x, i) for i, c in enumerate(p.coeffs))
             assert poly_eval(p, x) == expected, (p, x)
+
+
+def horner_values(p, lo, hi):
+    return [poly_eval(p, x) for x in range(lo, hi + 1)]
+
+
+@given(
+    coeffs=st.lists(st.integers(-10**30, 10**30), max_size=12),
+    lo=st.integers(-20, 300),
+    width=st.integers(0, 400),
+)
+def test_poly_values_matches_poly_eval(coeffs, lo, width):
+    # width < lo - 1 takes the Horner fallback, wider ranges the walk
+    p = FallingPoly(tuple(coeffs))
+    assert poly_values(p, lo, lo + width) == horner_values(p, lo, lo + width)
+
+
+@given(j=st.integers(1, 40), lo=st.integers(0, 300), width=st.integers(0, 300))
+def test_poly_values_on_triangle_rows(j, lo, width):
+    for p in (l_poly(j), r_poly(j)):
+        assert poly_values(p, lo, lo + width) == horner_values(p, lo, lo + width)
+
+
+def test_poly_values_edges(monkeypatch):
+    for p in (FallingPoly(()), FallingPoly((7,)), FallingPoly((0, 0, 3)), r_poly(5)):
+        for lo in (0, 1, 2, 9, 250):
+            assert poly_values(p, lo, lo) == [poly_eval(p, lo)]
+        assert poly_values(p, 4, 3) == []
+    assert poly_values(FallingPoly(()), 0, 5) == [0] * 6
+    assert poly_values(FallingPoly((7,)), 300, 310) == [7] * 11
+    # the walk from 0 is taken while lo <= hi - lo + 1, else Horner per point
+    calls = []
+    monkeypatch.setattr(factorial_basis, "poly_eval",
+                        lambda p, x: calls.append(x) or poly_eval(p, x))
+    p = l_poly(6)
+    assert poly_values(p, 10, 19) == horner_values(p, 10, 19)
+    assert calls == []
+    assert poly_values(p, 10, 18) == horner_values(p, 10, 18)
+    assert calls == list(range(10, 19))
 
 
 # -- basis transforms ----------------------------------------------------

@@ -68,6 +68,16 @@ def test_n0_rejected_everywhere():
         IdentityPoint(2, -1)
 
 
+@pytest.mark.parametrize("N, j", [(3, 1.0), (2.0, 1), (True, 2), (2, True)])
+@pytest.mark.parametrize(
+    "route", [IdentityPoint, lhs_direct, rhs_direct, lhs_fast, rhs_fast],
+    ids=lambda route: route.__name__,
+)
+def test_non_integer_points_rejected_everywhere(route, N, j):
+    with pytest.raises(TypeError, match="must be an int"):
+        route(N, j)
+
+
 def test_fast_routes_match_brute_force():
     for j in range(1, 11):
         for n in range(1, 21):
