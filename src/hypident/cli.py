@@ -43,6 +43,9 @@ from .identity import (
 from .triangles import export_csv, export_json
 
 PARALLELISM_ENV = "HYPIDENT_PARALLELISM"
+# Printing an exact value takes time quadratic in its digits (CPython's
+# str(int)); at N = 10^6 one value already takes over a second.
+MAX_N = 1_000_000
 
 __all__ = ["SweepConfig", "entrypoint", "main", "run_sweep"]
 
@@ -98,32 +101,41 @@ def _micros(report: VerifyReport, timings: bool) -> int:
     return int(report.elapsed * 1_000_000) if timings else 0
 
 
+def _decimals(report: VerifyReport) -> tuple[str, str]:
+    """lhs and rhs in decimal; rhs reuses lhs's string only when the two
+    ints are equal, whatever the report's verdict says."""
+    lhs = str(report.lhs)
+    return lhs, lhs if report.rhs == report.lhs else str(report.rhs)
+
+
 def _render_reports(reports: list[VerifyReport], fmt: str, timings: bool) -> str:
+    # A generator, so each row's strings are built as the row is rendered.
+    decimals = ((r, *_decimals(r)) for r in reports)
     if fmt == "json":
         rows = [
             {
                 "N": r.point.N,
                 "j": r.point.j,
-                "lhs": str(r.lhs),
-                "rhs": str(r.rhs),
+                "lhs": lhs,
+                "rhs": rhs,
                 "equal": r.equal,
                 "micros": _micros(r, timings),
             }
-            for r in reports
+            for r, lhs, rhs in decimals
         ]
         return json.dumps(rows, indent=2) + "\n"
     if fmt == "csv":
         lines = ["N,j,lhs,rhs,equal,micros"]
         lines.extend(
-            f"{r.point.N},{r.point.j},{r.lhs},{r.rhs},"
+            f"{r.point.N},{r.point.j},{lhs},{rhs},"
             f"{'true' if r.equal else 'false'},{_micros(r, timings)}"
-            for r in reports
+            for r, lhs, rhs in decimals
         )
         return "\n".join(lines) + "\n"
     lines = [
-        f"j={r.point.j} N={r.point.N} lhs={r.lhs} rhs={r.rhs} "
+        f"j={r.point.j} N={r.point.N} lhs={lhs} rhs={rhs} "
         f"equal={'true' if r.equal else 'false'}"
-        for r in reports
+        for r, lhs, rhs in decimals
     ]
     return "\n".join(lines) + "\n"
 
@@ -154,7 +166,14 @@ def _span(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _check_n_bound(N: int) -> int:
+    if N > MAX_N:
+        raise ValueError(f"N = {N} is above the bound of {MAX_N}")
+    return N
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
+    _check_n_bound(args.n[1])
     parallelism = args.parallelism
     if parallelism is None:
         raw = os.environ.get(PARALLELISM_ENV) or "1"
@@ -200,7 +219,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    point = IdentityPoint(args.N, args.j)
+    point = IdentityPoint(_check_n_bound(args.N), args.j)
     if args.side == "both":
         report = check_identity(point, "fast")
         print(
@@ -233,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--j", type=_span, default=(1, 10), metavar="A..B",
                           help="inclusive j range (default 1..10; j=0 allowed)")
     p_verify.add_argument("--n", type=_span, default=(1, 50), metavar="A..B",
-                          help="inclusive N range (default 1..50; N >= 1)")
+                          help=f"inclusive N range (default 1..50; 1 <= N <= {MAX_N})")
     p_verify.add_argument("--mode", choices=("direct", "fast", "cross"), default="fast",
                           help="comparison mode (default fast; cross checks all four routes)")
     p_verify.add_argument("--format", choices=("plain", "json", "csv"), default="plain",

@@ -148,9 +148,12 @@ def poly_values(p: FallingPoly, lo: int, hi: int) -> list[int]:
 
     Starts from the forward differences at 0, d[k] = Delta^k p(0) = k! c_k,
     and steps x by one with d[k] += d[k+1], so d[0] = p(x) throughout.
-    The walk from 0 costs lo steps before the first value; when that is
-    more than the hi-lo+1 steps that collect values (or lo < 0), each
-    point is evaluated by ``poly_eval`` instead.
+    p(hi) depends on d[k] at x only for k <= hi - x, so each step first
+    drops the higher differences; when the degree exceeds hi this saves
+    the additions that could never reach a value. The walk from 0 costs
+    lo steps before the first value; when that is more than the hi-lo+1
+    steps that collect values (or lo < 0), each point is evaluated by
+    ``poly_eval`` instead.
     """
     if lo < 0 or lo > hi - lo + 1:
         return [poly_eval(p, x) for x in range(lo, hi + 1)]
@@ -159,6 +162,7 @@ def poly_values(p: FallingPoly, lo: int, hi: int) -> list[int]:
     for x in range(hi + 1):
         if x >= lo:
             values.append(d[0])
+        del d[hi - x + 1:]
         d = list(map(add, d, d[1:])) + d[-1:]
     return values
 

@@ -10,8 +10,8 @@ Each side has a brute-force route (``lhs_direct`` in ``hypergeom``,
 polynomials (``lhs_fast``/``rhs_fast`` evaluate 2^N L_j(N) and
 2^N R_j(N)). ``check_identity`` compares any combination and reports the
 outcome; an unequal pair is a result, never an exception. ``check_range``
-does the same for one j over a run of N; in the fast mode it evaluates
-each polynomial over the whole run at once.
+does the same for one j over a run of N; in the fast mode it compares the
+two polynomials as rows and evaluates them over the whole run at once.
 
 The j = 0 boundary is accepted as a harmless extension (both sides
 collapse to 2^N). N = 0 is rejected: there the hypergeometric side's
@@ -169,10 +169,14 @@ def check_range(
     """Check the identity at (N, j) for N = n_min..n_max, in N order.
 
     The "direct" and "cross" modes call ``check_identity`` at each point.
-    The "fast" mode builds L_j and R_j once (both the constant 1 at j = 0)
-    and evaluates each over the whole run with ``poly_values``; lhs and rhs
-    are those values times 2^N, compared at every point. Each fast report's
-    elapsed is its equal share of the run's time.
+    The "fast" mode builds L_j from its closed form and R_j from its
+    recurrence (both the constant 1 at j = 0) and compares them as rows.
+    Equal rows are one polynomial, so the two sides agree at every N >= 1:
+    that polynomial is evaluated once over the run with ``poly_values``,
+    and its values times 2^N are both lhs and rhs. Unequal rows are each
+    evaluated and compared point by point, so a point where they happen
+    to agree still reports equal. Each fast report's elapsed is its equal
+    share of the run's time.
     """
     ns = range(n_min, n_max + 1)
     if mode != "fast":
@@ -182,7 +186,10 @@ def check_range(
     one = FallingPoly((1,))
     l_row, r_row = (l_poly(j), r_poly(j)) if j else (one, one)
     lhs = [v << N for v, N in zip(poly_values(l_row, n_min, n_max), ns)]
-    rhs = [v << N for v, N in zip(poly_values(r_row, n_min, n_max), ns)]
+    if r_row == l_row:
+        rhs = lhs
+    else:
+        rhs = [v << N for v, N in zip(poly_values(r_row, n_min, n_max), ns)]
     share = (time.perf_counter() - start) / max(len(points), 1)
     return [
         VerifyReport(point, left, right, left == right, share)

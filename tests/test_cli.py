@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import hypident
 from hypident import cli, hypergeom, identity
-from hypident.factorial_basis import FallingPoly
+from hypident.factorial_basis import FallingPoly, poly_eval
 from hypident.identity import IdentityPoint, VerifyReport, check_identity
 
 
@@ -170,6 +170,7 @@ def outcomes(reports):
     (0, 12, 1, 60),      # the forward-difference walk
     (1, 8, 400, 430),    # n_min far above the range width: Horner per point
     (0, 0, 1, 9),        # the j = 0 extension alone
+    (50, 70, 1, 30),     # degree above the range: the walk drops high differences
 ])
 def test_fast_sweep_matches_check_identity(j_min, j_max, n_min, n_max):
     reports = cli.run_sweep(cli.SweepConfig(j_min, j_max, n_min, n_max))
@@ -193,16 +194,61 @@ def test_fast_sweep_catches_one_wrong_coefficient(capsys, monkeypatch, row, inde
         return FallingPoly(tuple(coeffs))
 
     monkeypatch.setattr(identity, row, wrong)
-    # N >= j, so the top falling factorial (N)_j never vanishes
-    for n_min, n_max in ((3, 40), (300, 310)):
+    # Unequal rows: each side's values come from its own row, compared point
+    # by point. A wrong top coefficient of j = 3 is multiplied by (N)_3,
+    # which vanishes at N < 3, so only there do the sides still agree.
+    for n_min, n_max in ((1, 6), (3, 40), (300, 310)):
         reports = cli.run_sweep(cli.SweepConfig(3, 3, n_min, n_max))
-        assert len(reports) == n_max - n_min + 1
-        assert not any(r.equal for r in reports)
+        assert [r.point.N for r in reports] == list(range(n_min, n_max + 1))
+        for r in reports:
+            N = r.point.N
+            assert r.lhs == poly_eval(identity.l_poly(3), N) << N
+            assert r.rhs == poly_eval(identity.r_poly(3), N) << N
+            assert r.equal == (index == -1 and N < 3)
     code, out, err = run_cli(capsys, "verify", "--j", "2..3", "--n", "3..12")
     assert code == 1
     assert "0/20 points verified" in err
     assert err.count("\nFAIL j=") == 20
     assert out.count("equal=false") == 20
+
+
+def test_fast_and_direct_sweeps_render_identically(capsys):
+    # micros is 0 without --timings, so equal values give equal bytes
+    for fmt in ("plain", "json", "csv"):
+        fast, direct = (
+            run_cli(capsys, "verify", "--j", "0..20", "--n", "1..50",
+                    "--mode", mode, "--format", fmt)
+            for mode in ("fast", "direct")
+        )
+        assert fast[0] == direct[0] == 0
+        assert fast[1] == direct[1]
+
+
+def test_render_writes_both_values_whatever_the_verdict(capsys, monkeypatch):
+    big = 7**6000  # past CPython's 4300-digit str(int) limit
+    pairs = {1: (6, 7), 2: (big, big + 1), 3: (big, big)}
+
+    def rigged(j, n_min, n_max, mode="fast"):
+        return [
+            VerifyReport(IdentityPoint(N, j), *pairs[N], True, 0.0)
+            for N in range(n_min, n_max + 1)
+        ]
+
+    monkeypatch.setattr(cli, "check_range", rigged)
+    for fmt in ("plain", "json", "csv"):
+        code, out, _ = run_cli(capsys, "verify", "--j", "1", "--n", "1..3",
+                               "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            got = [(row["lhs"], row["rhs"]) for row in json.loads(out)]
+        elif fmt == "csv":
+            got = [tuple(line.split(",")[2:4]) for line in out.splitlines()[1:]]
+        else:
+            got = [
+                tuple(field.split("=")[1] for field in line.split()[2:4])
+                for line in out.splitlines()
+            ]
+        assert got == [(str(lhs), str(rhs)) for lhs, rhs in pairs.values()]
 
 
 def test_verify_timings_flag(capsys):
@@ -347,6 +393,21 @@ def test_values_beyond_4300_digits_print(capsys):
                            "--format", "csv")
     assert code == 0
     assert out.endswith(",true,0\n")
+
+
+def test_n_above_bound_is_usage_error(capsys, monkeypatch):
+    assert cli.MAX_N == 1_000_000
+    monkeypatch.setattr(cli, "run_sweep", lambda config: pytest.fail("swept"))
+    too_big = str(cli.MAX_N + 1)
+    for argv in (
+        ("eval", "rhs", too_big, "0"),
+        ("eval", "both", too_big, "3"),
+        ("verify", "--n", f"1..{too_big}"),
+        ("verify", "--n", too_big, "--j", "0"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: N = {too_big} is above the bound of {cli.MAX_N}\n"
 
 
 def test_eval_n0_domain_error(capsys):

@@ -129,6 +129,21 @@ def test_poly_values_matches_poly_eval(coeffs, lo, width):
     assert poly_values(p, lo, lo + width) == horner_values(p, lo, lo + width)
 
 
+@given(
+    coeffs=st.integers(0, 60).flatmap(
+        lambda degree: st.lists(st.integers(-10**30, 10**30),
+                                min_size=degree + 1, max_size=degree + 1)
+    ),
+    hi=st.integers(0, 40),
+    width=st.integers(0, 40),
+)
+def test_poly_values_degree_above_range(coeffs, hi, width):
+    # mostly degree > hi, where the walk drops the differences above hi - x
+    p = FallingPoly(tuple(coeffs))
+    lo = max(hi - width, 0)
+    assert poly_values(p, lo, hi) == horner_values(p, lo, hi)
+
+
 @given(j=st.integers(1, 40), lo=st.integers(0, 300), width=st.integers(0, 300))
 def test_poly_values_on_triangle_rows(j, lo, width):
     for p in (l_poly(j), r_poly(j)):
