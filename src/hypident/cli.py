@@ -24,9 +24,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TextIO
 
 from . import __version__
@@ -46,28 +44,35 @@ PARALLELISM_ENV = "HYPIDENT_PARALLELISM"
 # Printing an exact value takes time quadratic in its digits (CPython's
 # str(int)); at N = 10^6 one value already takes over a second.
 MAX_N = 1_000_000
+# The triangles keep every row up to the largest j asked for, so time and
+# memory grow roughly as j^3: `table L --jmax 300` takes under a second and
+# 80 MB, --jmax 500 five seconds and 250 MB.
+MAX_J = 300
 
 __all__ = ["SweepConfig", "entrypoint", "main", "run_sweep"]
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(namedtuple("SweepConfig", "j_min j_max n_min n_max mode parallelism")):
     """A verification sweep: inclusive j/N ranges, mode and worker count."""
 
-    j_min: int
-    j_max: int
-    n_min: int
-    n_max: int
-    mode: str = "fast"
-    parallelism: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.j_min < 0 or self.j_min > self.j_max:
-            raise ValueError(f"bad j range {self.j_min}..{self.j_max}")
-        if self.n_min < 1 or self.n_min > self.n_max:
-            raise ValueError(f"bad N range {self.n_min}..{self.n_max} (N starts at 1)")
-        if self.parallelism < 1:
+    def __new__(
+        cls,
+        j_min: int,
+        j_max: int,
+        n_min: int,
+        n_max: int,
+        mode: str = "fast",
+        parallelism: int = 1,
+    ) -> SweepConfig:
+        if j_min < 0 or j_min > j_max:
+            raise ValueError(f"bad j range {j_min}..{j_max}")
+        if n_min < 1 or n_min > n_max:
+            raise ValueError(f"bad N range {n_min}..{n_max} (N starts at 1)")
+        if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
+        return super().__new__(cls, j_min, j_max, n_min, n_max, mode, parallelism)
 
 
 def _sweep_cell(cell: tuple[int, int, int, str]) -> list[VerifyReport]:
@@ -88,6 +93,10 @@ def run_sweep(config: SweepConfig) -> list[VerifyReport]:
     if workers <= 1:
         chunks = [_sweep_cell(cell) for cell in cells]
     else:
+        # Imported only here, so that every other run (a serial sweep and
+        # every other command) starts without the pool's modules.
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
             chunks = list(pool.map(_sweep_cell, cells))
@@ -166,14 +175,15 @@ def _span(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _check_n_bound(N: int) -> int:
-    if N > MAX_N:
-        raise ValueError(f"N = {N} is above the bound of {MAX_N}")
-    return N
+def _bounded(name: str, value: int, bound: int) -> int:
+    if value > bound:
+        raise ValueError(f"{name} = {value} is above the bound of {bound}")
+    return value
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _check_n_bound(args.n[1])
+    _bounded("N", args.n[1], MAX_N)
+    _bounded("j", args.j[1], MAX_J)
     parallelism = args.parallelism
     if parallelism is None:
         raw = os.environ.get(PARALLELISM_ENV) or "1"
@@ -212,6 +222,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.jmax < 1:
         raise ValueError(f"--jmax must be >= 1, got {args.jmax}")
+    _bounded("--jmax", args.jmax, MAX_J)
     export = export_json if args.format == "json" else export_csv
     with _open_out(args.out) as out:
         out.write(export(args.kind, args.jmax))
@@ -219,7 +230,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    point = IdentityPoint(_check_n_bound(args.N), args.j)
+    point = IdentityPoint(_bounded("N", args.N, MAX_N), _bounded("j", args.j, MAX_J))
     if args.side == "both":
         report = check_identity(point, "fast")
         print(
@@ -250,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="sweep the identity over a (j, N) grid")
     p_verify.add_argument("--j", type=_span, default=(1, 10), metavar="A..B",
-                          help="inclusive j range (default 1..10; j=0 allowed)")
+                          help=f"inclusive j range (default 1..10; 0 <= j <= {MAX_J})")
     p_verify.add_argument("--n", type=_span, default=(1, 50), metavar="A..B",
                           help=f"inclusive N range (default 1..50; 1 <= N <= {MAX_N})")
     p_verify.add_argument("--mode", choices=("direct", "fast", "cross"), default="fast",
@@ -269,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="dump triangle rows")
     p_table.add_argument("kind", choices=("C", "R", "L"), help="which triangle")
-    p_table.add_argument("--jmax", type=int, required=True, help="top level to dump")
+    p_table.add_argument("--jmax", type=int, required=True,
+                         help=f"top level to dump (1 <= jmax <= {MAX_J})")
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.add_argument("--out", metavar="FILE", default=None)
     p_table.set_defaults(func=cmd_table)
@@ -301,9 +313,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, BrokenProcessPool) as exc:
-        # A failed integrality check or a dead worker is a fault of the
-        # program, not a disagreement of the identity (exit 1).
+    except (ArithmeticError, RuntimeError) as exc:
+        # A failed integrality check or a dead worker (BrokenProcessPool is
+        # a RuntimeError) is a fault of the program, not a disagreement of
+        # the identity (exit 1).
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

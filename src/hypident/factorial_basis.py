@@ -24,7 +24,8 @@ When walking up from 0 would cost more than twice the run itself,
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from operator import add
 
 from .exact_arith import binomial, factorial
@@ -106,8 +107,7 @@ def stirling2(k: int, i: int) -> int:
     return _STIRLING.entry(k, i)
 
 
-@dataclass(frozen=True)
-class FallingPoly:
+class FallingPoly(namedtuple("FallingPoly", "coeffs")):
     """Polynomial sum_i coeffs[i] * (x)_i over the falling-factorial basis.
 
     The zero polynomial is the empty coefficient tuple; otherwise the
@@ -115,13 +115,13 @@ class FallingPoly:
     trimmed on construction, so equal polynomials compare equal.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(self.coeffs)
+    def __new__(cls, coeffs: Iterable[int]) -> FallingPoly:
+        coeffs = tuple(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+        return super().__new__(cls, coeffs)
 
     @property
     def degree(self) -> int:

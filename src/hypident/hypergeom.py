@@ -16,7 +16,7 @@ always an integer for positive N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact_arith import ExactRat, binomial, factorial, pow2
@@ -38,42 +38,38 @@ class DenominatorPochhammerZero(ValueError):
     """c^(k) vanishes at some k inside the terminating range."""
 
 
-@dataclass(frozen=True)
-class Hyp2F1Spec:
+class Hyp2F1Spec(namedtuple("Hyp2F1Spec", "a b c z")):
     """Parameters of a terminating 2F1 series, validated on construction.
 
     Requires at least one nonpositive integer among a, b (termination) and
     c^(k) != 0 for every k up to the termination index (so each term's
     denominator is nonzero). a, b and c must be ints and z an int or an
     exact rational; anything else, bools included, is a TypeError, so no
-    float can reach the series.
+    float can reach the series. z is stored as a Fraction.
     """
 
-    a: int
-    b: int
-    c: int
-    z: ExactRat
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c"):
-            value = getattr(self, name)
+    def __new__(cls, a: int, b: int, c: int, z: ExactRat) -> Hyp2F1Spec:
+        for name, value in (("a", a), ("b", b), ("c", c)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-        if not isinstance(self.z, (int, Fraction)) or isinstance(self.z, bool):
-            raise TypeError(f"z must be an exact rational, got {type(self.z).__name__}")
-        object.__setattr__(self, "z", Fraction(self.z))
-        if self.a > 0 and self.b > 0:
+        if not isinstance(z, (int, Fraction)) or isinstance(z, bool):
+            raise TypeError(f"z must be an exact rational, got {type(z).__name__}")
+        if a > 0 and b > 0:
             raise NonTerminatingSeries(
-                f"2F1(a={self.a}, b={self.b}; ...) does not terminate: "
+                f"2F1(a={a}, b={b}; ...) does not terminate: "
                 "need a nonpositive integer numerator parameter"
             )
+        self = super().__new__(cls, a, b, c, Fraction(z))
         k = self.termination_index
         # c^(k) vanishes for some k <= K  iff  -K < c <= 0.
-        if -k < self.c <= 0:
+        if -k < c <= 0:
             raise DenominatorPochhammerZero(
-                f"c = {self.c} makes c^(k) vanish at k = {-self.c + 1} "
+                f"c = {c} makes c^(k) vanish at k = {-c + 1} "
                 f"<= termination index {k}"
             )
+        return self
 
     @property
     def termination_index(self) -> int:

@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .exact_arith import ExactRat, binomial, factorial, pow2
 from .factorial_basis import FallingPoly, falling, poly_eval, poly_values
@@ -70,19 +70,17 @@ class CoefficientLengthMismatch(ValueError):
     """Coefficient vector length differs from the required 3g."""
 
 
-@dataclass(frozen=True)
-class IdentityPoint:
+class IdentityPoint(namedtuple("IdentityPoint", "N j")):
     """One (N, j) evaluation point. N >= 1; j >= 0 (j = 0 is the extension)."""
 
-    N: int
-    j: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_point(self.N, self.j)
+    def __new__(cls, N: int, j: int) -> IdentityPoint:
+        _check_point(N, j)
+        return super().__new__(cls, N, j)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Outcome of one identity check: both side values, verdict, timing."""
 
     point: IdentityPoint
@@ -229,8 +227,7 @@ def summand_equivalence(g: int, l: int, j: int) -> bool:
     return factorial(j) * map_summand(g, l, j, 2) * pow2(N) == rhs_direct(N, j)
 
 
-@dataclass(frozen=True)
-class MapCountSpec:
+class MapCountSpec(namedtuple("MapCountSpec", "nu g j a")):
     """Inputs for one map count: half-valence nu, genus g, vertices j,
     and the 3g externally supplied weights a.
 
@@ -240,18 +237,14 @@ class MapCountSpec:
     ValueError naming the offending field or weight.
     """
 
-    nu: int
-    g: int
-    j: int
-    a: tuple[ExactRat, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("nu", "g", "j"):
-            value = getattr(self, name)
+    def __new__(cls, nu: int, g: int, j: int, a: tuple[ExactRat, ...]) -> MapCountSpec:
+        for name, value in (("nu", nu), ("g", g), ("j", j)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name!r} must be an integer, got {value!r}")
         weights = []
-        for idx, entry in enumerate(self.a):
+        for idx, entry in enumerate(a):
             if isinstance(entry, bool):
                 raise ValueError(f"a[{idx}]: booleans are not rationals")
             if not isinstance(entry, (int, Fraction, str)):
@@ -262,17 +255,17 @@ class MapCountSpec:
                 weights.append(Fraction(entry))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"a[{idx}]: malformed rational {entry!r} ({exc})") from None
-        if self.nu < 2:
-            raise ValueError(f"nu = {self.nu} must be >= 2")
-        if self.g < 1:
-            raise ValueError(f"g = {self.g} must be >= 1")
-        if self.j < 1:
-            raise ValueError(f"j = {self.j} must be >= 1")
-        if len(weights) != 3 * self.g:
+        if nu < 2:
+            raise ValueError(f"nu = {nu} must be >= 2")
+        if g < 1:
+            raise ValueError(f"g = {g} must be >= 1")
+        if j < 1:
+            raise ValueError(f"j = {j} must be >= 1")
+        if len(weights) != 3 * g:
             raise CoefficientLengthMismatch(
-                f"need 3g = {3 * self.g} coefficients, got {len(weights)}"
+                f"need 3g = {3 * g} coefficients, got {len(weights)}"
             )
-        object.__setattr__(self, "a", tuple(weights))
+        return super().__new__(cls, nu, g, j, tuple(weights))
 
 
 def map_count(spec: MapCountSpec) -> Fraction:

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -297,7 +298,7 @@ def fake_pool(monkeypatch):
         def shutdown(self, wait=True, *, cancel_futures=False):
             log["shutdowns"].append(cancel_futures)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     return log
 
 
@@ -410,6 +411,37 @@ def test_n_above_bound_is_usage_error(capsys, monkeypatch):
         assert err == f"error: N = {too_big} is above the bound of {cli.MAX_N}\n"
 
 
+@pytest.mark.parametrize("argv, target, error", [
+    (("eval", "both", "5", "{j}"), "check_identity", "j"),
+    (("eval", "lhs", "5", "{j}"), "lhs_fast", "j"),
+    (("eval", "rhs", "5", "{j}"), "rhs_fast", "j"),
+    (("verify", "--j", "1..{j}", "--n", "1..2"), "run_sweep", "j"),
+    (("verify", "--j", "{j}", "--n", "3"), "run_sweep", "j"),
+    (("table", "L", "--jmax", "{j}"), "export_csv", "--jmax"),
+    (("table", "C", "--jmax", "{j}", "--format", "json"), "export_json", "--jmax"),
+])
+def test_j_above_bound_is_usage_error(capsys, monkeypatch, argv, target, error):
+    """j, the upper end of verify --j and table --jmax stop at MAX_J before
+    any work starts; the bound itself is accepted."""
+    assert cli.MAX_J == 300
+    started = []
+    result = {
+        "check_identity": VerifyReport(IdentityPoint(5, 1), 0, 0, True, 0.0),
+        "run_sweep": [],
+    }.get(target, "")
+
+    def work(*args):
+        started.append(args)
+        return result
+
+    monkeypatch.setattr(cli, target, work)
+    code, out, err = run_cli(capsys, *[arg.format(j=cli.MAX_J + 1) for arg in argv])
+    assert (code, out, started) == (2, "", [])
+    assert err == f"error: {error} = {cli.MAX_J + 1} is above the bound of {cli.MAX_J}\n"
+    assert run_cli(capsys, *[arg.format(j=cli.MAX_J) for arg in argv])[0] == 0
+    assert len(started) == 1
+
+
 def test_eval_n0_domain_error(capsys):
     code, _, err = run_cli(capsys, "eval", "both", "0", "3")
     assert code == 2
@@ -514,3 +546,58 @@ def test_python_m_entrypoint():
     )
     assert proc.returncode == 0
     assert proc.stdout == "lhs=6 rhs=6 equal=true\n"
+
+
+# -- what a process imports -------------------------------------------------------
+
+POOL_AND_DATACLASSES = ("concurrent", "multiprocessing", "dataclasses")
+
+
+def imported_modules(*argv):
+    """Every module a fresh ``python -S ARGV`` imports, as -X importtime
+    lists them; -S keeps the site hooks' own imports out of the list."""
+    env = {**os.environ, "PYTHONPATH": str(Path(hypident.__file__).parents[1])}
+    env.pop(cli.PARALLELISM_ENV, None)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", *argv],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    } - {"imported package"}
+
+
+def pool_or_dataclasses(modules):
+    return sorted(m for m in modules if m.split(".")[0] in POOL_AND_DATACLASSES)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--version",),
+    ("eval", "both", "7", "3"),
+    ("table", "R", "--jmax", "4", "--format", "json"),
+    ("mapcount", "{coeffs}", "--j", "2"),
+    ("verify", "--j", "1..3", "--n", "1..5", "--mode", "cross", "--parallelism", "1"),
+])
+def test_commands_import_no_pool_and_no_dataclasses(tmp_path, argv):
+    coeffs = write_coeffs(tmp_path, '{"nu": 2, "g": 1, "a": ["1", "0", "0"]}')
+    argv = [arg.format(coeffs=coeffs) for arg in argv]
+    modules = imported_modules("-m", "hypident", *argv)
+    assert "hypident.cli" in modules
+    assert pool_or_dataclasses(modules) == []
+
+
+def test_import_hypident_imports_no_dataclasses():
+    modules = imported_modules("-c", "import hypident")
+    assert "hypident.identity" in modules
+    assert pool_or_dataclasses(modules) == []
+
+
+def test_only_a_pooled_sweep_imports_the_pool():
+    modules = imported_modules("-m", "hypident", "verify", "--j", "1..2", "--n", "1..3",
+                               "--parallelism", "2")
+    pooled = (os.cpu_count() or 1) > 1
+    assert ("concurrent.futures.process" in modules) == pooled
+    assert "dataclasses" not in modules
