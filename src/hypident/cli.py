@@ -245,7 +245,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_mapcount(args: argparse.Namespace) -> int:
-    spec = mapcount_spec_from_file(args.coeff_file, args.j)
+    spec = mapcount_spec_from_file(args.coeff_file, _bounded("--j", args.j, MAX_J))
     print(map_count(spec))
     return 0
 
@@ -274,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"worker processes, partitioned by j "
                                f"(default ${PARALLELISM_ENV} or 1)")
     p_verify.add_argument("--timings", action="store_true",
-                          help="report real per-point micros (off by default so "
-                               "identical sweeps are byte-identical)")
+                          help="report each point's share of its j cell's time in micros "
+                               "(off by default so identical sweeps are byte-identical)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="dump triangle rows")
@@ -294,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_map = sub.add_parser("mapcount", help="evaluate the map-count formula")
     p_map.add_argument("coeff_file", help='JSON file {"nu": int, "g": int, "a": [...]}')
-    p_map.add_argument("--j", type=int, required=True, help="number of vertices (>= 1)")
+    p_map.add_argument("--j", type=int, required=True,
+                       help=f"number of vertices (1 <= j <= {MAX_J})")
     p_map.set_defaults(func=cmd_mapcount)
 
     return parser

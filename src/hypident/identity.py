@@ -8,10 +8,10 @@ The identity, for integers N >= 1 and j >= 1:
 Each side has a brute-force route (``lhs_direct`` in ``hypergeom``,
 ``rhs_direct`` here) and a fast route through the falling-basis
 polynomials (``lhs_fast``/``rhs_fast`` evaluate 2^N L_j(N) and
-2^N R_j(N)). ``check_identity`` compares any combination and reports the
-outcome; an unequal pair is a result, never an exception. ``check_range``
-does the same for one j over a run of N; in the fast mode it compares the
-two polynomials as rows and evaluates them over the whole run at once.
+2^N R_j(N)). ``check_range`` is the one checker: for one j over a run of
+N it evaluates each route of the chosen mode once over the whole run and
+reports the outcome at every N; an unequal pair is a result, never an
+exception. ``check_identity`` is ``check_range`` at a single point.
 
 The j = 0 boundary is accepted as a harmless extension (both sides
 collapse to 2^N). N = 0 is rejected: there the hypergeometric side's
@@ -38,10 +38,10 @@ import json
 import time
 from collections import namedtuple
 from fractions import Fraction
-from typing import Literal, NamedTuple
+from typing import Callable, Literal, NamedTuple
 
 from .exact_arith import ExactRat, binomial, factorial, pow2
-from .factorial_basis import FallingPoly, falling, poly_eval, poly_values
+from .factorial_basis import FallingPoly, falling, poly_values
 from .hypergeom import Hyp2F1Spec, _check_point, hyp2f1_terminating, lhs_direct
 from .triangles import l_poly, r_poly
 
@@ -114,20 +114,34 @@ def rhs_direct(N: int, j: int) -> int:
     return total
 
 
+def _fast_values(
+    j: int, n_min: int, n_max: int, *routes: Callable[[int], FallingPoly]
+) -> list[list[int]]:
+    """Per row route, 2^N p(N) for N = n_min..n_max, p = route(j) (the
+    constant 1 at j = 0, where both sides are 2^N). A row equal to the
+    previous route's row shares its values instead of being evaluated again."""
+    values: list[list[int]] = []
+    last = None
+    for route in routes:
+        row = route(j) if j else FallingPoly((1,))
+        values.append(
+            values[-1] if row == last
+            else [v << N for N, v in enumerate(poly_values(row, n_min, n_max), n_min)]
+        )
+        last = row
+    return values
+
+
 def rhs_fast(N: int, j: int) -> int:
     """The binomial sum side via its falling-basis polynomial: 2^N R_j(N)."""
     _check_point(N, j)
-    if j == 0:
-        return pow2(N)
-    return pow2(N) * poly_eval(r_poly(j), N)
+    return _fast_values(j, N, N, r_poly)[0][0]
 
 
 def lhs_fast(N: int, j: int) -> int:
     """The hypergeometric side via its falling-basis polynomial: 2^N L_j(N)."""
     _check_point(N, j)
-    if j == 0:
-        return pow2(N)
-    return pow2(N) * poly_eval(l_poly(j), N)
+    return _fast_values(j, N, N, l_poly)[0][0]
 
 
 def binomial_falling_sum(N: int, i: int) -> int:
@@ -140,25 +154,9 @@ def binomial_falling_sum(N: int, i: int) -> int:
 
 
 def check_identity(point: IdentityPoint, mode: CheckMode = "fast") -> VerifyReport:
-    """Evaluate both sides at ``point`` and report whether they agree.
-
-    mode "direct" compares the two brute-force routes, "fast" the two
-    polynomial routes, and "cross" all four. The report's lhs is the
-    first route's value and its rhs the last's; equal means every route
-    agrees. Inequality is reported, not raised.
-    """
-    start = time.perf_counter()
-    N, j = point.N, point.j
-    if mode == "direct":
-        values = (lhs_direct(N, j), rhs_direct(N, j))
-    elif mode == "fast":
-        values = (lhs_fast(N, j), rhs_fast(N, j))
-    elif mode == "cross":
-        values = (lhs_direct(N, j), lhs_fast(N, j), rhs_fast(N, j), rhs_direct(N, j))
-    else:
-        raise ValueError(f"unknown mode {mode!r}; expected direct, fast or cross")
-    equal = all(v == values[0] for v in values[1:])
-    return VerifyReport(point, values[0], values[-1], equal, time.perf_counter() - start)
+    """Evaluate both sides at ``point`` and report whether they agree:
+    ``check_range`` over the single N of the point."""
+    return check_range(point.j, point.N, point.N, mode)[0]
 
 
 def check_range(
@@ -166,32 +164,30 @@ def check_range(
 ) -> list[VerifyReport]:
     """Check the identity at (N, j) for N = n_min..n_max, in N order.
 
-    The "direct" and "cross" modes call ``check_identity`` at each point.
-    The "fast" mode builds L_j from its closed form and R_j from its
-    recurrence (both the constant 1 at j = 0) and compares them as rows.
-    Equal rows are one polynomial, so the two sides agree at every N >= 1:
-    that polynomial is evaluated once over the run with ``poly_values``,
-    and its values times 2^N are both lhs and rhs. Unequal rows are each
-    evaluated and compared point by point, so a point where they happen
-    to agree still reports equal. Each fast report's elapsed is its equal
+    mode "direct" compares the two brute-force routes, "fast" the two
+    polynomial routes (L_j from its closed form and R_j from its
+    recurrence, each evaluated over the whole run by ``poly_values``), and
+    "cross" all four. Equal rows are one polynomial, so they agree at every
+    N >= 1 and are evaluated once. A report's lhs is the first route's
+    value and its rhs the last's; equal means every route agrees at that
+    N, and is reported, never raised. Each report's elapsed is its equal
     share of the run's time.
     """
-    ns = range(n_min, n_max + 1)
-    if mode != "fast":
-        return [check_identity(IdentityPoint(N, j), mode) for N in ns]
+    if mode not in ("direct", "fast", "cross"):
+        raise ValueError(f"unknown mode {mode!r}; expected direct, fast or cross")
     start = time.perf_counter()
-    points = [IdentityPoint(N, j) for N in ns]
-    one = FallingPoly((1,))
-    l_row, r_row = (l_poly(j), r_poly(j)) if j else (one, one)
-    lhs = [v << N for v, N in zip(poly_values(l_row, n_min, n_max), ns)]
-    if r_row == l_row:
-        rhs = lhs
-    else:
-        rhs = [v << N for v, N in zip(poly_values(r_row, n_min, n_max), ns)]
+    points = [IdentityPoint(N, j) for N in range(n_min, n_max + 1)]
+    routes = []
+    if mode != "fast":
+        routes.append([lhs_direct(N, j) for N, _ in points])
+    if mode != "direct":
+        routes += _fast_values(j, n_min, n_max, l_poly, r_poly)
+    if mode != "fast":
+        routes.append([rhs_direct(N, j) for N, _ in points])
     share = (time.perf_counter() - start) / max(len(points), 1)
     return [
-        VerifyReport(point, left, right, left == right, share)
-        for point, left, right in zip(points, lhs, rhs)
+        VerifyReport(point, values[0], values[-1], values.count(values[0]) == len(values), share)
+        for point, values in zip(points, zip(*routes))
     ]
 
 

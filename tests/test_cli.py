@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import hypident
 from hypident import cli, hypergeom, identity
 from hypident.factorial_basis import FallingPoly, poly_eval
-from hypident.identity import IdentityPoint, VerifyReport, check_identity
+from hypident.identity import IdentityPoint, MapCountSpec, VerifyReport, check_identity
 
 
 def run_cli(capsys, *argv):
@@ -252,6 +252,57 @@ def test_render_writes_both_values_whatever_the_verdict(capsys, monkeypatch):
         assert got == [(str(lhs), str(rhs)) for lhs, rhs in pairs.values()]
 
 
+exact_values = st.one_of(
+    st.integers(),
+    # past CPython's 4300-digit str(int) limit
+    st.tuples(st.integers(4300, 6000), st.integers()).map(lambda t: 10 ** t[0] + t[1]),
+)
+
+
+@st.composite
+def verify_reports(draw):
+    lhs = draw(exact_values)
+    return VerifyReport(
+        IdentityPoint(draw(st.integers(1, cli.MAX_N)), draw(st.integers(0, cli.MAX_J))),
+        lhs,
+        draw(st.one_of(st.just(lhs), exact_values)),
+        draw(st.booleans()),
+        draw(st.floats(0, 10)),
+    )
+
+
+@given(st.lists(verify_reports(), max_size=4), st.sampled_from(["json", "csv"]), st.booleans())
+def test_render_round_trips(reports, fmt, timings):
+    """JSON and CSV reports parse back to the same N, j, lhs, rhs and
+    verdict, whatever the verdict says, with micros 0 unless timings is on."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        out = cli._render_reports(reports, fmt, timings)
+        if fmt == "json":
+            got = [
+                (row["N"], row["j"], int(row["lhs"]), int(row["rhs"]), row["equal"], row["micros"])
+                for row in json.loads(out)
+            ]
+        else:
+            header, *lines = out.splitlines()
+            assert header == "N,j,lhs,rhs,equal,micros"
+            got = []
+            for line in lines:
+                N, j, lhs, rhs, equal, micros = line.split(",")
+                verdict = {"true": True, "false": False}[equal]
+                got.append((int(N), int(j), int(lhs), int(rhs), verdict, int(micros)))
+        assert got == [
+            (r.point.N, r.point.j, r.lhs, r.rhs, r.equal,
+             int(r.elapsed * 1_000_000) if timings else 0)
+            for r in reports
+        ]
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 def test_verify_timings_flag(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--j", "10..10", "--n", "100..100", "--format", "json",
@@ -419,15 +470,18 @@ def test_n_above_bound_is_usage_error(capsys, monkeypatch):
     (("verify", "--j", "{j}", "--n", "3"), "run_sweep", "j"),
     (("table", "L", "--jmax", "{j}"), "export_csv", "--jmax"),
     (("table", "C", "--jmax", "{j}", "--format", "json"), "export_json", "--jmax"),
+    (("mapcount", "unread.json", "--j", "{j}"), "mapcount_spec_from_file", "--j"),
 ])
 def test_j_above_bound_is_usage_error(capsys, monkeypatch, argv, target, error):
-    """j, the upper end of verify --j and table --jmax stop at MAX_J before
-    any work starts; the bound itself is accepted."""
+    """j, the upper end of verify --j, table --jmax and mapcount --j stop at
+    MAX_J before any work starts (the coefficient file is not even read);
+    the bound itself is accepted."""
     assert cli.MAX_J == 300
     started = []
     result = {
         "check_identity": VerifyReport(IdentityPoint(5, 1), 0, 0, True, 0.0),
         "run_sweep": [],
+        "mapcount_spec_from_file": MapCountSpec(2, 1, 1, (1, 0, 0)),
     }.get(target, "")
 
     def work(*args):

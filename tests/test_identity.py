@@ -5,7 +5,7 @@ import pytest
 
 from hypident import hypergeom, identity
 from hypident.exact_arith import binomial, factorial, pow2
-from hypident.factorial_basis import falling
+from hypident.factorial_basis import FallingPoly, falling
 from hypident.hypergeom import lhs_direct
 from hypident.identity import (
     CoefficientLengthMismatch,
@@ -14,6 +14,7 @@ from hypident.identity import (
     VerifyReport,
     binomial_falling_sum,
     check_identity,
+    check_range,
     lhs_fast,
     map_count,
     map_summand,
@@ -154,11 +155,24 @@ MODE_ROUTES = {
 
 @pytest.mark.parametrize("route", ["lhs_direct", "rhs_direct", "lhs_fast", "rhs_fast"])
 def test_every_mode_catches_one_wrong_route(monkeypatch, route):
-    right = getattr(identity, route)
-    monkeypatch.setattr(identity, route, lambda N, j: right(N, j) + 1)
+    """A wrong brute-force route is off by one at every point; a wrong fast
+    route has its row's constant coefficient off by one, which moves its
+    value at every N. Checked at one point and over a run of N."""
+    if route.endswith("_direct"):
+        right = getattr(identity, route)
+        monkeypatch.setattr(identity, route, lambda N, j: right(N, j) + 1)
+    else:
+        row = {"lhs_fast": "l_poly", "rhs_fast": "r_poly"}[route]
+        right_row = getattr(identity, row)
+
+        def wrong(j):
+            c0, *rest = right_row(j).coeffs
+            return FallingPoly((c0 + 1, *rest))
+
+        monkeypatch.setattr(identity, row, wrong)
     for mode, routes in MODE_ROUTES.items():
-        report = check_identity(IdentityPoint(5, 3), mode)
-        assert report.equal == (route not in routes), mode
+        reports = [check_identity(IdentityPoint(5, 3), mode), *check_range(3, 1, 12, mode)]
+        assert [r.equal for r in reports] == [route not in routes] * 13, mode
 
 
 def test_report_equal_mirrors_values():
