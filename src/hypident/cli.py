@@ -42,12 +42,20 @@ from .triangles import export_csv, export_json
 
 PARALLELISM_ENV = "HYPIDENT_PARALLELISM"
 # Printing an exact value takes time quadratic in its digits (CPython's
-# str(int)); at N = 10^6 one value already takes over a second.
+# str(int)); at N = 10^6 one value takes over a second, so a sweep over
+# many such N is limited by MAX_GRID.
 MAX_N = 1_000_000
 # The triangles keep every row up to the largest j asked for, so time and
 # memory grow roughly as j^3: `table L --jmax 300` takes under a second and
 # 80 MB, --jmax 500 five seconds and 250 MB.
 MAX_J = 300
+# A sweep keeps every value it reports, and printing a value takes time
+# quadratic in its bits. So a grid's size is its number of points times
+# b^2 for its largest value, which is at most 2^N (2N + 4j)^j and so has
+# about b = N + j * bit_length(2N + 4j) bits. `verify --j 1 --n 1..10000`
+# and one point at N = MAX_N, j = MAX_J are inside the bound
+# (measurements in README).
+MAX_GRID = 2**40
 
 __all__ = ["SweepConfig", "entrypoint", "main", "run_sweep"]
 
@@ -181,6 +189,12 @@ def _bounded(name: str, value: int, bound: int) -> int:
     return value
 
 
+def _grid_size(config: SweepConfig) -> int:
+    bits = config.n_max + config.j_max * (2 * config.n_max + 4 * config.j_max).bit_length()
+    points = (config.j_max - config.j_min + 1) * (config.n_max - config.n_min + 1)
+    return points * bits * bits
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     _bounded("N", args.n[1], MAX_N)
     _bounded("j", args.j[1], MAX_J)
@@ -199,6 +213,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         mode=args.mode,
         parallelism=parallelism,
     )
+    _bounded("grid size", _grid_size(config), MAX_GRID)
     with _open_out(args.out) as out:
         start = time.perf_counter()
         reports = run_sweep(config)

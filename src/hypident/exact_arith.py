@@ -27,8 +27,9 @@ def binomial(n: int, k: int) -> int:
 
     Returns the ordinary coefficient for n >= k >= 0 and 0 whenever k < 0
     or k > n >= 0. The exceptional value C(-1, -1) = 1 is not honored
-    here: exactly one telescoping sum needs that convention, and
-    ``triangles.vanishing_sum`` writes the single term out itself.
+    here: exactly one term of one telescoping sum needs that convention
+    (k = 1 at i = 2 in ``triangles.vanishing_sum``), and that sum writes
+    the term out itself.
 
     Raises ValueError for negative n with k >= 0: no generalized
     (Pochhammer) extension is provided.

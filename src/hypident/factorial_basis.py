@@ -10,8 +10,10 @@ are converted on entry:
     x^(k)     = sum_i C(k-1, i-1) * k!/i! * (x)_i   (Lah coefficients)
 
 Stirling numbers are produced by the triangular recurrence
-S(k+1, i) = i*S(k, i) + S(k, i-1) with full-table memoization; closed
-forms are reserved for the test oracles.
+S(k+1, i) = i*S(k, i) + S(k, i-1) with full-table memoization, and
+``monomial_to_falling(k)`` is row k of that table as it stands. A Lah row
+is built by exact ratios of consecutive coefficients. Closed forms are
+reserved for the test oracles.
 
 A polynomial is evaluated at one point by Horner's rule (``poly_eval``)
 and over a run of consecutive integers by forward differences
@@ -28,7 +30,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from operator import add
 
-from .exact_arith import binomial, factorial
+from .exact_arith import factorial
 
 __all__ = [
     "FallingPoly",
@@ -76,9 +78,13 @@ class _StirlingTable:
     def entry(self, k: int, i: int) -> int:
         if i > k:
             return 0
+        return self.row(k)[i]
+
+    def row(self, k: int) -> tuple[int, ...]:
+        """S(k, 0..k), index-ascending."""
         if k >= len(self._rows):
             self._grow_to(k)
-        return self._rows[k][i]
+        return self._rows[k]
 
     def _grow_to(self, k: int) -> None:
         with self._lock:
@@ -170,26 +176,27 @@ def poly_values(p: FallingPoly, lo: int, hi: int) -> list[int]:
 def monomial_to_falling(k: int) -> FallingPoly:
     """The monomial x^k expressed in the falling basis.
 
-    Coefficient of (x)_i is S(k, i); for k = 0 this is the constant 1.
+    Coefficient of (x)_i is S(k, i), read as row k of the Stirling table;
+    for k = 0 this is the constant 1.
     """
     if k < 0:
         raise ValueError(f"monomial_to_falling({k}): k must be >= 0")
-    return FallingPoly(tuple(stirling2(k, i) for i in range(k + 1)))
+    return FallingPoly(_STIRLING.row(k))
 
 
 def rising_to_falling(k: int) -> FallingPoly:
     """The rising factorial x^(k) expressed in the falling basis.
 
-    Coefficient of (x)_i is C(k-1, i-1) * k!/i! for 1 <= i <= k; for k = 0
-    this is the constant 1.
+    Coefficient of (x)_i is the Lah number C(k-1, i-1) * k!/i! for
+    1 <= i <= k; for k = 0 this is the constant 1. The row starts at k! for
+    i = 1 and steps by the exact ratio of consecutive Lah numbers,
+    L(k, i+1) = L(k, i) (k-i) / (i(i+1)).
     """
     if k < 0:
         raise ValueError(f"rising_to_falling({k}): k must be >= 0")
     if k == 0:
         return FallingPoly((1,))
-    fact_k = factorial(k)
-    coeffs = [0]
-    coeffs.extend(
-        binomial(k - 1, i - 1) * (fact_k // factorial(i)) for i in range(1, k + 1)
-    )
-    return FallingPoly(tuple(coeffs))
+    coeffs = [0, factorial(k)]
+    for i in range(1, k):
+        coeffs.append(coeffs[i] * (k - i) // (i * (i + 1)))
+    return FallingPoly(coeffs)

@@ -102,16 +102,22 @@ def _check_point(N: int, j: int) -> None:
     """The identity's point domain, shared by every route: N >= 1, j >= 0.
 
     N and j must be ints; anything else, bools included, is a TypeError,
-    as in ``Hyp2F1Spec``.
+    as in ``Hyp2F1Spec``. N is checked first, then j by ``_check_j``.
     """
-    for name, value in (("N", N), ("j", j)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if not isinstance(N, int) or isinstance(N, bool):
+        raise TypeError(f"N must be an int, got {type(N).__name__}")
     if N < 1:
         raise ValueError(
             f"N = {N} is outside the identity's domain (N >= 1); "
             "no value is defined at N = 0"
         )
+    _check_j(j)
+
+
+def _check_j(j: int) -> None:
+    """The j part of the point domain: an int >= 0."""
+    if not isinstance(j, int) or isinstance(j, bool):
+        raise TypeError(f"j must be an int, got {type(j).__name__}")
     if j < 0:
         raise ValueError(f"j = {j} must be >= 0")
 

@@ -42,7 +42,7 @@ from typing import Callable, Literal, NamedTuple
 
 from .exact_arith import ExactRat, binomial, factorial, pow2
 from .factorial_basis import FallingPoly, falling, poly_values
-from .hypergeom import Hyp2F1Spec, _check_point, hyp2f1_terminating, lhs_direct
+from .hypergeom import Hyp2F1Spec, _check_j, _check_point, hyp2f1_terminating, lhs_direct
 from .triangles import l_poly, r_poly
 
 __all__ = [
@@ -171,10 +171,12 @@ def check_range(
     N >= 1 and are evaluated once. A report's lhs is the first route's
     value and its rhs the last's; equal means every route agrees at that
     N, and is reported, never raised. Each report's elapsed is its equal
-    share of the run's time.
+    share of the run's time. j is checked first, the same way in every
+    mode, so an empty run of N still rejects a bad j.
     """
     if mode not in ("direct", "fast", "cross"):
         raise ValueError(f"unknown mode {mode!r}; expected direct, fast or cross")
+    _check_j(j)
     start = time.perf_counter()
     points = [IdentityPoint(N, j) for N in range(n_min, n_max + 1)]
     routes = []

@@ -27,11 +27,16 @@ equality (plus the recurrence/closed-form agreement within each family and
 the companion ``vanishing_sum`` telescoping check) is the package's
 principal verification target, so collapsing them would test nothing.
 
-Rows are built whole and cached. The recurrence routes build level by
-level, so random access to (i, j) builds every row up to j; an L
-closed-form row is built on its own from the binomials of its level.
-Recurrence rows grow under an internal lock, and every row is immutable
-once published, so concurrent readers only ever observe complete rows.
+Every route builds a row whole. The recurrence routes build level by
+level and keep every row, so random access to (i, j) builds every row up
+to j. An L closed-form row is built on its own from the binomials of its
+level and cached. An R closed-form row is the C(., j)-weighted sum of
+Stirling rows 0..j, shifted left by j-i; only the last one is kept,
+because callers read such a row entry by entry. ``l_poly_from_series``
+sums Lah rows with weights stepped by exact ratios, and
+``vanishing_sum`` steps its binomials the same way. Recurrence rows grow
+under an internal lock, and every row is immutable once published, so
+concurrent readers only ever observe complete rows.
 """
 
 from __future__ import annotations
@@ -39,10 +44,11 @@ from __future__ import annotations
 import json
 import threading
 from functools import lru_cache
+from operator import add
 from typing import Callable
 
 from .exact_arith import binomial, double_factorial_odd, factorial, pow2
-from .factorial_basis import FallingPoly, rising_to_falling, stirling2
+from .factorial_basis import FallingPoly, monomial_to_falling, rising_to_falling
 
 __all__ = [
     "IndexOutOfTriangle",
@@ -150,17 +156,15 @@ def r_entry(i: int, j: int) -> int:
 
 
 def r_entry_closed(i: int, j: int) -> int:
-    """R(i, j) by the Stirling-weighted closed form.
+    """R(i, j) by the Stirling-weighted closed form
 
-    2^{j-i} * sum_{k=i}^{j} C(k,j) S(k,i) for i >= 1; the i = 0 column is
-    the 2^j (2j-1)!! marginal.
+        R(i, j) = 2^{j-i} * sum_{k=i}^{j} C(k,j) S(k,i),
+
+    which at i = 0 is the 2^j (2j-1)!! marginal, since S(k,0) = 0 for
+    k >= 1. Reads row j, built whole by ``_r_closed_row``.
     """
     _check_index(i, j, "R")
-    if i == 0:
-        return pow2(j) * double_factorial_odd(j)
-    return pow2(j - i) * sum(
-        c_entry(k, j) * stirling2(k, i) for k in range(i, j + 1)
-    )
+    return _r_closed_row(j)[i]
 
 
 def l_entry_closed(i: int, j: int) -> int:
@@ -200,6 +204,17 @@ def _l_closed_row(j: int) -> tuple[int, ...]:
     return tuple(row)
 
 
+# Callers read a row entry by entry, so only the last row is kept.
+@lru_cache(maxsize=1)
+def _r_closed_row(j: int) -> tuple[int, ...]:
+    # x^k is Stirling row k in the falling basis, so the sums over k for
+    # every i at once are the C(., j)-weighted sum of Stirling rows 0..j.
+    sums = [0] * (j + 1)
+    for k, c in enumerate(_C.row(j)):
+        sums[: k + 1] = map(add, sums, [c * s for s in monomial_to_falling(k).coeffs])
+    return tuple(v << (j - i) for i, v in enumerate(sums))
+
+
 def r_poly(j: int) -> FallingPoly:
     """The degree-j falling-basis polynomial with coefficients R(., j)."""
     return FallingPoly(_R.row(j))
@@ -214,17 +229,18 @@ def l_poly_from_series(j: int) -> FallingPoly:
     """L_j assembled term by term from its rising-factorial series.
 
     Sums C(j,k) * (2j)!/(j+k)! * x^(k) over k = 0..j, converting each
-    rising factorial through the Lah transform. A construction route
-    independent of both l_entry paths.
+    rising factorial through the Lah transform. The weight of term k+1 is
+    that of term k times the exact ratio (j-k) / ((k+1)(j+k+1)). A
+    construction route independent of both l_entry paths.
     """
     _check_index(0, j, "L")
     coeffs = [0] * (j + 1)
-    fact_2j = factorial(2 * j)
+    weight = factorial(2 * j) // factorial(j)
     for k in range(j + 1):
-        scale = binomial(j, k) * (fact_2j // factorial(j + k))
-        for i, c in enumerate(rising_to_falling(k).coeffs):
-            coeffs[i] += scale * c
-    return FallingPoly(tuple(coeffs))
+        lah = rising_to_falling(k).coeffs
+        coeffs[: k + 1] = map(add, coeffs, [weight * c for c in lah])
+        weight = weight * (j - k) // ((k + 1) * (j + k + 1))
+    return FallingPoly(coeffs)
 
 
 def vanishing_sum(i: int, j: int) -> int:
@@ -240,6 +256,9 @@ def vanishing_sum(i: int, j: int) -> int:
     degenerates under pure zero-fill, so the i = 1 reduction is used
     instead: (j+1)! * [C(2j, j) - C(2j, j+1)] - (2j)!/j!.
 
+    Every term is added. Only C(2j, j+i-1) is computed in full; each
+    binomial of term k+1 comes from term k by an exact integer ratio.
+
     Always 0; returning the computed value (rather than asserting) is the
     point, since tests check the zero exactly.
     """
@@ -248,14 +267,18 @@ def vanishing_sum(i: int, j: int) -> int:
     if i == 1:
         reduced = binomial(2 * j, j) - binomial(2 * j, j + 1)
         return factorial(j + 1) * reduced - factorial(2 * j) // factorial(j)
-    total = 0
-    for k in range(i - 1, j + 1):
-        bracket = (
-            2 * (i - 1) * binomial(k - 1, i - 1)
-            + i * binomial(k - 1, i - 2)
-            - (j + 1) * (1 if k == 1 else binomial(k - 2, i - 3))
-        )
-        total += binomial(2 * j, j + k) * bracket
+    # k = i-1: C(k-1, i-1) = 0, C(k-1, i-2) = 1 and C(k-2, i-3) = 1, which
+    # at i = 2 is C(-1,-1) = 1.
+    outer = binomial(2 * j, j + i - 1)
+    total = outer * (i - (j + 1))
+    # C(k-1, i-1), C(k-1, i-2) and C(k-2, i-3) at k = i.
+    b1, b2, b3 = 1, i - 1, i - 2
+    for k in range(i, j + 1):
+        outer = outer * (j - k + 1) // (j + k)
+        total += outer * (2 * (i - 1) * b1 + i * b2 - (j + 1) * b3)
+        b1 = b1 * k // (k - i + 1)
+        b2 = b2 * k // (k - i + 2)
+        b3 = b3 * (k - 1) // (k - i + 2)
     return total
 
 

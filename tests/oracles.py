@@ -4,15 +4,18 @@ Everything here deliberately avoids the package's own computation paths:
 rising/falling factorials are bare products, the hypergeometric sum is
 direct Pochhammer summation (no ratio recurrence), the binomial-sum
 side of the identity is its definition with ``math.comb``, Stirling/Bell
-numbers come from enumerating actual set partitions, C-triangle
-entries come from expanding the product in the monomial basis, and
-L-triangle entries come from the binomial closed form summed entry by
-entry with ``math.comb``.
+numbers come from enumerating actual set partitions or from their
+explicit alternating sum, C-triangle entries come from expanding the
+product in the monomial basis, L-triangle entries come from the binomial
+closed form summed entry by entry with ``math.comb``, R-triangle rows
+come from the Stirling-weighted sum with those two oracles, and Lah
+numbers come from their definition with ``math.comb`` and ``factorial``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 
@@ -83,9 +86,15 @@ def bell_by_enumeration(k: int) -> int:
     return sum(1 for _ in partition_block_sizes(k))
 
 
-def c_entry_by_expansion(k: int, j: int) -> int:
-    """C(k, j): the coefficient of x^k in prod_{i=0}^{j-1} (2i+1+x),
-    by direct monomial-basis expansion (no level recurrence)."""
+@lru_cache(maxsize=None)
+def stirling2_by_formula(k: int, i: int) -> int:
+    """S(k, i) = (1/i!) sum_{t=0}^{i} (-1)^t C(i, t) (i-t)^k, with 0^0 = 1."""
+    return sum((-1) ** t * comb(i, t) * (i - t) ** k for t in range(i + 1)) // factorial(i)
+
+
+def c_row_by_expansion(j: int) -> list[int]:
+    """C(0..j, j): the coefficients of prod_{i=0}^{j-1} (2i+1+x), by direct
+    monomial-basis expansion (no level recurrence)."""
     poly = [1]
     for i in range(j):
         out = [0] * (len(poly) + 1)
@@ -93,7 +102,27 @@ def c_entry_by_expansion(k: int, j: int) -> int:
             out[d] += pd * (2 * i + 1)
             out[d + 1] += pd
         poly = out
-    return poly[k]
+    return poly
+
+
+def c_entry_by_expansion(k: int, j: int) -> int:
+    """C(k, j), the coefficient of x^k in prod_{i=0}^{j-1} (2i+1+x)."""
+    return c_row_by_expansion(j)[k]
+
+
+def r_row_by_stirling_sum(j: int) -> tuple[int, ...]:
+    """R(0..j, j) as 2^{j-i} sum_{k=i}^{j} C(k, j) S(k, i), with C from the
+    product expansion and S from its explicit formula."""
+    c = c_row_by_expansion(j)
+    return tuple(
+        sum(c[k] * stirling2_by_formula(k, i) for k in range(i, j + 1)) << (j - i)
+        for i in range(j + 1)
+    )
+
+
+def lah_by_definition(k: int, i: int) -> int:
+    """The coefficient of (x)_i in x^(k): C(k-1, i-1) k!/i! for 1 <= i <= k."""
+    return comb(k - 1, i - 1) * factorial(k) // factorial(i)
 
 
 def l_entry_by_binomial_sum(i: int, j: int) -> int:

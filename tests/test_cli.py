@@ -496,6 +496,45 @@ def test_j_above_bound_is_usage_error(capsys, monkeypatch, argv, target, error):
     assert len(started) == 1
 
 
+def test_grid_above_bound_is_usage_error(capsys, monkeypatch, tmp_path):
+    """A grid's size is its points times b^2, b = N + j * bit_length(2N + 4j)
+    at its largest N and j. A grid at MAX_GRID runs; one unit above, verify
+    exits 2 with one error line before any work."""
+    started = []
+    monkeypatch.setattr(cli, "run_sweep", lambda config: started.append(config) or [])
+    out_path = tmp_path / "report.csv"
+    argv = ("verify", "--j", "2..5", "--n", "3..40", "--out", str(out_path))
+    size = 4 * 38 * (40 + 5 * 7) ** 2  # bit_length(2*40 + 4*5) = 7
+    monkeypatch.setattr(cli, "MAX_GRID", size - 1)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, started) == (2, "", [])
+    assert err == f"error: grid size = {size} is above the bound of {size - 1}\n"
+    assert not out_path.exists()
+    monkeypatch.setattr(cli, "MAX_GRID", size)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert len(started) == 1
+
+
+@pytest.mark.parametrize("j, n, inside", [
+    ("1..120", "1..100", True),       # the fast_sweep benchmark grid
+    ("1..40", "1..100", True),        # the cross_sweep benchmark grid
+    ("0..40", "1..80", True),         # the CI grid
+    ("1..40", "1..200", True),        # the acceptance suite's fast grid
+    ("1", "1..10000", True),
+    ("300", "1000000", True),         # one point at MAX_N and MAX_J
+    ("0..300", "1..280", True),
+    ("0..300", "1..290", False),
+    ("1", "1..20000", False),
+    ("0", "1..1000000", False),
+])
+def test_grid_bound(capsys, monkeypatch, j, n, inside):
+    assert cli.MAX_GRID == 2**40
+    monkeypatch.setattr(cli, "run_sweep", lambda config: [])
+    code, out, err = run_cli(capsys, "verify", "--j", j, "--n", n)
+    assert code == (0 if inside else 2)
+    assert err.startswith("verify" if inside else "error: grid size = ")
+
+
 def test_eval_n0_domain_error(capsys):
     code, _, err = run_cli(capsys, "eval", "both", "0", "3")
     assert code == 2

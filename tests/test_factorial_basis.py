@@ -15,7 +15,12 @@ from hypident.factorial_basis import (
 )
 from hypident.triangles import l_poly, r_poly
 
-from oracles import bell_by_enumeration, falling_product, stirling2_by_enumeration
+from oracles import (
+    bell_by_enumeration,
+    falling_product,
+    lah_by_definition,
+    stirling2_by_enumeration,
+)
 
 
 def test_falling_values():
@@ -176,6 +181,11 @@ def test_monomial_to_falling_coefficients():
     assert monomial_to_falling(3).coeffs == (0, 1, 3, 1)
 
 
+def test_monomial_to_falling_is_the_stirling_row():
+    for k in range(61):
+        assert monomial_to_falling(k).coeffs == tuple(stirling2(k, i) for i in range(k + 1)), k
+
+
 def test_monomial_to_falling_reproduces_powers():
     for k in range(13):
         p = monomial_to_falling(k)
@@ -187,6 +197,12 @@ def test_rising_to_falling_coefficients():
     assert rising_to_falling(0).coeffs == (1,)
     assert rising_to_falling(1).coeffs == (0, 1)
     assert rising_to_falling(2).coeffs == (0, 2, 1)
+
+
+def test_rising_to_falling_matches_lah_definition():
+    for k in range(1, 151):
+        expected = (0,) + tuple(lah_by_definition(k, i) for i in range(1, k + 1))
+        assert rising_to_falling(k).coeffs == expected, k
 
 
 def test_rising_to_falling_reproduces_rising_factorials():

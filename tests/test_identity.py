@@ -146,6 +146,19 @@ def test_check_identity_unknown_mode():
         check_identity(IdentityPoint(1, 1), "slow")
 
 
+@pytest.mark.parametrize("mode", ["direct", "fast", "cross"])
+@pytest.mark.parametrize("j, error, message", [
+    (-1, ValueError, "j = -1 must be >= 0"),
+    (2.0, TypeError, "j must be an int, got float"),
+    (True, TypeError, "j must be an int, got bool"),
+])
+@pytest.mark.parametrize("n_min, n_max", [(5, 4), (1, 3)], ids=["empty", "nonempty"])
+def test_check_range_checks_j_in_every_mode(mode, j, error, message, n_min, n_max):
+    """A bad j is the same error in every mode, even when the N run is empty."""
+    with pytest.raises(error, match=f"^{message}$"):
+        check_range(j, n_min, n_max, mode)
+
+
 MODE_ROUTES = {
     "direct": {"lhs_direct", "rhs_direct"},
     "fast": {"lhs_fast", "rhs_fast"},

@@ -1,8 +1,10 @@
 import json
 import threading
+import types
 
 import pytest
 
+from hypident import triangles
 from hypident.exact_arith import double_factorial_odd, factorial, pow2
 from hypident.factorial_basis import poly_eval
 from hypident.hypergeom import lhs_direct
@@ -24,7 +26,7 @@ from hypident.triangles import (
     vanishing_sum,
 )
 
-from oracles import c_entry_by_expansion, l_entry_by_binomial_sum
+from oracles import c_entry_by_expansion, l_entry_by_binomial_sum, r_row_by_stirling_sum
 
 
 def test_c_entry_values():
@@ -67,6 +69,34 @@ def test_l_closed_rows_equal_r_rows_beyond_1000_bits():
     for j in range(1, 151):
         assert triangle_row("L", j) == triangle_row("R", j), j
     assert max(triangle_row("L", 150)).bit_length() > 1000
+
+
+def test_r_closed_rows_match_stirling_sum():
+    for j in range(1, 61):
+        row = tuple(r_entry_closed(i, j) for i in range(j + 1))
+        assert row == r_row_by_stirling_sum(j), j
+
+
+def _names_read(fn) -> set[str]:
+    """Every global and attribute name fn's code reads, nested code included."""
+    names, stack = set(), [getattr(fn, "__wrapped__", fn).__code__]
+    while stack:
+        code = stack.pop()
+        names.update(code.co_names)
+        stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    return names
+
+
+def test_closed_form_and_series_routes_read_no_other_route():
+    """The R closed form reads no R recurrence row, and the L series no L
+    closed-form or L recurrence row: each route is built on its own."""
+    r_closed = _names_read(triangles.r_entry_closed) | _names_read(triangles._r_closed_row)
+    assert not r_closed & {"_R", "r_entry", "r_poly", "triangle_row"}
+    l_series = _names_read(triangles.l_poly_from_series)
+    assert not l_series & {
+        "_l_closed_row", "_L_REC", "l_entry_closed", "l_entry_recurrence", "l_poly",
+        "triangle_row",
+    }
 
 
 def test_l_entry_recurrence_values():
