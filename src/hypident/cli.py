@@ -12,20 +12,21 @@ Subcommands:
 
 Reports go to stdout (or --out FILE); the human summary goes to stderr, so
 JSON/CSV report streams stay machine-clean. Report rows are always ordered
-by (j, N) and, with timings off (the default), identical configs produce
-byte-identical output no matter the parallelism.
+by (j, N), written one j cell at a time as the sweep goes, and, with
+timings off (the default), identical configs produce byte-identical output
+no matter the parallelism. A sweep that ends in an error or an interrupt
+may leave a truncated report.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 import time
 from collections import namedtuple
-from typing import TextIO
+from typing import Callable, TextIO
 
 from . import __version__
 from .identity import (
@@ -49,13 +50,18 @@ MAX_N = 1_000_000
 # memory grow roughly as j^3: `table L --jmax 300` takes under a second and
 # 80 MB, --jmax 500 five seconds and 250 MB.
 MAX_J = 300
-# A sweep keeps every value it reports, and printing a value takes time
-# quadratic in its bits. So a grid's size is its number of points times
-# b^2 for its largest value, which is at most 2^N (2N + 4j)^j and so has
-# about b = N + j * bit_length(2N + 4j) bits. `verify --j 1 --n 1..10000`
-# and one point at N = MAX_N, j = MAX_J are inside the bound
-# (measurements in README).
+# A sweep keeps one j cell's values at a time, and printing a value takes
+# time quadratic in its bits. So a grid's size is its number of points
+# times b^2 for its largest value, which is at most 2^N (2N + 4j)^j and so
+# has about b = N + j * bit_length(2N + 4j) bits. The brute-force routes of
+# the direct and cross modes add N+1 terms of up to b bits per point
+# (rhs_direct), at 100 to 4000 times printing's cost per bit, the most at
+# large j and N; those modes add BRUTE_FORCE_WEIGHT * (N + 1) * b per
+# point, so that their largest grids take about as long as the largest fast
+# ones. One point at N = MAX_N, j = MAX_J in fast mode, and the benchmark
+# and CI grids in every mode, are inside the bound (measurements in README).
 MAX_GRID = 2**40
+BRUTE_FORCE_WEIGHT = 1000
 
 __all__ = ["SweepConfig", "entrypoint", "main", "run_sweep"]
 
@@ -87,31 +93,34 @@ def _sweep_cell(cell: tuple[int, int, int, str]) -> list[VerifyReport]:
     return check_range(*cell)
 
 
-def run_sweep(config: SweepConfig) -> list[VerifyReport]:
-    """Run the grid, one cell per j value, and return reports ordered by (j, N).
+def run_sweep(config: SweepConfig, emit: Callable[[list[VerifyReport]], object]) -> None:
+    """Run the grid, one cell per j value, and hand each cell's reports,
+    ordered by N, to emit in j order as soon as the cell is checked.
 
-    The pool never has more workers than cells or than CPUs, whatever
-    parallelism asks for; the reports do not depend on the worker count.
+    The sweep keeps no cell after emit returns, and returns only when the
+    last cell has been emitted. The pool never has more workers than cells
+    or than CPUs, whatever parallelism asks for; the reports do not depend
+    on the worker count.
     """
     cells = [
         (j, config.n_min, config.n_max, config.mode)
         for j in range(config.j_min, config.j_max + 1)
     ]
     workers = min(config.parallelism, len(cells), os.cpu_count() or 1)
-    if workers <= 1:
-        chunks = [_sweep_cell(cell) for cell in cells]
-    else:
+    pool = None
+    if workers > 1:
         # Imported only here, so that every other run (a serial sweep and
         # every other command) starts without the pool's modules.
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            chunks = list(pool.map(_sweep_cell, cells))
-        finally:
+    try:
+        for reports in (pool.map if pool else map)(_sweep_cell, cells):
+            emit(reports)
+    finally:
+        if pool:
             # A failed or interrupted sweep drops the cells not yet started.
             pool.shutdown(cancel_futures=True)
-    return [report for chunk in chunks for report in chunk]
 
 
 def _micros(report: VerifyReport, timings: bool) -> int:
@@ -125,36 +134,46 @@ def _decimals(report: VerifyReport) -> tuple[str, str]:
     return lhs, lhs if report.rhs == report.lhs else str(report.rhs)
 
 
+# Per format, what a report holds before its first cell, between two cells
+# and after its last one. With the cells that _render_reports writes, these
+# give the bytes of json.dumps(rows, indent=2) + "\n" for JSON, and of a
+# header line and one line per row for CSV and plain. A sweep has at least
+# one cell, and every cell at least one row.
+_FRAMING = {
+    "json": ("[\n", ",\n", "\n]\n"),
+    "csv": ("N,j,lhs,rhs,equal,micros\n", "", ""),
+    "plain": ("", "", ""),
+}
+
+
 def _render_reports(reports: list[VerifyReport], fmt: str, timings: bool) -> str:
+    """One cell's rows in fmt, without the report's framing (_FRAMING).
+
+    JSON rows are written from a template instead of by json.dumps, whose
+    indented output runs CPython's pure-Python encoder; every field is an
+    int, a bool or a decimal digit string, so no escaping is needed.
+    """
     # A generator, so each row's strings are built as the row is rendered.
     decimals = ((r, *_decimals(r)) for r in reports)
     if fmt == "json":
-        rows = [
-            {
-                "N": r.point.N,
-                "j": r.point.j,
-                "lhs": lhs,
-                "rhs": rhs,
-                "equal": r.equal,
-                "micros": _micros(r, timings),
-            }
-            for r, lhs, rhs in decimals
-        ]
-        return json.dumps(rows, indent=2) + "\n"
-    if fmt == "csv":
-        lines = ["N,j,lhs,rhs,equal,micros"]
-        lines.extend(
-            f"{r.point.N},{r.point.j},{lhs},{rhs},"
-            f"{'true' if r.equal else 'false'},{_micros(r, timings)}"
+        return ",\n".join(
+            f'  {{\n    "N": {r.point.N},\n    "j": {r.point.j},\n'
+            f'    "lhs": "{lhs}",\n    "rhs": "{rhs}",\n'
+            f'    "equal": {"true" if r.equal else "false"},\n'
+            f'    "micros": {_micros(r, timings)}\n  }}'
             for r, lhs, rhs in decimals
         )
-        return "\n".join(lines) + "\n"
-    lines = [
+    if fmt == "csv":
+        return "".join(
+            f"{r.point.N},{r.point.j},{lhs},{rhs},"
+            f"{'true' if r.equal else 'false'},{_micros(r, timings)}\n"
+            for r, lhs, rhs in decimals
+        )
+    return "".join(
         f"j={r.point.j} N={r.point.N} lhs={lhs} rhs={rhs} "
-        f"equal={'true' if r.equal else 'false'}"
+        f"equal={'true' if r.equal else 'false'}\n"
         for r, lhs, rhs in decimals
-    ]
-    return "\n".join(lines) + "\n"
+    )
 
 
 def _open_out(path: str | None) -> contextlib.AbstractContextManager[TextIO]:
@@ -189,10 +208,16 @@ def _bounded(name: str, value: int, bound: int) -> int:
     return value
 
 
+def _points(config: SweepConfig) -> int:
+    return (config.j_max - config.j_min + 1) * (config.n_max - config.n_min + 1)
+
+
 def _grid_size(config: SweepConfig) -> int:
     bits = config.n_max + config.j_max * (2 * config.n_max + 4 * config.j_max).bit_length()
-    points = (config.j_max - config.j_min + 1) * (config.n_max - config.n_min + 1)
-    return points * bits * bits
+    per_point = bits * bits
+    if config.mode != "fast":
+        per_point += BRUTE_FORCE_WEIGHT * (config.n_max + 1) * bits
+    return _points(config) * per_point
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -214,15 +239,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
         parallelism=parallelism,
     )
     _bounded("grid size", _grid_size(config), MAX_GRID)
+    head, between, tail = _FRAMING[args.format]
+    failures: list[VerifyReport] = []
     with _open_out(args.out) as out:
+        out.write(head)
+        separator = ""
+
+        def emit(reports: list[VerifyReport]) -> None:
+            nonlocal separator
+            out.write(separator)
+            out.write(_render_reports(reports, args.format, args.timings))
+            separator = between
+            failures.extend(r for r in reports if not r.equal)
+
         start = time.perf_counter()
-        reports = run_sweep(config)
+        run_sweep(config, emit)
         wall = time.perf_counter() - start
-        out.write(_render_reports(reports, args.format, args.timings))
-    failures = [r for r in reports if not r.equal]
+        out.write(tail)
+    points = _points(config)
     print(
         f"verify j={config.j_min}..{config.j_max} N={config.n_min}..{config.n_max} "
-        f"mode={config.mode}: {len(reports) - len(failures)}/{len(reports)} points "
+        f"mode={config.mode}: {points - len(failures)}/{points} points "
         f"verified in {wall:.3f}s",
         file=sys.stderr,
     )

@@ -98,14 +98,19 @@ def hyp2f1_terminating(spec: Hyp2F1Spec) -> Fraction:
     return Fraction(num, den)
 
 
+def _check_int(name: str, value: int) -> None:
+    """value must be an int; anything else, bools included, is a TypeError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
 def _check_point(N: int, j: int) -> None:
     """The identity's point domain, shared by every route: N >= 1, j >= 0.
 
     N and j must be ints; anything else, bools included, is a TypeError,
     as in ``Hyp2F1Spec``. N is checked first, then j by ``_check_j``.
     """
-    if not isinstance(N, int) or isinstance(N, bool):
-        raise TypeError(f"N must be an int, got {type(N).__name__}")
+    _check_int("N", N)
     if N < 1:
         raise ValueError(
             f"N = {N} is outside the identity's domain (N >= 1); "
@@ -116,8 +121,7 @@ def _check_point(N: int, j: int) -> None:
 
 def _check_j(j: int) -> None:
     """The j part of the point domain: an int >= 0."""
-    if not isinstance(j, int) or isinstance(j, bool):
-        raise TypeError(f"j must be an int, got {type(j).__name__}")
+    _check_int("j", j)
     if j < 0:
         raise ValueError(f"j = {j} must be >= 0")
 

@@ -42,7 +42,14 @@ from typing import Callable, Literal, NamedTuple
 
 from .exact_arith import ExactRat, binomial, factorial, pow2
 from .factorial_basis import FallingPoly, falling, poly_values
-from .hypergeom import Hyp2F1Spec, _check_j, _check_point, hyp2f1_terminating, lhs_direct
+from .hypergeom import (
+    Hyp2F1Spec,
+    _check_int,
+    _check_j,
+    _check_point,
+    hyp2f1_terminating,
+    lhs_direct,
+)
 from .triangles import l_poly, r_poly
 
 __all__ = [
@@ -64,6 +71,10 @@ __all__ = [
 ]
 
 CheckMode = Literal["direct", "fast", "cross"]
+
+# Parsing a decimal is quadratic in its digits: a weight of 2^18 digits
+# takes 0.5 s, one of 2^20 digits 7 s. 3g short weights fit in far less.
+MAX_COEFF_FILE_BYTES = 2**18
 
 
 class CoefficientLengthMismatch(ValueError):
@@ -172,11 +183,15 @@ def check_range(
     value and its rhs the last's; equal means every route agrees at that
     N, and is reported, never raised. Each report's elapsed is its equal
     share of the run's time. j is checked first, the same way in every
-    mode, so an empty run of N still rejects a bad j.
+    mode, then the types of n_min and n_max as ``IdentityPoint`` checks N,
+    so an empty run of N (n_min > n_max) still rejects a bad j or a
+    non-int bound, and otherwise returns [].
     """
     if mode not in ("direct", "fast", "cross"):
         raise ValueError(f"unknown mode {mode!r}; expected direct, fast or cross")
     _check_j(j)
+    _check_int("N", n_min)
+    _check_int("N", n_max)
     start = time.perf_counter()
     points = [IdentityPoint(N, j) for N in range(n_min, n_max + 1)]
     routes = []
@@ -302,12 +317,20 @@ def mapcount_spec_from_obj(obj: object, j: int) -> MapCountSpec:
 
 
 def mapcount_spec_from_file(path: str, j: int) -> MapCountSpec:
-    """Load and validate a JSON coefficient file (see mapcount_spec_from_obj)."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from None
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+    """Load and validate a JSON coefficient file (see mapcount_spec_from_obj).
+
+    A file above MAX_COEFF_FILE_BYTES is a ValueError before anything is
+    parsed; at most that many bytes (plus one) are read, so a device or
+    pipe that never ends is rejected too.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_COEFF_FILE_BYTES + 1)
+    if len(data) > MAX_COEFF_FILE_BYTES:
+        raise ValueError(f"{path}: size is above the bound of {MAX_COEFF_FILE_BYTES} bytes")
+    try:
+        raw = json.loads(data.decode("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
     return mapcount_spec_from_obj(raw, j)

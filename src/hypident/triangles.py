@@ -307,8 +307,19 @@ def export_csv(kind: str, j_max: int) -> str:
 
 
 def export_json(kind: str, j_max: int) -> str:
-    """Rows 1..j_max as a JSON object; entries are decimal digit strings."""
-    rows = [
-        [str(v) for v in triangle_row(kind, j)] for j in range(1, j_max + 1)
-    ]
-    return json.dumps({"kind": kind, "max_level": j_max, "rows": rows}, indent=2) + "\n"
+    """Rows 1..j_max as a JSON object; entries are decimal digit strings.
+
+    The bytes are those of json.dumps({"kind", "max_level", "rows"},
+    indent=2) + "\n", written from a template: json.dumps with an indent
+    runs CPython's pure-Python encoder, and the entries, being digit
+    strings, need no escaping.
+    """
+    rows = ",\n".join(
+        '    [\n      "' + '",\n      "'.join(map(str, triangle_row(kind, j))) + '"\n    ]'
+        for j in range(1, j_max + 1)
+    )
+    rows = "[\n" + rows + "\n  ]" if rows else "[]"
+    return (
+        f'{{\n  "kind": {json.dumps(kind)},\n  "max_level": {json.dumps(j_max)},\n'
+        f'  "rows": {rows}\n}}\n'
+    )

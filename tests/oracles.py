@@ -8,12 +8,15 @@ numbers come from enumerating actual set partitions or from their
 explicit alternating sum, C-triangle entries come from expanding the
 product in the monomial basis, L-triangle entries come from the binomial
 closed form summed entry by entry with ``math.comb``, R-triangle rows
-come from the Stirling-weighted sum with those two oracles, and Lah
-numbers come from their definition with ``math.comb`` and ``factorial``.
+come from the Stirling-weighted sum with those two oracles, Lah
+numbers come from their definition with ``math.comb`` and ``factorial``,
+and a whole verify report is rendered in one piece, JSON by
+``json.dumps(rows, indent=2)``.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -132,3 +135,33 @@ def l_entry_by_binomial_sum(i: int, j: int) -> int:
         return factorial(2 * j) // factorial(j)
     inner = sum(comb(2 * j, j + k) * comb(k - 1, i - 1) for k in range(i, j + 1))
     return factorial(j) // factorial(i) * inner
+
+
+def report_document(reports, fmt: str, timings: bool) -> str:
+    """A verify report in one piece: the JSON list that
+    ``json.dumps(rows, indent=2)`` prints, or a CSV header and one line per
+    report, or one plain line per report."""
+    def micros(r):
+        return int(r.elapsed * 1_000_000) if timings else 0
+
+    def verdict(r):
+        return "true" if r.equal else "false"
+
+    if fmt == "json":
+        rows = [
+            {"N": r.point.N, "j": r.point.j, "lhs": str(r.lhs), "rhs": str(r.rhs),
+             "equal": r.equal, "micros": micros(r)}
+            for r in reports
+        ]
+        return json.dumps(rows, indent=2) + "\n"
+    if fmt == "csv":
+        lines = ["N,j,lhs,rhs,equal,micros"] + [
+            f"{r.point.N},{r.point.j},{r.lhs},{r.rhs},{verdict(r)},{micros(r)}"
+            for r in reports
+        ]
+    else:
+        lines = [
+            f"j={r.point.j} N={r.point.N} lhs={r.lhs} rhs={r.rhs} equal={verdict(r)}"
+            for r in reports
+        ]
+    return "\n".join(lines) + "\n"

@@ -1,5 +1,7 @@
 import argparse
 import concurrent.futures
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -16,6 +18,7 @@ import hypident
 from hypident import cli, hypergeom, identity
 from hypident.factorial_basis import FallingPoly, poly_eval
 from hypident.identity import IdentityPoint, MapCountSpec, VerifyReport, check_identity
+from oracles import report_document
 
 
 def run_cli(capsys, *argv):
@@ -87,7 +90,7 @@ def test_verify_out_file(tmp_path, capsys):
 
 def test_verify_unwritable_out_fails_before_sweep(tmp_path, capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "run_sweep", lambda config: calls.append(config) or [])
+    monkeypatch.setattr(cli, "run_sweep", lambda config, emit: calls.append(config))
     code, out, err = run_cli(
         capsys, "verify", "--j", "1..40", "--n", "1..100", "--mode", "cross",
         "--out", str(tmp_path / "missing" / "report.txt"),
@@ -111,7 +114,7 @@ def test_verify_non_integral_series_is_internal_error(capsys, monkeypatch):
 
 
 def test_verify_broken_pool_is_internal_error(capsys, monkeypatch):
-    def broken(config):
+    def broken(config, emit):
         raise BrokenProcessPool("a worker process died")
 
     monkeypatch.setattr(cli, "run_sweep", broken)
@@ -174,7 +177,8 @@ def outcomes(reports):
     (50, 70, 1, 30),     # degree above the range: the walk drops high differences
 ])
 def test_fast_sweep_matches_check_identity(j_min, j_max, n_min, n_max):
-    reports = cli.run_sweep(cli.SweepConfig(j_min, j_max, n_min, n_max))
+    reports = []
+    cli.run_sweep(cli.SweepConfig(j_min, j_max, n_min, n_max), reports.extend)
     expected = [
         check_identity(IdentityPoint(N, j), "fast")
         for j in range(j_min, j_max + 1)
@@ -199,7 +203,8 @@ def test_fast_sweep_catches_one_wrong_coefficient(capsys, monkeypatch, row, inde
     # by point. A wrong top coefficient of j = 3 is multiplied by (N)_3,
     # which vanishes at N < 3, so only there do the sides still agree.
     for n_min, n_max in ((1, 6), (3, 40), (300, 310)):
-        reports = cli.run_sweep(cli.SweepConfig(3, 3, n_min, n_max))
+        reports = []
+        cli.run_sweep(cli.SweepConfig(3, 3, n_min, n_max), reports.extend)
         assert [r.point.N for r in reports] == list(range(n_min, n_max + 1))
         for r in reports:
             N = r.point.N
@@ -279,7 +284,8 @@ def test_render_round_trips(reports, fmt, timings):
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        out = cli._render_reports(reports, fmt, timings)
+        head, _, tail = cli._FRAMING[fmt]
+        out = head + cli._render_reports(reports, fmt, timings) + tail
         if fmt == "json":
             got = [
                 (row["N"], row["j"], int(row["lhs"]), int(row["rhs"]), row["equal"], row["micros"])
@@ -303,6 +309,67 @@ def test_render_round_trips(reports, fmt, timings):
             sys.set_int_max_str_digits(limit)
 
 
+@st.composite
+def report_cells(draw):
+    """Unequal as well as equal reports, split into one or more non-empty
+    cells at any boundary."""
+    reports = draw(st.lists(verify_reports(), min_size=1, max_size=6))
+    cuts = sorted(draw(st.sets(st.integers(1, len(reports) - 1))) if len(reports) > 1 else [])
+    bounds = [0, *cuts, len(reports)]
+    return [reports[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+@given(report_cells(), st.sampled_from(["json", "csv", "plain"]), st.booleans())
+def test_cells_with_framing_give_the_whole_document(cells, fmt, timings):
+    """The framing around the cells that _render_reports writes, whatever
+    the cell boundaries, gives the bytes of the report rendered in one
+    piece (JSON by json.dumps(rows, indent=2))."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        head, between, tail = cli._FRAMING[fmt]
+        streamed = head + between.join(
+            cli._render_reports(cell, fmt, timings) for cell in cells) + tail
+        assert streamed == report_document(
+            [r for cell in cells for r in cell], fmt, timings)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_verify_writes_each_cell_before_the_next(monkeypatch, capsys, fake_pool, fmt,
+                                                 parallelism):
+    """Each j cell's rows reach the report stream before the next cell is
+    checked, and the stream ends as the report rendered in one piece."""
+    out = io.StringIO()
+    monkeypatch.setattr(cli, "_open_out", lambda path: contextlib.nullcontext(out))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    written = []
+    right = cli._sweep_cell
+
+    def cell(c):
+        written.append((c[0], out.getvalue()))
+        return right(c)
+
+    monkeypatch.setattr(cli, "_sweep_cell", cell)
+    code, _, _ = run_cli(capsys, "verify", "--j", "2..5", "--n", "1..3", "--format", fmt,
+                         "--parallelism", str(parallelism))
+    assert code == 0
+    assert fake_pool["started"] == ([2] if parallelism > 1 else [])
+    reports = [r for j in range(2, 6) for r in identity.check_range(j, 1, 3)]
+    assert out.getvalue() == report_document(reports, fmt, False)
+    # one per row, and one more for the CSV header
+    marker = {"json": '"N": ', "csv": "\n", "plain": " N="}[fmt]
+    for j, text in written:
+        assert out.getvalue().startswith(text)
+        rows_before = sum(r.point.j < j for r in reports)
+        assert text.count(marker) == rows_before + (fmt == "csv")
+    assert [j for j, _ in written] == [2, 3, 4, 5]
+
+
 def test_verify_timings_flag(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--j", "10..10", "--n", "100..100", "--format", "json",
@@ -315,7 +382,7 @@ def test_verify_timings_flag(capsys):
 
 def test_parallelism_env_default(capsys, monkeypatch):
     seen = []
-    monkeypatch.setattr(cli, "run_sweep", lambda config: seen.append(config.parallelism) or [])
+    monkeypatch.setattr(cli, "run_sweep", lambda config, emit: seen.append(config.parallelism))
     monkeypatch.setenv(cli.PARALLELISM_ENV, "6")
     assert run_cli(capsys, "verify")[0] == 0
     assert run_cli(capsys, "verify", "--parallelism", "2")[0] == 0
@@ -357,22 +424,23 @@ def test_pool_is_capped_at_cpu_count(monkeypatch, fake_pool):
     started = fake_pool["started"]
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     config = cli.SweepConfig(1, 8, 1, 4, parallelism=5000)
-    reports = cli.run_sweep(config)
+    reports, serial = [], []
+    cli.run_sweep(config, reports.extend)
     assert started == [3]
-    serial = cli.run_sweep(cli.SweepConfig(1, 8, 1, 4))
+    cli.run_sweep(cli.SweepConfig(1, 8, 1, 4), serial.extend)
     assert [(r.point, r.lhs, r.rhs, r.equal) for r in reports] == [
         (r.point, r.lhs, r.rhs, r.equal) for r in serial
     ]
     assert started == [3]
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    cli.run_sweep(config)
+    cli.run_sweep(config, list)
     assert started == [3]
 
 
 def test_interrupted_sweep_cancels_pending_cells(monkeypatch, fake_pool):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     config = cli.SweepConfig(1, 4, 1, 3, parallelism=2)
-    cli.run_sweep(config)
+    cli.run_sweep(config, list)
     assert fake_pool["shutdowns"] == [True]
 
     def interrupted(cell):
@@ -380,12 +448,12 @@ def test_interrupted_sweep_cancels_pending_cells(monkeypatch, fake_pool):
 
     monkeypatch.setattr(cli, "_sweep_cell", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        cli.run_sweep(config)
+        cli.run_sweep(config, list)
     assert fake_pool["shutdowns"] == [True, True]
 
 
 def test_interrupt_exits_130(capsys, monkeypatch):
-    def interrupted(config):
+    def interrupted(config, emit):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(cli, "run_sweep", interrupted)
@@ -449,7 +517,7 @@ def test_values_beyond_4300_digits_print(capsys):
 
 def test_n_above_bound_is_usage_error(capsys, monkeypatch):
     assert cli.MAX_N == 1_000_000
-    monkeypatch.setattr(cli, "run_sweep", lambda config: pytest.fail("swept"))
+    monkeypatch.setattr(cli, "run_sweep", lambda config, emit: pytest.fail("swept"))
     too_big = str(cli.MAX_N + 1)
     for argv in (
         ("eval", "rhs", too_big, "0"),
@@ -501,7 +569,7 @@ def test_grid_above_bound_is_usage_error(capsys, monkeypatch, tmp_path):
     at its largest N and j. A grid at MAX_GRID runs; one unit above, verify
     exits 2 with one error line before any work."""
     started = []
-    monkeypatch.setattr(cli, "run_sweep", lambda config: started.append(config) or [])
+    monkeypatch.setattr(cli, "run_sweep", lambda config, emit: started.append(config))
     out_path = tmp_path / "report.csv"
     argv = ("verify", "--j", "2..5", "--n", "3..40", "--out", str(out_path))
     size = 4 * 38 * (40 + 5 * 7) ** 2  # bit_length(2*40 + 4*5) = 7
@@ -529,10 +597,33 @@ def test_grid_above_bound_is_usage_error(capsys, monkeypatch, tmp_path):
 ])
 def test_grid_bound(capsys, monkeypatch, j, n, inside):
     assert cli.MAX_GRID == 2**40
-    monkeypatch.setattr(cli, "run_sweep", lambda config: [])
+    monkeypatch.setattr(cli, "run_sweep", lambda config, emit: None)
     code, out, err = run_cli(capsys, "verify", "--j", j, "--n", n)
     assert code == (0 if inside else 2)
     assert err.startswith("verify" if inside else "error: grid size = ")
+
+
+@pytest.mark.parametrize("j, n, mode, inside", [
+    ("1..40", "1..100", "cross", True),    # the cross_sweep benchmark grid
+    ("0..40", "1..80", "direct", True),    # the CI grid
+    ("0..40", "1..80", "cross", True),
+    ("0..12", "1..40", "direct", True),    # the acceptance suite's brute-force grid
+    ("3..5", "15000", "cross", True),
+    ("300", "30000", "direct", True),
+    ("1", "1..10000", "cross", False),     # 127 s before the brute-force term
+    ("300", "100000", "direct", False),    # one point, 46 s before
+    ("0..300", "1..280", "direct", False), # 31 s before
+])
+def test_brute_force_grid_bound(capsys, monkeypatch, j, n, mode, inside):
+    """direct and cross add BRUTE_FORCE_WEIGHT * (N + 1) * b per point, so
+    their large-N grids exit 2 before any work."""
+    assert cli.BRUTE_FORCE_WEIGHT == 1000
+    started = []
+    monkeypatch.setattr(cli, "run_sweep", lambda config, emit: started.append(config))
+    code, out, err = run_cli(capsys, "verify", "--j", j, "--n", n, "--mode", mode)
+    assert (code, len(started)) == ((0, 1) if inside else (2, 0))
+    assert err.startswith("verify" if inside else "error: grid size = ")
+    assert err.count("\n") == 1
 
 
 def test_eval_n0_domain_error(capsys):
@@ -619,6 +710,29 @@ def test_mapcount_deeply_nested_file(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: {path}: JSON nested too deeply\n"
+
+
+def test_mapcount_file_size_bound(tmp_path, capsys, monkeypatch):
+    """A file above MAX_COEFF_FILE_BYTES exits 2 with one error line before
+    it is parsed; a file at the bound is read."""
+    bound = identity.MAX_COEFF_FILE_BYTES
+    assert bound == 2**18
+    doc = '{"nu": 2, "g": 1, "a": ["1", "0", "0"]}'
+    at_bound = write_coeffs(tmp_path, doc + " " * (bound - len(doc)), "at.json")
+    above = write_coeffs(tmp_path, doc + " " * (bound + 1 - len(doc)), "above.json")
+    assert run_cli(capsys, "mapcount", at_bound, "--j", "1") == (0, "36\n", "")
+    parsed = []
+    monkeypatch.setattr(identity.json, "loads", lambda text: parsed.append(text))
+    code, out, err = run_cli(capsys, "mapcount", above, "--j", "1")
+    assert (code, out, parsed) == (2, "", [])
+    assert err == f"error: {above}: size is above the bound of {bound} bytes\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_mapcount_endless_file(capsys):
+    code, out, err = run_cli(capsys, "mapcount", "/dev/zero", "--j", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: /dev/zero: size is above the bound") and err.count("\n") == 1
 
 
 def test_mapcount_missing_file(capsys):

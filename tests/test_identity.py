@@ -159,6 +159,31 @@ def test_check_range_checks_j_in_every_mode(mode, j, error, message, n_min, n_ma
         check_range(j, n_min, n_max, mode)
 
 
+@pytest.mark.parametrize("mode", ["direct", "fast", "cross"])
+@pytest.mark.parametrize("n_min, n_max, message", [
+    (True, 2, "N must be an int, got bool"),
+    (1.0, 3, "N must be an int, got float"),
+    (1, 3.0, "N must be an int, got float"),
+    (5, 4.0, "N must be an int, got float"),
+])
+def test_check_range_checks_n_types_as_identity_point(mode, n_min, n_max, message):
+    """n_min and n_max get IdentityPoint's type check, after the j check,
+    even when the run is empty."""
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        check_range(1, n_min, n_max, mode)
+    with pytest.raises(ValueError, match="^j = -1 must be >= 0$"):
+        check_range(-1, n_min, n_max, mode)
+    if n_min is True:
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            IdentityPoint(True, 1)
+
+
+@pytest.mark.parametrize("mode", ["direct", "fast", "cross"])
+def test_check_range_empty_run(mode):
+    assert check_range(1, 5, 4, mode) == []
+    assert check_range(0, 2, 1, mode) == []
+
+
 MODE_ROUTES = {
     "direct": {"lhs_direct", "rhs_direct"},
     "fast": {"lhs_fast", "rhs_fast"},

@@ -211,6 +211,14 @@ def test_export_json():
     assert all(isinstance(v, str) and v.isdigit() for row in doc["rows"] for v in row)
 
 
+@pytest.mark.parametrize("kind", ["C", "R", "L"])
+@pytest.mark.parametrize("j_max", [1, 2, 40])
+def test_export_json_matches_json_dumps(kind, j_max):
+    rows = [[str(v) for v in triangle_row(kind, j)] for j in range(1, j_max + 1)]
+    doc = {"kind": kind, "max_level": j_max, "rows": rows}
+    assert export_json(kind, j_max) == json.dumps(doc, indent=2) + "\n"
+
+
 def test_triangle_row_kinds():
     assert triangle_row("C", 2) == (3, 4, 1)
     with pytest.raises(ValueError):
