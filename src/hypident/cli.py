@@ -55,13 +55,18 @@ MAX_J = 300
 # times b^2 for its largest value, which is at most 2^N (2N + 4j)^j and so
 # has about b = N + j * bit_length(2N + 4j) bits. The brute-force routes of
 # the direct and cross modes add N+1 terms of up to b bits per point
-# (rhs_direct), at 100 to 4000 times printing's cost per bit, the most at
-# large j and N; those modes add BRUTE_FORCE_WEIGHT * (N + 1) * b per
+# (rhs_direct_run), at 200 to 1300 times printing's cost per bit, the most
+# at large j and N; those modes add BRUTE_FORCE_WEIGHT * (N + 1) * b per
 # point, so that their largest grids take about as long as the largest fast
 # ones. One point at N = MAX_N, j = MAX_J in fast mode, and the benchmark
 # and CI grids in every mode, are inside the bound (measurements in README).
 MAX_GRID = 2**40
 BRUTE_FORCE_WEIGHT = 1000
+# A map count sums 3g 2F1 series of j+1 terms each, every weight included,
+# so its time follows its 3g(j+1) terms; at this bound, a spec with
+# nu <= 100 takes under two seconds (measurements in README). nu itself is
+# not bounded, and the time grows steeply with it.
+MAX_MAPCOUNT_TERMS = 3 * 2**18
 
 __all__ = ["SweepConfig", "entrypoint", "main", "run_sweep"]
 
@@ -298,6 +303,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_mapcount(args: argparse.Namespace) -> int:
     spec = mapcount_spec_from_file(args.coeff_file, _bounded("--j", args.j, MAX_J))
+    _bounded("series terms 3g(j+1)", 3 * spec.g * (spec.j + 1), MAX_MAPCOUNT_TERMS)
     print(map_count(spec))
     return 0
 

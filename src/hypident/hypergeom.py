@@ -9,9 +9,10 @@ the numerator vanishes past K = min(|a|, |b|), so the sum is a finite,
 exactly computable rational. That is the only regime this module handles;
 there is no analytic continuation and no floating point.
 
-``lhs_direct`` packages the one series family the rest of the package
-cares about: j! * 2^N * C(N+j-1, j) * 2F1(-j, -2j; -N-j+1; -1), which is
-always an integer for positive N.
+``lhs_direct_run`` packages the one series family the rest of the package
+cares about, j! * 2^N * C(N+j-1, j) * 2F1(-j, -2j; -N-j+1; -1), which is
+always an integer for positive N, over a run of N for one j;
+``lhs_direct`` is that run at one N.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact_arith import ExactRat, binomial, factorial, pow2
+from .exact_arith import ExactRat, binomial, factorial
 
 __all__ = [
     "DenominatorPochhammerZero",
@@ -27,6 +28,7 @@ __all__ = [
     "NonTerminatingSeries",
     "hyp2f1_terminating",
     "lhs_direct",
+    "lhs_direct_run",
 ]
 
 
@@ -126,20 +128,51 @@ def _check_j(j: int) -> None:
         raise ValueError(f"j = {j} must be >= 0")
 
 
-def lhs_direct(N: int, j: int) -> int:
-    """j! * 2^N * C(N+j-1, j) * 2F1(-j, -2j; -N-j+1; -1), as an integer.
+def _check_run(j: int, n_min: int, n_max: int) -> None:
+    """A run of N for one j: j as ``_check_j``, then both bounds must be
+    ints, and a non-empty run (n_min <= n_max) must start at N >= 1, with
+    the error ``_check_point`` gives at N = n_min."""
+    _check_j(j)
+    _check_int("N", n_min)
+    _check_int("N", n_max)
+    if n_min < 1 and n_min <= n_max:
+        _check_point(n_min, j)
+
+
+def lhs_direct_run(j: int, n_min: int, n_max: int) -> list[int]:
+    """j! * 2^N * C(N+j-1, j) * 2F1(-j, -2j; -N-j+1; -1) for N =
+    n_min..n_max, as integers; [] for an empty run.
 
     Defined for N >= 1 (at N = 0 the series parameters are invalid: c^(k)
     hits zero inside the terminating range) and j >= 0 (j = 0 gives 2^N).
-    The series is the brute-force sum of all j+1 terms from
-    ``hyp2f1_terminating``. The product is provably an integer; that is
-    checked, not assumed, and a non-integer raises ArithmeticError.
+    Each N's series is the brute-force sum of all j+1 terms from
+    ``hyp2f1_terminating``. j! is computed once, and C(N+j-1, j) is
+    stepped to the next N by its exact ratio (N+j)/N. The product is
+    provably an integer; that is checked, not assumed, by one exact
+    division per N, and a non-integer raises ArithmeticError.
     """
+    _check_run(j, n_min, n_max)
+    if n_min > n_max:
+        return []
+    prefactor = factorial(j)
+    c = binomial(n_min + j - 1, j)
+    values = []
+    for N in range(n_min, n_max + 1):
+        series = hyp2f1_terminating(Hyp2F1Spec(-j, -2 * j, -N - j + 1, Fraction(-1)))
+        numerator = prefactor * c * series.numerator << N
+        value, rest = divmod(numerator, series.denominator)
+        if rest:
+            raise ArithmeticError(
+                f"lhs_direct(N={N}, j={j}) is not an integer: "
+                f"{Fraction(numerator, series.denominator)}"
+            )
+        values.append(value)
+        c = c * (N + j) // N
+    return values
+
+
+def lhs_direct(N: int, j: int) -> int:
+    """j! * 2^N * C(N+j-1, j) * 2F1(-j, -2j; -N-j+1; -1), as an integer:
+    ``lhs_direct_run`` at the single N."""
     _check_point(N, j)
-    series = hyp2f1_terminating(Hyp2F1Spec(-j, -2 * j, -N - j + 1, Fraction(-1)))
-    value = factorial(j) * pow2(N) * binomial(N + j - 1, j) * series
-    if value.denominator != 1:
-        raise ArithmeticError(
-            f"lhs_direct(N={N}, j={j}) is not an integer: {value}"
-        )
-    return value.numerator
+    return lhs_direct_run(j, N, N)[0]

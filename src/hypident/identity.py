@@ -5,11 +5,16 @@ The identity, for integers N >= 1 and j >= 1:
     j! 2^N C(N+j-1, j) 2F1(-j, -2j; -N-j+1; -1)
         = sum_{l=0}^{N} C(N, l) prod_{i=0}^{j-1} 2(2i+1+l).
 
-Each side has a brute-force route (``lhs_direct`` in ``hypergeom``,
-``rhs_direct`` here) and a fast route through the falling-basis
-polynomials (``lhs_fast``/``rhs_fast`` evaluate 2^N L_j(N) and
-2^N R_j(N)). ``check_range`` is the one checker: for one j over a run of
-N it evaluates each route of the chosen mode once over the whole run and
+Each side has a brute-force route and a fast route through the
+falling-basis polynomials, and each route evaluates one j over a run of N
+at once. The brute-force routes, ``lhs_direct_run`` in ``hypergeom`` and
+``rhs_direct_run`` here, sum every term of each N's series or binomial
+sum, sharing across the run only j!, C(N+j-1, j) stepped from the
+previous N and the table of products P(l); ``lhs_direct`` and
+``rhs_direct`` are these runs at one N. The fast routes, ``_fast_values``
+behind ``lhs_fast``/``rhs_fast``, evaluate 2^N L_j(N) and 2^N R_j(N).
+``check_range`` is the one checker: for one j over a run of N it
+evaluates each route of the chosen mode once over the whole run and
 reports the outcome at every N; an unequal pair is a result, never an
 exception. ``check_identity`` is ``check_range`` at a single point.
 
@@ -44,11 +49,10 @@ from .exact_arith import ExactRat, binomial, factorial, pow2
 from .factorial_basis import FallingPoly, falling, poly_values
 from .hypergeom import (
     Hyp2F1Spec,
-    _check_int,
-    _check_j,
     _check_point,
+    _check_run,
     hyp2f1_terminating,
-    lhs_direct,
+    lhs_direct_run,
 )
 from .triangles import l_poly, r_poly
 
@@ -66,6 +70,7 @@ __all__ = [
     "mapcount_spec_from_file",
     "mapcount_spec_from_obj",
     "rhs_direct",
+    "rhs_direct_run",
     "rhs_fast",
     "summand_equivalence",
 ]
@@ -101,28 +106,42 @@ class VerifyReport(NamedTuple):
     elapsed: float  # seconds
 
 
-def rhs_direct(N: int, j: int) -> int:
-    """The binomial sum side, term by term: sum_l C(N,l) P(l), where
-    P(l) = prod_{i=0}^{j-1} 2(2i+1+l).
+def rhs_direct_run(j: int, n_min: int, n_max: int) -> list[int]:
+    """The binomial sum side, term by term, for N = n_min..n_max:
+    sum_l C(N,l) P(l), where P(l) = prod_{i=0}^{j-1} 2(2i+1+l); [] for an
+    empty run.
 
-    All N+1 terms are added. Each factor comes from its neighbour by an
-    exact integer ratio: C(N,l+1) = C(N,l)(N-l)/(l+1), and P(l+2) =
-    P(l)(l+2j+1)/(l+1) because the product telescopes, so P(0) and P(1)
-    are the only full products. This route reads no polynomial or
-    triangle, so it stays independent of ``rhs_fast``.
+    P(0..n_max) is built once: P(l+2) = P(l)(l+2j+1)/(l+1) because the
+    product telescopes, so P(0) and P(1) are the only full products. Every
+    N then adds all its N+1 terms, with C(N,l+1) = C(N,l)(N-l)/(l+1), an
+    exact integer ratio. This route reads no polynomial or triangle, so it
+    stays independent of ``rhs_fast``.
     """
-    _check_point(N, j)
+    _check_run(j, n_min, n_max)
+    if n_min > n_max:
+        return []
     p = p_next = 1
     for i in range(j):
         p *= 2 * (2 * i + 1)
         p_next *= 2 * (2 * i + 2)
-    c = 1
-    total = 0
-    for l in range(N + 1):
-        total += c * p
-        c = c * (N - l) // (l + 1)
-        p, p_next = p_next, p * (l + 2 * j + 1) // (l + 1)
-    return total
+    products = [p, p_next]
+    for l in range(n_max - 1):
+        products.append(products[l] * (l + 2 * j + 1) // (l + 1))
+    values = []
+    for N in range(n_min, n_max + 1):
+        c = 1
+        total = 0
+        for l in range(N + 1):
+            total += c * products[l]
+            c = c * (N - l) // (l + 1)
+        values.append(total)
+    return values
+
+
+def rhs_direct(N: int, j: int) -> int:
+    """The binomial sum side at one point: ``rhs_direct_run`` at the single N."""
+    _check_point(N, j)
+    return rhs_direct_run(j, N, N)[0]
 
 
 def _fast_values(
@@ -189,18 +208,16 @@ def check_range(
     """
     if mode not in ("direct", "fast", "cross"):
         raise ValueError(f"unknown mode {mode!r}; expected direct, fast or cross")
-    _check_j(j)
-    _check_int("N", n_min)
-    _check_int("N", n_max)
+    _check_run(j, n_min, n_max)
     start = time.perf_counter()
     points = [IdentityPoint(N, j) for N in range(n_min, n_max + 1)]
     routes = []
     if mode != "fast":
-        routes.append([lhs_direct(N, j) for N, _ in points])
+        routes.append(lhs_direct_run(j, n_min, n_max))
     if mode != "direct":
         routes += _fast_values(j, n_min, n_max, l_poly, r_poly)
     if mode != "fast":
-        routes.append([rhs_direct(N, j) for N, _ in points])
+        routes.append(rhs_direct_run(j, n_min, n_max))
     share = (time.perf_counter() - start) / max(len(points), 1)
     return [
         VerifyReport(point, values[0], values[-1], values.count(values[0]) == len(values), share)

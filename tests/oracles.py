@@ -2,11 +2,11 @@
 
 Everything here deliberately avoids the package's own computation paths:
 rising/falling factorials are bare products, the hypergeometric sum is
-direct Pochhammer summation (no ratio recurrence), the binomial-sum
-side of the identity is its definition with ``math.comb``, Stirling/Bell
-numbers come from enumerating actual set partitions or from their
-explicit alternating sum, C-triangle entries come from expanding the
-product in the monomial basis, L-triangle entries come from the binomial
+direct Pochhammer summation (no ratio recurrence), both sides of the
+identity are their definitions with ``math.comb`` (the left one over that
+sum), Stirling/Bell numbers come from enumerating actual set partitions or
+from their explicit alternating sum, C-triangle entries come from
+expanding the product in the monomial basis, L-triangle entries come from the binomial
 closed form summed entry by entry with ``math.comb``, R-triangle rows
 come from the Stirling-weighted sum with those two oracles, Lah
 numbers come from their definition with ``math.comb`` and ``factorial``,
@@ -47,6 +47,14 @@ def hyp2f1_by_pochhammer(a: int, b: int, c: int, z) -> Fraction:
         den = rising_product(c, k) * factorial(k)
         total += Fraction(num, den) * Fraction(z) ** k
     return total
+
+
+def lhs_by_definition(N: int, j: int) -> Fraction:
+    """j! 2^N C(N+j-1, j) 2F1(-j, -2j; -N-j+1; -1), the series summed from
+    explicit rising factorials, as an exact rational (an integer if the
+    identity's integrality holds)."""
+    series = hyp2f1_by_pochhammer(-j, -2 * j, -N - j + 1, -1)
+    return factorial(j) * 2**N * comb(N + j - 1, j) * series
 
 
 def rhs_by_definition(N: int, j: int) -> int:

@@ -728,6 +728,32 @@ def test_mapcount_file_size_bound(tmp_path, capsys, monkeypatch):
     assert err == f"error: {above}: size is above the bound of {bound} bytes\n"
 
 
+@pytest.mark.parametrize("g, j, inside", [
+    (4, 300, True),        # the benchmark's coefficient file
+    (1024, 255, True),     # 3 * 1024 * 256 terms, the bound itself
+    (32768, 7, True),      # the bound at a large genus
+    (1024, 256, False),
+    (32768, 8, False),
+    (2000, 300, False),
+])
+def test_mapcount_series_term_bound(tmp_path, capsys, monkeypatch, g, j, inside):
+    """A spec of more than MAX_MAPCOUNT_TERMS series terms, 3g(j+1), exits 2
+    with one error line before any series runs."""
+    assert cli.MAX_MAPCOUNT_TERMS == 3 * 2**18
+    counted = []
+    monkeypatch.setattr(cli, "map_count", lambda spec: counted.append(spec) or 0)
+    doc = {"nu": 3, "g": g, "a": [0] * (3 * g)}
+    path = write_coeffs(tmp_path, json.dumps(doc, separators=(",", ":")))
+    code, out, err = run_cli(capsys, "mapcount", path, "--j", str(j))
+    terms = 3 * g * (j + 1)
+    if inside:
+        assert (code, out, err, len(counted)) == (0, "0\n", "", 1)
+    else:
+        assert (code, out, counted) == (2, "", [])
+        assert err == (f"error: series terms 3g(j+1) = {terms} is above "
+                       f"the bound of {cli.MAX_MAPCOUNT_TERMS}\n")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
 def test_mapcount_endless_file(capsys):
     code, out, err = run_cli(capsys, "mapcount", "/dev/zero", "--j", "1")

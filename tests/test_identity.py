@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hypident import hypergeom, identity
 from hypident.exact_arith import binomial, factorial, pow2
 from hypident.factorial_basis import FallingPoly, falling
-from hypident.hypergeom import lhs_direct
+from hypident.hypergeom import lhs_direct, lhs_direct_run
 from hypident.identity import (
     CoefficientLengthMismatch,
     IdentityPoint,
@@ -21,11 +23,12 @@ from hypident.identity import (
     mapcount_spec_from_file,
     mapcount_spec_from_obj,
     rhs_direct,
+    rhs_direct_run,
     rhs_fast,
     summand_equivalence,
 )
 
-from oracles import rhs_by_definition
+from oracles import lhs_by_definition, rhs_by_definition
 
 
 def test_rhs_direct_values():
@@ -40,13 +43,54 @@ def test_rhs_direct_matches_definition():
             assert rhs_direct(n, j) == rhs_by_definition(n, j), (n, j)
 
 
+@given(j=st.integers(0, 30), a=st.integers(1, 80), width=st.integers(0, 79))
+@example(j=0, a=1, width=0)
+@example(j=30, a=80, width=0)
+@example(j=7, a=37, width=43)
+@example(j=30, a=1, width=79)
+def test_direct_runs_match_definitions(j, a, width):
+    """Each brute-force run equals its side's definition at every N of the
+    run, wherever the run starts and whatever its length."""
+    b = min(a + width, 80)
+    assert rhs_direct_run(j, a, b) == [rhs_by_definition(N, j) for N in range(a, b + 1)]
+    assert lhs_direct_run(j, a, b) == [lhs_by_definition(N, j) for N in range(a, b + 1)]
+
+
+@pytest.mark.parametrize("run", [lhs_direct_run, rhs_direct_run], ids=lambda f: f.__name__)
+def test_direct_runs_check_their_domain(run):
+    """A run checks j, then the types of its bounds, then N >= 1 at its
+    start; an empty run gives []."""
+    assert run(3, 5, 4) == [] and run(0, -2, -3) == []
+    with pytest.raises(ValueError, match="^j = -1 must be >= 0$"):
+        run(-1, 0, 3)
+    with pytest.raises(TypeError, match="^N must be an int, got float$"):
+        run(1, 1.0, 3)
+    with pytest.raises(TypeError, match="^N must be an int, got bool$"):
+        run(1, 1, True)
+    with pytest.raises(ValueError, match="^N = 0 is outside"):
+        run(2, 0, 3)
+    assert run(2, 1, 1) == [44]
+
+
 def test_brute_force_routes_read_no_polynomial_route():
-    """rhs_direct and the hypergeom module reach no falling-basis polynomial
-    or triangle, so the brute-force routes stay independent of the fast ones."""
-    polynomial_names = {"poly_eval", "r_poly", "l_poly", "triangle_row",
-                        "binomial_falling_sum", "falling"}
-    assert polynomial_names.isdisjoint(rhs_direct.__code__.co_names)
+    """The brute-force routes and the hypergeom module reach no
+    falling-basis polynomial or triangle, so they stay independent of the
+    fast ones."""
+    polynomial_names = {"poly_eval", "poly_values", "r_poly", "l_poly", "triangle_row",
+                        "binomial_falling_sum", "falling", "_fast_values"}
+    for route in (rhs_direct, rhs_direct_run, lhs_direct, lhs_direct_run):
+        assert polynomial_names.isdisjoint(route.__code__.co_names), route.__name__
     assert polynomial_names.isdisjoint(vars(hypergeom))
+
+
+def test_direct_mode_names_the_first_non_integral_point(monkeypatch):
+    """A series whose product is not an integer is an ArithmeticError at
+    the first N of the run, not a report."""
+    original = hypergeom.hyp2f1_terminating
+    monkeypatch.setattr(hypergeom, "hyp2f1_terminating",
+                        lambda spec: original(spec) + Fraction(1, 7919))
+    with pytest.raises(ArithmeticError, match=r"^lhs_direct\(N=3, j=2\) is not an integer: "):
+        check_range(2, 3, 7, "direct")
 
 
 def test_j0_extension_collapses_to_power_of_two():
@@ -197,8 +241,9 @@ def test_every_mode_catches_one_wrong_route(monkeypatch, route):
     route has its row's constant coefficient off by one, which moves its
     value at every N. Checked at one point and over a run of N."""
     if route.endswith("_direct"):
-        right = getattr(identity, route)
-        monkeypatch.setattr(identity, route, lambda N, j: right(N, j) + 1)
+        right = getattr(identity, route + "_run")
+        monkeypatch.setattr(identity, route + "_run",
+                            lambda j, lo, hi: [v + 1 for v in right(j, lo, hi)])
     else:
         row = {"lhs_fast": "l_poly", "rhs_fast": "r_poly"}[route]
         right_row = getattr(identity, row)
