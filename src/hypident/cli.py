@@ -54,25 +54,36 @@ MAX_J = 300
 # time quadratic in its bits. So a grid's size is its number of points
 # times b^2 for its largest value, which is at most 2^N (2N + 4j)^j and so
 # has about b = N + j * bit_length(2N + 4j) bits. The brute-force routes of
-# the direct and cross modes add N+1 terms of up to b bits per point
-# (rhs_direct_run), at 200 to 1300 times printing's cost per bit, the most
-# at large j and N; those modes add BRUTE_FORCE_WEIGHT * (N + 1) * b per
-# point, so that their largest grids take about as long as the largest fast
-# ones. One point at N = MAX_N, j = MAX_J in fast mode, and the benchmark
-# and CI grids in every mode, are inside the bound (measurements in README).
+# the direct and cross modes add up to N+1 terms of up to b bits per point
+# (rhs_direct_run seeds its walk with n_min + 1 products per N of the run,
+# then only adds), at 60 to 1800 times printing's cost per bit: the most at
+# large j far from N = 1, the least at small j from N = 1. Those modes add
+# BRUTE_FORCE_WEIGHT * (N + 1) * b per point, so that their largest grids
+# take about as long as the largest fast ones. One point at N = MAX_N,
+# j = MAX_J in fast mode, and the benchmark and CI grids in every mode, are
+# inside the bound (measurements in README).
 MAX_GRID = 2**40
 BRUTE_FORCE_WEIGHT = 1000
 # A map count sums 3g 2F1 series of j+1 terms each, every weight included,
-# so its time follows its 3g(j+1) terms; at this bound, a spec with
-# nu <= 100 takes under two seconds (measurements in README). nu itself is
-# not bounded, and the time grows steeply with it.
-MAX_MAPCOUNT_TERMS = 3 * 2**18
+# and a term's time grows with the bits of the argument 1/(1-nu), about as
+# 8 + bit_length(nu). The value carries (2nu(nu-1)C(2nu-1, nu-1))^j: j
+# factors of at most 2nu + 2 bit_length(nu) bits, printed in time quadratic
+# in their bits. b counts two factors more, which covers math.comb building
+# C(2nu-1, nu-1) in time quadratic in nu. So a spec's cost is
+# 3g(j+1)(8 + bit_length(nu)) + (b // 2^8)^2, b = (j+2)(2nu + 2 bit_length(nu)),
+# both parts in units of about 0.1 us. The bound is 3 * 2^18 terms at the
+# weight 10 of nu <= 3; a spec at it takes one to three seconds
+# (measurements in README).
+MAX_MAPCOUNT_COST = 30 * 2**18
 
 __all__ = ["SweepConfig", "entrypoint", "main", "run_sweep"]
 
 
-class SweepConfig(namedtuple("SweepConfig", "j_min j_max n_min n_max mode parallelism")):
-    """A verification sweep: inclusive j/N ranges, mode and worker count."""
+class SweepConfig(
+    namedtuple("SweepConfig", "j_min j_max n_min n_max mode parallelism fmt timings")
+):
+    """A verification sweep: inclusive j/N ranges, mode, worker count, and
+    the report format and timings flag its cells are rendered with."""
 
     __slots__ = ()
 
@@ -84,6 +95,8 @@ class SweepConfig(namedtuple("SweepConfig", "j_min j_max n_min n_max mode parall
         n_max: int,
         mode: str = "fast",
         parallelism: int = 1,
+        fmt: str = "plain",
+        timings: bool = False,
     ) -> SweepConfig:
         if j_min < 0 or j_min > j_max:
             raise ValueError(f"bad j range {j_min}..{j_max}")
@@ -91,27 +104,44 @@ class SweepConfig(namedtuple("SweepConfig", "j_min j_max n_min n_max mode parall
             raise ValueError(f"bad N range {n_min}..{n_max} (N starts at 1)")
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        return super().__new__(cls, j_min, j_max, n_min, n_max, mode, parallelism)
+        return super().__new__(
+            cls, j_min, j_max, n_min, n_max, mode, parallelism, fmt, timings
+        )
 
 
 def _sweep_cell(cell: tuple[int, int, int, str]) -> list[VerifyReport]:
     return check_range(*cell)
 
 
-def run_sweep(config: SweepConfig, emit: Callable[[list[VerifyReport]], object]) -> None:
-    """Run the grid, one cell per j value, and hand each cell's reports,
-    ordered by N, to emit in j order as soon as the cell is checked.
+def _sweep_task(
+    task: tuple[tuple[int, int, int, str], str, bool]
+) -> tuple[str, list[VerifyReport]]:
+    """One j cell, checked and rendered where it runs: task is the cell,
+    the format and the timings flag; the result is the cell's rows in that
+    format and its failing reports. So a pool worker sends back text and
+    the rare failures, not every report pickled."""
+    cell, fmt, timings = task
+    reports = _sweep_cell(cell)
+    return _render_reports(reports, fmt, timings), [r for r in reports if not r.equal]
+
+
+def run_sweep(
+    config: SweepConfig, emit: Callable[[tuple[str, list[VerifyReport]]], object]
+) -> None:
+    """Run the grid, one cell per j value, and hand each cell's rendered
+    rows (ordered by N, in config.fmt) and failing reports to emit as one
+    pair, in j order, as soon as the cell is checked.
 
     The sweep keeps no cell after emit returns, and returns only when the
     last cell has been emitted. The pool never has more workers than cells
-    or than CPUs, whatever parallelism asks for; the reports do not depend
-    on the worker count.
+    or than CPUs, whatever parallelism asks for; its workers render their
+    own cells, and the output does not depend on the worker count.
     """
-    cells = [
-        (j, config.n_min, config.n_max, config.mode)
+    tasks = [
+        ((j, config.n_min, config.n_max, config.mode), config.fmt, config.timings)
         for j in range(config.j_min, config.j_max + 1)
     ]
-    workers = min(config.parallelism, len(cells), os.cpu_count() or 1)
+    workers = min(config.parallelism, len(tasks), os.cpu_count() or 1)
     pool = None
     if workers > 1:
         # Imported only here, so that every other run (a serial sweep and
@@ -120,8 +150,8 @@ def run_sweep(config: SweepConfig, emit: Callable[[list[VerifyReport]], object])
 
         pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        for reports in (pool.map if pool else map)(_sweep_cell, cells):
-            emit(reports)
+        for cell in (pool.map if pool else map)(_sweep_task, tasks):
+            emit(cell)
     finally:
         if pool:
             # A failed or interrupted sweep drops the cells not yet started.
@@ -242,20 +272,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n_max=args.n[1],
         mode=args.mode,
         parallelism=parallelism,
+        fmt=args.format,
+        timings=args.timings,
     )
     _bounded("grid size", _grid_size(config), MAX_GRID)
-    head, between, tail = _FRAMING[args.format]
+    head, between, tail = _FRAMING[config.fmt]
     failures: list[VerifyReport] = []
     with _open_out(args.out) as out:
         out.write(head)
         separator = ""
 
-        def emit(reports: list[VerifyReport]) -> None:
+        def emit(cell: tuple[str, list[VerifyReport]]) -> None:
             nonlocal separator
+            rows, failed = cell
             out.write(separator)
-            out.write(_render_reports(reports, args.format, args.timings))
+            out.write(rows)
             separator = between
-            failures.extend(r for r in reports if not r.equal)
+            failures.extend(failed)
 
         start = time.perf_counter()
         run_sweep(config, emit)
@@ -303,7 +336,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_mapcount(args: argparse.Namespace) -> int:
     spec = mapcount_spec_from_file(args.coeff_file, _bounded("--j", args.j, MAX_J))
-    _bounded("series terms 3g(j+1)", 3 * spec.g * (spec.j + 1), MAX_MAPCOUNT_TERMS)
+    nu_bits = spec.nu.bit_length()
+    bits = (spec.j + 2) * (2 * spec.nu + 2 * nu_bits)
+    cost = 3 * spec.g * (spec.j + 1) * (8 + nu_bits) + (bits >> 8) ** 2
+    _bounded("map-count cost", cost, MAX_MAPCOUNT_COST)
     print(map_count(spec))
     return 0
 

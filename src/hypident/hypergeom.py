@@ -156,9 +156,10 @@ def lhs_direct_run(j: int, n_min: int, n_max: int) -> list[int]:
         return []
     prefactor = factorial(j)
     c = binomial(n_min + j - 1, j)
+    z = Fraction(-1)
     values = []
     for N in range(n_min, n_max + 1):
-        series = hyp2f1_terminating(Hyp2F1Spec(-j, -2 * j, -N - j + 1, Fraction(-1)))
+        series = hyp2f1_terminating(Hyp2F1Spec(-j, -2 * j, -N - j + 1, z))
         numerator = prefactor * c * series.numerator << N
         value, rest = divmod(numerator, series.denominator)
         if rest:

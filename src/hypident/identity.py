@@ -7,12 +7,14 @@ The identity, for integers N >= 1 and j >= 1:
 
 Each side has a brute-force route and a fast route through the
 falling-basis polynomials, and each route evaluates one j over a run of N
-at once. The brute-force routes, ``lhs_direct_run`` in ``hypergeom`` and
-``rhs_direct_run`` here, sum every term of each N's series or binomial
-sum, sharing across the run only j!, C(N+j-1, j) stepped from the
-previous N and the table of products P(l); ``lhs_direct`` and
-``rhs_direct`` are these runs at one N. The fast routes, ``_fast_values``
-behind ``lhs_fast``/``rhs_fast``, evaluate 2^N L_j(N) and 2^N R_j(N).
+at once. The brute-force routes are ``lhs_direct_run`` in ``hypergeom``,
+which sums every term of each N's series, sharing across the run only j!
+and C(N+j-1, j) stepped from the previous N, and ``rhs_direct_run`` here,
+which builds the products P(l) once, sums every term of the binomial sum
+at the run's first N and reaches each further N by one pass of Pascal's
+rule, additions only; ``lhs_direct`` and ``rhs_direct`` are these runs at
+one N. The fast routes, ``_fast_values`` behind ``lhs_fast``/``rhs_fast``,
+evaluate 2^N L_j(N) and 2^N R_j(N).
 ``check_range`` is the one checker: for one j over a run of N it
 evaluates each route of the chosen mode once over the whole run and
 reports the outcome at every N; an unequal pair is a result, never an
@@ -43,6 +45,8 @@ import json
 import time
 from collections import namedtuple
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 from typing import Callable, Literal, NamedTuple
 
 from .exact_arith import ExactRat, binomial, factorial, pow2
@@ -107,15 +111,19 @@ class VerifyReport(NamedTuple):
 
 
 def rhs_direct_run(j: int, n_min: int, n_max: int) -> list[int]:
-    """The binomial sum side, term by term, for N = n_min..n_max:
-    sum_l C(N,l) P(l), where P(l) = prod_{i=0}^{j-1} 2(2i+1+l); [] for an
-    empty run.
+    """The binomial sum side for N = n_min..n_max: sum_l C(N,l) P(l), where
+    P(l) = prod_{i=0}^{j-1} 2(2i+1+l); [] for an empty run.
 
     P(0..n_max) is built once: P(l+2) = P(l)(l+2j+1)/(l+1) because the
-    product telescopes, so P(0) and P(1) are the only full products. Every
-    N then adds all its N+1 terms, with C(N,l+1) = C(N,l)(N-l)/(l+1), an
-    exact integer ratio. This route reads no polynomial or triangle, so it
-    stays independent of ``rhs_fast``.
+    product telescopes, so P(0) and P(1) are the only full products. The
+    sum is the binomial transform of P, so it is walked by Pascal's rule:
+    with a_N(l) = sum_m C(N,m) P(l+m), the value at N is a_N(0) and
+    a_{N+1}(l) = a_N(l) + a_N(l+1). The walk is seeded at n_min with every
+    term of a_{n_min}(l) for l = 0..n_max-n_min, C(n_min,m+1) stepped from
+    C(n_min,m) by its exact ratio (n_min-m)/(m+1); each further N is one
+    pass of additions. So one point costs its N+1 products, and a run from
+    N = 1 costs additions only. This route reads no polynomial or
+    triangle, so it stays independent of ``rhs_fast``.
     """
     _check_run(j, n_min, n_max)
     if n_min > n_max:
@@ -127,14 +135,16 @@ def rhs_direct_run(j: int, n_min: int, n_max: int) -> list[int]:
     products = [p, p_next]
     for l in range(n_max - 1):
         products.append(products[l] * (l + 2 * j + 1) // (l + 1))
-    values = []
-    for N in range(n_min, n_max + 1):
-        c = 1
-        total = 0
-        for l in range(N + 1):
-            total += c * products[l]
-            c = c * (N - l) // (l + 1)
-        values.append(total)
+    width = n_max - n_min + 1
+    sums = products[:width]
+    c = 1
+    for m in range(1, n_min + 1):
+        c = c * (n_min - m + 1) // m
+        sums = list(map(add, sums, map(mul, repeat(c), products[m:m + width])))
+    values = [sums[0]]
+    for _ in range(width - 1):
+        sums = list(map(add, sums, sums[1:]))
+        values.append(sums[0])
     return values
 
 

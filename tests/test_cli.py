@@ -3,6 +3,7 @@ import concurrent.futures
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -170,6 +171,14 @@ def outcomes(reports):
     return [(r.point, r.lhs, r.rhs, r.equal) for r in reports]
 
 
+def swept(config):
+    """The rows run_sweep renders for config's cells, joined, and the
+    failing reports of every cell."""
+    cells = []
+    cli.run_sweep(config, cells.append)
+    return "".join(rows for rows, _ in cells), [r for _, failed in cells for r in failed]
+
+
 @pytest.mark.parametrize("j_min, j_max, n_min, n_max", [
     (0, 12, 1, 60),      # the forward-difference walk
     (1, 8, 400, 430),    # n_min far above the range width: Horner per point
@@ -177,15 +186,15 @@ def outcomes(reports):
     (50, 70, 1, 30),     # degree above the range: the walk drops high differences
 ])
 def test_fast_sweep_matches_check_identity(j_min, j_max, n_min, n_max):
-    reports = []
-    cli.run_sweep(cli.SweepConfig(j_min, j_max, n_min, n_max), reports.extend)
+    rows, failed = swept(cli.SweepConfig(j_min, j_max, n_min, n_max))
     expected = [
         check_identity(IdentityPoint(N, j), "fast")
         for j in range(j_min, j_max + 1)
         for N in range(n_min, n_max + 1)
     ]
-    assert outcomes(reports) == outcomes(expected)
-    assert all(r.equal for r in reports)
+    assert rows == cli._render_reports(expected, "plain", False)
+    assert failed == []
+    assert all(r.equal for r in expected)
 
 
 @pytest.mark.parametrize("row", ["l_poly", "r_poly"])
@@ -203,14 +212,19 @@ def test_fast_sweep_catches_one_wrong_coefficient(capsys, monkeypatch, row, inde
     # by point. A wrong top coefficient of j = 3 is multiplied by (N)_3,
     # which vanishes at N < 3, so only there do the sides still agree.
     for n_min, n_max in ((1, 6), (3, 40), (300, 310)):
-        reports = []
-        cli.run_sweep(cli.SweepConfig(3, 3, n_min, n_max), reports.extend)
-        assert [r.point.N for r in reports] == list(range(n_min, n_max + 1))
-        for r in reports:
-            N = r.point.N
-            assert r.lhs == poly_eval(identity.l_poly(3), N) << N
-            assert r.rhs == poly_eval(identity.r_poly(3), N) << N
-            assert r.equal == (index == -1 and N < 3)
+        expected = [
+            VerifyReport(
+                IdentityPoint(N, 3),
+                poly_eval(identity.l_poly(3), N) << N,
+                poly_eval(identity.r_poly(3), N) << N,
+                index == -1 and N < 3,
+                0.0,
+            )
+            for N in range(n_min, n_max + 1)
+        ]
+        rows, failed = swept(cli.SweepConfig(3, 3, n_min, n_max))
+        assert rows == cli._render_reports(expected, "plain", False)
+        assert outcomes(failed) == outcomes(r for r in expected if not r.equal)
     code, out, err = run_cli(capsys, "verify", "--j", "2..3", "--n", "3..12")
     assert code == 1
     assert "0/20 points verified" in err
@@ -370,6 +384,46 @@ def test_verify_writes_each_cell_before_the_next(monkeypatch, capsys, fake_pool,
     assert [j for j, _ in written] == [2, 3, 4, 5]
 
 
+@pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
+                    reason="pool workers see a monkeypatch only when they are forked")
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_real_pool_reports_a_rigged_route_as_serial(monkeypatch, capsys, fmt):
+    """With a route rigged before the pool forks, pool workers that check
+    and render their own cells give the serial sweep's report, FAIL lines
+    and exit code."""
+    right = identity.rhs_direct_run
+
+    def rigged(j, n_min, n_max):
+        return [v + (N == 5 and j % 2) for N, v in
+                zip(range(n_min, n_max + 1), right(j, n_min, n_max))]
+
+    started = []
+
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(identity, "rhs_direct_run", rigged)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    serial, pooled = (
+        run_cli(capsys, "verify", "--j", "1..4", "--n", "3..7", "--mode", "cross",
+                "--format", fmt, "--parallelism", k)
+        for k in ("1", "2")
+    )
+    assert started == [2]
+    assert serial[0] == pooled[0] == 1
+    assert serial[1] == pooled[1]
+    assert serial[1].count("false") == 2
+    fails = [[line for line in err.splitlines() if line.startswith("FAIL")]
+             for _, _, err in (serial, pooled)]
+    assert fails[0] == fails[1] == [
+        f"FAIL j={j} N=5 lhs={v} rhs={v + 1}"
+        for j in (1, 3) for v in [identity.lhs_direct_run(j, 5, 5)[0]]
+    ]
+
+
 def test_verify_timings_flag(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--j", "10..10", "--n", "100..100", "--format", "json",
@@ -424,13 +478,11 @@ def test_pool_is_capped_at_cpu_count(monkeypatch, fake_pool):
     started = fake_pool["started"]
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     config = cli.SweepConfig(1, 8, 1, 4, parallelism=5000)
-    reports, serial = [], []
-    cli.run_sweep(config, reports.extend)
+    pooled = swept(config)
     assert started == [3]
-    cli.run_sweep(cli.SweepConfig(1, 8, 1, 4), serial.extend)
-    assert [(r.point, r.lhs, r.rhs, r.equal) for r in reports] == [
-        (r.point, r.lhs, r.rhs, r.equal) for r in serial
-    ]
+    serial = swept(cli.SweepConfig(1, 8, 1, 4))
+    assert pooled[0] == serial[0]
+    assert outcomes(pooled[1]) == outcomes(serial[1])
     assert started == [3]
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     cli.run_sweep(config, list)
@@ -728,30 +780,39 @@ def test_mapcount_file_size_bound(tmp_path, capsys, monkeypatch):
     assert err == f"error: {above}: size is above the bound of {bound} bytes\n"
 
 
-@pytest.mark.parametrize("g, j, inside", [
-    (4, 300, True),        # the benchmark's coefficient file
-    (1024, 255, True),     # 3 * 1024 * 256 terms, the bound itself
-    (32768, 7, True),      # the bound at a large genus
-    (1024, 256, False),
-    (32768, 8, False),
-    (2000, 300, False),
+@pytest.mark.parametrize("nu, g, j, inside", [
+    (3, 4, 300, True),          # the benchmark's coefficient file
+    (3, 32768, 7, True),        # 3 * 32768 * 8 terms of weight 10, the bound itself
+    (3, 32769, 7, False),
+    (3, 1023, 255, True),
+    (3, 1024, 255, False),      # 3 * 2^18 terms and a value of 2570 bits
+    (3, 2000, 300, False),
+    (1176, 1, 300, True),       # the largest nu at g = 1, j = 300
+    (1177, 1, 300, False),
+    (10**4, 1, 300, False),
+    (119662, 1, 1, True),       # the largest nu at g = 1, j = 1
+    (119663, 1, 1, False),
+    (10**100, 1, 1, False),
 ])
-def test_mapcount_series_term_bound(tmp_path, capsys, monkeypatch, g, j, inside):
-    """A spec of more than MAX_MAPCOUNT_TERMS series terms, 3g(j+1), exits 2
+def test_mapcount_cost_bound(tmp_path, capsys, monkeypatch, nu, g, j, inside):
+    """A spec whose cost 3g(j+1)(8 + bit_length(nu)) + (b // 2^8)^2, with
+    b = (j+2)(2nu + 2 bit_length(nu)), is above MAX_MAPCOUNT_COST exits 2
     with one error line before any series runs."""
-    assert cli.MAX_MAPCOUNT_TERMS == 3 * 2**18
+    assert cli.MAX_MAPCOUNT_COST == 30 * 2**18
     counted = []
     monkeypatch.setattr(cli, "map_count", lambda spec: counted.append(spec) or 0)
-    doc = {"nu": 3, "g": g, "a": [0] * (3 * g)}
+    doc = {"nu": nu, "g": g, "a": [0] * (3 * g)}
     path = write_coeffs(tmp_path, json.dumps(doc, separators=(",", ":")))
     code, out, err = run_cli(capsys, "mapcount", path, "--j", str(j))
-    terms = 3 * g * (j + 1)
+    bits = (j + 2) * (2 * nu + 2 * nu.bit_length())
+    cost = 3 * g * (j + 1) * (8 + nu.bit_length()) + (bits >> 8) ** 2
+    assert (cost <= cli.MAX_MAPCOUNT_COST) == inside
     if inside:
         assert (code, out, err, len(counted)) == (0, "0\n", "", 1)
     else:
         assert (code, out, counted) == (2, "", [])
-        assert err == (f"error: series terms 3g(j+1) = {terms} is above "
-                       f"the bound of {cli.MAX_MAPCOUNT_TERMS}\n")
+        assert err == (f"error: map-count cost = {cost} is above "
+                       f"the bound of {cli.MAX_MAPCOUNT_COST}\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")

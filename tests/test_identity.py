@@ -56,6 +56,16 @@ def test_direct_runs_match_definitions(j, a, width):
     assert lhs_direct_run(j, a, b) == [lhs_by_definition(N, j) for N in range(a, b + 1)]
 
 
+@pytest.mark.parametrize("j", [0, 1, 7, 30])
+@pytest.mark.parametrize("width", [0, 1, 50])
+@pytest.mark.parametrize("a", [1, 37, 500])
+def test_rhs_walk_regimes(a, width, j):
+    """rhs_direct_run's Pascal walk: seeded with every term at a start of
+    1, 37 or 500, then 0, 1 or 50 passes of additions."""
+    b = a + width
+    assert rhs_direct_run(j, a, b) == [rhs_by_definition(N, j) for N in range(a, b + 1)]
+
+
 @pytest.mark.parametrize("run", [lhs_direct_run, rhs_direct_run], ids=lambda f: f.__name__)
 def test_direct_runs_check_their_domain(run):
     """A run checks j, then the types of its bounds, then N >= 1 at its

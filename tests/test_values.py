@@ -28,9 +28,11 @@ POINT = IdentityPoint(3, 2)
 
 VALUES = [
     (SweepConfig(1, 2, 3, 4),
-     "SweepConfig(j_min=1, j_max=2, n_min=3, n_max=4, mode='fast', parallelism=1)"),
-    (SweepConfig(0, 5, 1, 9, mode="cross", parallelism=2),
-     "SweepConfig(j_min=0, j_max=5, n_min=1, n_max=9, mode='cross', parallelism=2)"),
+     "SweepConfig(j_min=1, j_max=2, n_min=3, n_max=4, mode='fast', parallelism=1, "
+     "fmt='plain', timings=False)"),
+    (SweepConfig(0, 5, 1, 9, mode="cross", parallelism=2, fmt="json", timings=True),
+     "SweepConfig(j_min=0, j_max=5, n_min=1, n_max=9, mode='cross', parallelism=2, "
+     "fmt='json', timings=True)"),
     (POINT, "IdentityPoint(N=3, j=2)"),
     (VerifyReport(POINT, 6, 7, False, 0.5),
      "VerifyReport(point=IdentityPoint(N=3, j=2), lhs=6, rhs=7, equal=False, elapsed=0.5)"),
@@ -79,6 +81,8 @@ def test_equality_and_hash_follow_the_fields():
 def test_sweep_config_defaults_and_checks():
     config = SweepConfig(j_min=1, j_max=3, n_min=2, n_max=5)
     assert (config.mode, config.parallelism) == ("fast", 1)
+    assert (config.fmt, config.timings) == ("plain", False)
+    assert config == SweepConfig(1, 3, 2, 5, "fast", 1, "plain", False)
     assert config == SweepConfig(1, 3, 2, 5, "fast", 1)
     for args, message in (
         ((-1, 3, 1, 5), "bad j range -1..3"),
