@@ -10,12 +10,13 @@ Subcommands:
   eval      evaluate one side (or both) of the identity at a single point
   mapcount  evaluate the map-count formula from a JSON coefficient file
 
-Reports go to stdout (or --out FILE); the human summary goes to stderr, so
-JSON/CSV report streams stay machine-clean. Report rows are always ordered
-by (j, N), written one j cell at a time as the sweep goes, and, with
-timings off (the default), identical configs produce byte-identical output
-no matter the parallelism. A sweep that ends in an error or an interrupt
-may leave a truncated report.
+Reports go to stdout (or --out FILE); the human summary and the FAIL
+lines go to stderr, so JSON/CSV report streams stay machine-clean.
+run_sweep alone writes a verify report: its framing and its rows, ordered
+by (j, N) and written one j cell at a time as the sweep goes. With timings
+off (the default), identical configs produce byte-identical output no
+matter the parallelism (--parallelism, default 1). A sweep that ends in an
+error or an interrupt may leave a truncated report.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ import os
 import sys
 import time
 from collections import namedtuple
-from typing import Callable, TextIO
+from typing import TextIO
 
 from . import __version__
 from .identity import (
     IdentityPoint,
     VerifyReport,
+    _check_mode,
     check_identity,
     check_range,
     lhs_fast,
@@ -41,7 +43,6 @@ from .identity import (
 )
 from .triangles import export_csv, export_json
 
-PARALLELISM_ENV = "HYPIDENT_PARALLELISM"
 # Printing an exact value takes time quadratic in its digits (CPython's
 # str(int)); at N = 10^6 one value takes over a second, so a sweep over
 # many such N is limited by MAX_GRID.
@@ -83,7 +84,9 @@ class SweepConfig(
     namedtuple("SweepConfig", "j_min j_max n_min n_max mode parallelism fmt timings")
 ):
     """A verification sweep: inclusive j/N ranges, mode, worker count, and
-    the report format and timings flag its cells are rendered with."""
+    the report format and timings flag its cells are rendered with. All
+    but timings are checked here, so a bad config fails before a sweep
+    writes anything."""
 
     __slots__ = ()
 
@@ -104,6 +107,9 @@ class SweepConfig(
             raise ValueError(f"bad N range {n_min}..{n_max} (N starts at 1)")
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
+        _check_mode(mode)
+        if fmt not in _FRAMING:
+            raise ValueError(f"unknown format {fmt!r}; expected plain, json or csv")
         return super().__new__(
             cls, j_min, j_max, n_min, n_max, mode, parallelism, fmt, timings
         )
@@ -115,28 +121,33 @@ def _sweep_cell(cell: tuple[int, int, int, str]) -> list[VerifyReport]:
 
 def _sweep_task(
     task: tuple[tuple[int, int, int, str], str, bool]
-) -> tuple[str, list[VerifyReport]]:
+) -> tuple[str, list[str]]:
     """One j cell, checked and rendered where it runs: task is the cell,
     the format and the timings flag; the result is the cell's rows in that
-    format and its failing reports. So a pool worker sends back text and
-    the rare failures, not every report pickled."""
+    format and the FAIL line of each failing point. So a pool worker sends
+    back text, not pickled reports."""
     cell, fmt, timings = task
     reports = _sweep_cell(cell)
-    return _render_reports(reports, fmt, timings), [r for r in reports if not r.equal]
+    return _render_reports(reports, fmt, timings), [
+        f"FAIL j={r.point.j} N={r.point.N} lhs={r.lhs} rhs={r.rhs}"
+        for r in reports if not r.equal
+    ]
 
 
-def run_sweep(
-    config: SweepConfig, emit: Callable[[tuple[str, list[VerifyReport]]], object]
-) -> None:
-    """Run the grid, one cell per j value, and hand each cell's rendered
-    rows (ordered by N, in config.fmt) and failing reports to emit as one
-    pair, in j order, as soon as the cell is checked.
+def run_sweep(config: SweepConfig, out: TextIO) -> list[str]:
+    """Run the grid, one cell per j value, and write its whole report to
+    out: the head of _FRAMING[config.fmt], each cell's rows (ordered by N)
+    in j order as soon as the cell is checked, with the separator between
+    two cells, then the tail. Return the FAIL line of every failing point,
+    in (j, N) order.
 
-    The sweep keeps no cell after emit returns, and returns only when the
-    last cell has been emitted. The pool never has more workers than cells
-    or than CPUs, whatever parallelism asks for; its workers render their
-    own cells, and the output does not depend on the worker count.
+    The sweep keeps no cell's values after writing its rows. The pool
+    never has more workers than cells or than CPUs, whatever parallelism
+    asks for; its workers render their own cells, and the output does not
+    depend on the worker count.
     """
+    head, between, tail = _FRAMING[config.fmt]
+    out.write(head)
     tasks = [
         ((j, config.n_min, config.n_max, config.mode), config.fmt, config.timings)
         for j in range(config.j_min, config.j_max + 1)
@@ -149,13 +160,20 @@ def run_sweep(
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=workers)
+    failures: list[str] = []
+    separator = ""
     try:
-        for cell in (pool.map if pool else map)(_sweep_task, tasks):
-            emit(cell)
+        for rows, failed in (pool.map if pool else map)(_sweep_task, tasks):
+            out.write(separator)
+            out.write(rows)
+            separator = between
+            failures += failed
     finally:
         if pool:
             # A failed or interrupted sweep drops the cells not yet started.
             pool.shutdown(cancel_futures=True)
+    out.write(tail)
+    return failures
 
 
 def _micros(report: VerifyReport, timings: bool) -> int:
@@ -258,42 +276,21 @@ def _grid_size(config: SweepConfig) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     _bounded("N", args.n[1], MAX_N)
     _bounded("j", args.j[1], MAX_J)
-    parallelism = args.parallelism
-    if parallelism is None:
-        raw = os.environ.get(PARALLELISM_ENV) or "1"
-        try:
-            parallelism = int(raw)
-        except ValueError:
-            raise ValueError(f"${PARALLELISM_ENV} must be an integer, got {raw!r}") from None
     config = SweepConfig(
         j_min=args.j[0],
         j_max=args.j[1],
         n_min=args.n[0],
         n_max=args.n[1],
         mode=args.mode,
-        parallelism=parallelism,
+        parallelism=args.parallelism,
         fmt=args.format,
         timings=args.timings,
     )
     _bounded("grid size", _grid_size(config), MAX_GRID)
-    head, between, tail = _FRAMING[config.fmt]
-    failures: list[VerifyReport] = []
     with _open_out(args.out) as out:
-        out.write(head)
-        separator = ""
-
-        def emit(cell: tuple[str, list[VerifyReport]]) -> None:
-            nonlocal separator
-            rows, failed = cell
-            out.write(separator)
-            out.write(rows)
-            separator = between
-            failures.extend(failed)
-
         start = time.perf_counter()
-        run_sweep(config, emit)
+        failures = run_sweep(config, out)
         wall = time.perf_counter() - start
-        out.write(tail)
     points = _points(config)
     print(
         f"verify j={config.j_min}..{config.j_max} N={config.n_min}..{config.n_max} "
@@ -301,11 +298,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"verified in {wall:.3f}s",
         file=sys.stderr,
     )
-    for r in failures:
-        print(
-            f"FAIL j={r.point.j} N={r.point.N} lhs={r.lhs} rhs={r.rhs}",
-            file=sys.stderr,
-        )
+    for line in failures:
+        print(line, file=sys.stderr)
     return 1 if failures else 0
 
 
@@ -364,9 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="report format (default plain)")
     p_verify.add_argument("--out", metavar="FILE", default=None,
                           help="write reports to FILE instead of stdout")
-    p_verify.add_argument("--parallelism", type=int, default=None, metavar="K",
-                          help=f"worker processes, partitioned by j "
-                               f"(default ${PARALLELISM_ENV} or 1)")
+    p_verify.add_argument("--parallelism", type=int, default=1, metavar="K",
+                          help="worker processes, partitioned by j (default 1)")
     p_verify.add_argument("--timings", action="store_true",
                           help="report each point's share of its j cell's time in micros "
                                "(off by default so identical sweeps are byte-identical)")

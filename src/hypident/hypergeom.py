@@ -54,8 +54,7 @@ class Hyp2F1Spec(namedtuple("Hyp2F1Spec", "a b c z")):
 
     def __new__(cls, a: int, b: int, c: int, z: ExactRat) -> Hyp2F1Spec:
         for name, value in (("a", a), ("b", b), ("c", c)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+            _check_int(name, value)
         if not isinstance(z, (int, Fraction)) or isinstance(z, bool):
             raise TypeError(f"z must be an exact rational, got {type(z).__name__}")
         if a > 0 and b > 0:

@@ -193,6 +193,11 @@ def binomial_falling_sum(N: int, i: int) -> int:
     return pow2(N - i) * falling(N, i)
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("direct", "fast", "cross"):
+        raise ValueError(f"unknown mode {mode!r}; expected direct, fast or cross")
+
+
 def check_identity(point: IdentityPoint, mode: CheckMode = "fast") -> VerifyReport:
     """Evaluate both sides at ``point`` and report whether they agree:
     ``check_range`` over the single N of the point."""
@@ -216,8 +221,7 @@ def check_range(
     so an empty run of N (n_min > n_max) still rejects a bad j or a
     non-int bound, and otherwise returns [].
     """
-    if mode not in ("direct", "fast", "cross"):
-        raise ValueError(f"unknown mode {mode!r}; expected direct, fast or cross")
+    _check_mode(mode)
     _check_run(j, n_min, n_max)
     start = time.perf_counter()
     points = [IdentityPoint(N, j) for N in range(n_min, n_max + 1)]

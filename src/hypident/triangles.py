@@ -41,7 +41,6 @@ concurrent readers only ever observe complete rows.
 
 from __future__ import annotations
 
-import json
 import threading
 from functools import lru_cache
 from operator import add
@@ -288,21 +287,29 @@ def triangle_row(kind: str, j: int) -> tuple[int, ...]:
     The L row comes from the closed form; by the table equality it matches
     the recurrence route, which tests assert separately.
     """
+    _check_row(kind, j)
     if kind == "C":
         return _C.row(j)
     if kind == "R":
         return _R.row(j)
-    if kind == "L":
-        _check_index(0, j, "L")
-        return _l_closed_row(j)
-    raise ValueError(f"unknown triangle kind {kind!r}; expected C, R or L")
+    return _l_closed_row(j)
+
+
+def _check_row(kind: str, j: int) -> None:
+    if kind not in ("C", "R", "L"):
+        raise ValueError(f"unknown triangle kind {kind!r}; expected C, R or L")
+    _check_index(0, j, kind)
+
+
+def _export_rows(kind: str, j_max: int) -> list[tuple[int, ...]]:
+    """Rows 1..j_max, kind and j_max checked first as ``triangle_row`` checks."""
+    _check_row(kind, j_max)
+    return [triangle_row(kind, j) for j in range(1, j_max + 1)]
 
 
 def export_csv(kind: str, j_max: int) -> str:
     """Rows 1..j_max as CSV: one line per level, exact decimal entries."""
-    lines = [
-        ",".join(str(v) for v in triangle_row(kind, j)) for j in range(1, j_max + 1)
-    ]
+    lines = [",".join(str(v) for v in row) for row in _export_rows(kind, j_max)]
     return "\n".join(lines) + "\n"
 
 
@@ -315,11 +322,10 @@ def export_json(kind: str, j_max: int) -> str:
     strings, need no escaping.
     """
     rows = ",\n".join(
-        '    [\n      "' + '",\n      "'.join(map(str, triangle_row(kind, j))) + '"\n    ]'
-        for j in range(1, j_max + 1)
+        '    [\n      "' + '",\n      "'.join(map(str, row)) + '"\n    ]'
+        for row in _export_rows(kind, j_max)
     )
-    rows = "[\n" + rows + "\n  ]" if rows else "[]"
     return (
-        f'{{\n  "kind": {json.dumps(kind)},\n  "max_level": {json.dumps(j_max)},\n'
-        f'  "rows": {rows}\n}}\n'
+        f'{{\n  "kind": "{kind}",\n  "max_level": {j_max},\n'
+        f'  "rows": [\n{rows}\n  ]\n}}\n'
     )

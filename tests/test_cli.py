@@ -78,20 +78,28 @@ def test_verify_report_order_is_j_then_n(capsys):
     ]
 
 
-def test_verify_out_file(tmp_path, capsys):
-    target = tmp_path / "report.json"
-    code, out, _ = run_cli(
-        capsys, "verify", "--j", "1..1", "--n", "1..1", "--format", "json",
-        "--out", str(target),
-    )
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_verify_out_file(tmp_path, capsys, monkeypatch, fake_pool, fmt, parallelism):
+    """--out FILE holds the bytes the same sweep writes to stdout."""
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    target = tmp_path / f"report.{fmt}"
+    args = ("verify", "--j", "1..3", "--n", "2..4", "--format", fmt,
+            "--parallelism", parallelism)
+    code, stdout, _ = run_cli(capsys, *args)
+    assert code == 0
+    code, out, _ = run_cli(capsys, *args, "--out", str(target))
     assert code == 0
     assert out == ""
-    assert json.loads(target.read_text(encoding="utf-8"))[0]["lhs"] == "6"
+    assert target.read_text(encoding="utf-8") == stdout
+    assert fake_pool["started"] == ([2, 2] if parallelism == "2" else [])
+    reports = [r for j in range(1, 4) for r in identity.check_range(j, 2, 4)]
+    assert stdout == report_document(reports, fmt, False)
 
 
 def test_verify_unwritable_out_fails_before_sweep(tmp_path, capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "run_sweep", lambda config, emit: calls.append(config))
+    monkeypatch.setattr(cli, "run_sweep", lambda config, out: calls.append(config) or [])
     code, out, err = run_cli(
         capsys, "verify", "--j", "1..40", "--n", "1..100", "--mode", "cross",
         "--out", str(tmp_path / "missing" / "report.txt"),
@@ -106,7 +114,6 @@ def test_verify_non_integral_series_is_internal_error(capsys, monkeypatch):
     original = hypergeom.hyp2f1_terminating
     monkeypatch.setattr(hypergeom, "hyp2f1_terminating",
                         lambda spec: original(spec) + Fraction(1, 3))
-    monkeypatch.delenv(cli.PARALLELISM_ENV, raising=False)
     code, out, err = run_cli(capsys, "verify", "--j", "1..2", "--n", "1..3",
                              "--mode", "direct")
     assert code == 3
@@ -115,7 +122,7 @@ def test_verify_non_integral_series_is_internal_error(capsys, monkeypatch):
 
 
 def test_verify_broken_pool_is_internal_error(capsys, monkeypatch):
-    def broken(config, emit):
+    def broken(config, out):
         raise BrokenProcessPool("a worker process died")
 
     monkeypatch.setattr(cli, "run_sweep", broken)
@@ -167,16 +174,17 @@ def test_verify_failing_point_exits_1(capsys, monkeypatch):
         assert "equal=false" in out
 
 
-def outcomes(reports):
-    return [(r.point, r.lhs, r.rhs, r.equal) for r in reports]
+def fail_lines(reports):
+    return [f"FAIL j={r.point.j} N={r.point.N} lhs={r.lhs} rhs={r.rhs}"
+            for r in reports if not r.equal]
 
 
 def swept(config):
-    """The rows run_sweep renders for config's cells, joined, and the
-    failing reports of every cell."""
-    cells = []
-    cli.run_sweep(config, cells.append)
-    return "".join(rows for rows, _ in cells), [r for _, failed in cells for r in failed]
+    """The report run_sweep writes for config, and the FAIL lines it
+    returns."""
+    out = io.StringIO()
+    failed = cli.run_sweep(config, out)
+    return out.getvalue(), failed
 
 
 @pytest.mark.parametrize("j_min, j_max, n_min, n_max", [
@@ -224,7 +232,7 @@ def test_fast_sweep_catches_one_wrong_coefficient(capsys, monkeypatch, row, inde
         ]
         rows, failed = swept(cli.SweepConfig(3, 3, n_min, n_max))
         assert rows == cli._render_reports(expected, "plain", False)
-        assert outcomes(failed) == outcomes(r for r in expected if not r.equal)
+        assert failed == fail_lines(expected)
     code, out, err = run_cli(capsys, "verify", "--j", "2..3", "--n", "3..12")
     assert code == 1
     assert "0/20 points verified" in err
@@ -434,23 +442,39 @@ def test_verify_timings_flag(capsys):
     assert report["micros"] >= 1
 
 
-def test_parallelism_env_default(capsys, monkeypatch):
+def test_parallelism_flag(capsys, monkeypatch):
+    """--parallelism sets the worker count, 1 by default; a count below 1
+    is a usage error with one error line, and a value that is not an
+    integer is rejected by the parser, both with exit 2 before any work."""
     seen = []
-    monkeypatch.setattr(cli, "run_sweep", lambda config, emit: seen.append(config.parallelism))
-    monkeypatch.setenv(cli.PARALLELISM_ENV, "6")
+    monkeypatch.setattr(cli, "run_sweep",
+                        lambda config, out: seen.append(config.parallelism) or [])
     assert run_cli(capsys, "verify")[0] == 0
-    assert run_cli(capsys, "verify", "--parallelism", "2")[0] == 0
-    monkeypatch.delenv(cli.PARALLELISM_ENV)
-    assert run_cli(capsys, "verify")[0] == 0
-    assert seen == [6, 2, 1]
-    for bad in ("bogus", "0", "-3"):
-        monkeypatch.setenv(cli.PARALLELISM_ENV, bad)
-        code, out, err = run_cli(capsys, "verify")
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-    assert seen == [6, 2, 1]
-    # only verify reads the variable
-    assert run_cli(capsys, "eval", "both", "1", "2")[0] == 0
+    assert run_cli(capsys, "verify", "--parallelism", "6")[0] == 0
+    assert seen == [1, 6]
+    for bad in ("0", "-3"):
+        code, out, err = run_cli(capsys, "verify", "--parallelism", bad)
+        assert (code, out) == (2, "")
+        assert err == "error: parallelism must be >= 1\n"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--parallelism", "bogus"])
+    assert exc.value.code == 2
+    assert "--parallelism: invalid int value: 'bogus'" in capsys.readouterr().err
+    assert seen == [1, 6]
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("mode", "slow", "unknown mode 'slow'; expected direct, fast or cross"),
+    ("fmt", "xml", "unknown format 'xml'; expected plain, json or csv"),
+])
+def test_sweep_config_rejects_an_unknown_mode_or_format(monkeypatch, field, value, error):
+    """A bad mode or format fails when the config is built, so a sweep
+    never starts a cell or writes a byte of a report for it."""
+    monkeypatch.setattr(cli, "_sweep_cell", lambda cell: pytest.fail("swept"))
+    out = io.StringIO()
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        cli.run_sweep(cli.SweepConfig(1, 1, 1, 2, **{field: value}), out)
+    assert out.getvalue() == ""
 
 
 @pytest.fixture
@@ -482,17 +506,17 @@ def test_pool_is_capped_at_cpu_count(monkeypatch, fake_pool):
     assert started == [3]
     serial = swept(cli.SweepConfig(1, 8, 1, 4))
     assert pooled[0] == serial[0]
-    assert outcomes(pooled[1]) == outcomes(serial[1])
+    assert pooled[1] == serial[1]
     assert started == [3]
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    cli.run_sweep(config, list)
+    cli.run_sweep(config, io.StringIO())
     assert started == [3]
 
 
 def test_interrupted_sweep_cancels_pending_cells(monkeypatch, fake_pool):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     config = cli.SweepConfig(1, 4, 1, 3, parallelism=2)
-    cli.run_sweep(config, list)
+    cli.run_sweep(config, io.StringIO())
     assert fake_pool["shutdowns"] == [True]
 
     def interrupted(cell):
@@ -500,12 +524,12 @@ def test_interrupted_sweep_cancels_pending_cells(monkeypatch, fake_pool):
 
     monkeypatch.setattr(cli, "_sweep_cell", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        cli.run_sweep(config, list)
+        cli.run_sweep(config, io.StringIO())
     assert fake_pool["shutdowns"] == [True, True]
 
 
 def test_interrupt_exits_130(capsys, monkeypatch):
-    def interrupted(config, emit):
+    def interrupted(config, out):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(cli, "run_sweep", interrupted)
@@ -569,7 +593,7 @@ def test_values_beyond_4300_digits_print(capsys):
 
 def test_n_above_bound_is_usage_error(capsys, monkeypatch):
     assert cli.MAX_N == 1_000_000
-    monkeypatch.setattr(cli, "run_sweep", lambda config, emit: pytest.fail("swept"))
+    monkeypatch.setattr(cli, "run_sweep", lambda config, out: pytest.fail("swept"))
     too_big = str(cli.MAX_N + 1)
     for argv in (
         ("eval", "rhs", too_big, "0"),
@@ -621,7 +645,7 @@ def test_grid_above_bound_is_usage_error(capsys, monkeypatch, tmp_path):
     at its largest N and j. A grid at MAX_GRID runs; one unit above, verify
     exits 2 with one error line before any work."""
     started = []
-    monkeypatch.setattr(cli, "run_sweep", lambda config, emit: started.append(config))
+    monkeypatch.setattr(cli, "run_sweep", lambda config, out: started.append(config) or [])
     out_path = tmp_path / "report.csv"
     argv = ("verify", "--j", "2..5", "--n", "3..40", "--out", str(out_path))
     size = 4 * 38 * (40 + 5 * 7) ** 2  # bit_length(2*40 + 4*5) = 7
@@ -649,7 +673,7 @@ def test_grid_above_bound_is_usage_error(capsys, monkeypatch, tmp_path):
 ])
 def test_grid_bound(capsys, monkeypatch, j, n, inside):
     assert cli.MAX_GRID == 2**40
-    monkeypatch.setattr(cli, "run_sweep", lambda config, emit: None)
+    monkeypatch.setattr(cli, "run_sweep", lambda config, out: [])
     code, out, err = run_cli(capsys, "verify", "--j", j, "--n", n)
     assert code == (0 if inside else 2)
     assert err.startswith("verify" if inside else "error: grid size = ")
@@ -671,7 +695,7 @@ def test_brute_force_grid_bound(capsys, monkeypatch, j, n, mode, inside):
     their large-N grids exit 2 before any work."""
     assert cli.BRUTE_FORCE_WEIGHT == 1000
     started = []
-    monkeypatch.setattr(cli, "run_sweep", lambda config, emit: started.append(config))
+    monkeypatch.setattr(cli, "run_sweep", lambda config, out: started.append(config) or [])
     code, out, err = run_cli(capsys, "verify", "--j", j, "--n", n, "--mode", mode)
     assert (code, len(started)) == ((0, 1) if inside else (2, 0))
     assert err.startswith("verify" if inside else "error: grid size = ")
@@ -847,11 +871,11 @@ def test_python_m_entrypoint():
 POOL_AND_DATACLASSES = ("concurrent", "multiprocessing", "dataclasses")
 
 
-def imported_modules(*argv):
+def imported_modules(*argv, env=None):
     """Every module a fresh ``python -S ARGV`` imports, as -X importtime
-    lists them; -S keeps the site hooks' own imports out of the list."""
-    env = {**os.environ, "PYTHONPATH": str(Path(hypident.__file__).parents[1])}
-    env.pop(cli.PARALLELISM_ENV, None)
+    lists them, with env added to the environment; -S keeps the site
+    hooks' own imports out of the list."""
+    env = {**os.environ, "PYTHONPATH": str(Path(hypident.__file__).parents[1]), **(env or {})}
     proc = subprocess.run(
         [sys.executable, "-S", "-X", "importtime", *argv],
         capture_output=True, text=True, env=env,
@@ -895,3 +919,12 @@ def test_only_a_pooled_sweep_imports_the_pool():
     pooled = (os.cpu_count() or 1) > 1
     assert ("concurrent.futures.process" in modules) == pooled
     assert "dataclasses" not in modules
+
+
+def test_parallelism_comes_only_from_the_flag():
+    """A worker count in the environment starts no pool: the sweep
+    neither starts nor imports one."""
+    modules = imported_modules("-m", "hypident", "verify", "--j", "1..4", "--n", "1..3",
+                               "--mode", "cross", env={"HYPIDENT_PARALLELISM": "2"})
+    assert "hypident.cli" in modules
+    assert pool_or_dataclasses(modules) == []

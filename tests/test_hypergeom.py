@@ -80,6 +80,18 @@ def test_non_integer_parameters_rejected(a, b, c, z):
         Hyp2F1Spec(a, b, c, z)
 
 
+def test_non_integer_parameter_messages():
+    """The TypeError names the first bad parameter and the type it got."""
+    for args, error in (
+        ((-2.0, -4, -3, -1), "a must be an int, got float"),
+        ((-2, Fraction(-4), -3, -1), "b must be an int, got Fraction"),
+        ((-2, -4, False, -1), "c must be an int, got bool"),
+        ((-1, -2, -1, 0.5), "z must be an exact rational, got float"),
+    ):
+        with pytest.raises(TypeError, match=f"^{error}$"):
+            Hyp2F1Spec(*args)
+
+
 def test_matches_pochhammer_in_map_count_regime():
     """The parameters map_summand uses: a = -j, b = -nu j, c = 2-2g-l-j,
     z = 1/(1-nu), for every l < 3g."""

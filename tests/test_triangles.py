@@ -219,6 +219,19 @@ def test_export_json_matches_json_dumps(kind, j_max):
     assert export_json(kind, j_max) == json.dumps(doc, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("export", [export_csv, export_json])
+def test_export_rejects_unknown_kind_and_bad_level(export):
+    """An export checks its kind and j_max as triangle_row checks a row."""
+    with pytest.raises(ValueError, match="^unknown triangle kind 'X'; expected C, R or L$"):
+        export("X", 0)
+    with pytest.raises(ValueError, match="^unknown triangle kind 'X'; expected C, R or L$"):
+        export("X", 3)
+    for kind in ("C", "R", "L"):
+        for j_max in (0, -3):
+            with pytest.raises(IndexOutOfTriangle, match=rf"^{kind}\(0, {j_max}\): "):
+                export(kind, j_max)
+
+
 def test_triangle_row_kinds():
     assert triangle_row("C", 2) == (3, 4, 1)
     with pytest.raises(ValueError):
