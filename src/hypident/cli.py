@@ -57,10 +57,12 @@ MAX_J = 300
 # has about b = N + j * bit_length(2N + 4j) bits. The brute-force routes of
 # the direct and cross modes add up to N+1 terms of up to b bits per point
 # (rhs_direct_run seeds its walk with n_min + 1 products per N of the run,
-# then only adds), at 60 to 1800 times printing's cost per bit: the most at
-# large j far from N = 1, the least at small j from N = 1. Those modes add
-# BRUTE_FORCE_WEIGHT * (N + 1) * b per point, so that their largest grids
-# take about as long as the largest fast ones. One point at N = MAX_N,
+# then only adds; lhs_direct_run sums j+1 series terms per N), at 45 to
+# 1900 times printing's cost per bit for both routes together (measured at
+# j = 1, 40 and 300): the most at large j far from N = 1, the least at
+# small j from N = 1. Those modes add BRUTE_FORCE_WEIGHT * (N + 1) * b per
+# point, so that their largest grids take about as long as the largest
+# fast ones. One point at N = MAX_N,
 # j = MAX_J in fast mode, and the benchmark and CI grids in every mode, are
 # inside the bound (measurements in README).
 MAX_GRID = 2**40

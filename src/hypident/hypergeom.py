@@ -9,10 +9,15 @@ the numerator vanishes past K = min(|a|, |b|), so the sum is a finite,
 exactly computable rational. That is the only regime this module handles;
 there is no analytic continuation and no floating point.
 
+Every series is summed by one integer Horner loop, ``_series``, into an
+unreduced pair (num, den); ``hyp2f1_terminating`` reduces that pair to a
+Fraction for a validated ``Hyp2F1Spec``.
+
 ``lhs_direct_run`` packages the one series family the rest of the package
 cares about, j! * 2^N * C(N+j-1, j) * 2F1(-j, -2j; -N-j+1; -1), which is
-always an integer for positive N, over a run of N for one j;
-``lhs_direct`` is that run at one N.
+always an integer for positive N, over a run of N for one j: one spec
+check covers the run, and each N's pair is divided out exactly, with no
+Fraction. ``lhs_direct`` is that run at one N.
 """
 
 from __future__ import annotations
@@ -80,23 +85,31 @@ class Hyp2F1Spec(namedtuple("Hyp2F1Spec", "a b c z")):
 
 
 def hyp2f1_terminating(spec: Hyp2F1Spec) -> Fraction:
-    """Exact rational value of the finite series, k = 0 .. termination index.
+    """Exact rational value of the finite series, k = 0 .. termination index:
+    ``_series`` reduced to one Fraction (one gcd)."""
+    return Fraction(*_series(spec.a, spec.b, spec.c, spec.z, spec.termination_index))
+
+
+def _series(a: int, b: int, c: int, z: ExactRat, K: int) -> tuple[int, int]:
+    """The series 2F1(a, b; c; z) summed for k = 0..K, as an unreduced
+    integer pair (num, den). Nothing is checked here: the parameters must
+    be those of a valid ``Hyp2F1Spec`` with termination index K, so that
+    den is nonzero; its sign is that of c^(K).
 
     Consecutive terms have the ratio
     r_k = term_{k+1} / term_k = (a+k)(b+k) p / ((c+k)(k+1) q)  with z = p/q,
     so the sum is 1 + r_0 (1 + r_1 (1 + ... (1 + r_{K-1}))). That nest is
-    evaluated by Horner's rule from the inside out on a plain integer pair
-    num/den, left unreduced; one Fraction (one gcd) is built at the end
-    instead of reducing after every term.
+    evaluated by Horner's rule from the inside out: with t = den (c+k)(k+1) q,
+    one step is num = num (a+k)(b+k) p + t and den = t, so each step
+    multiplies den by its factor once, and nothing is reduced.
     """
-    a, b, c = spec.a, spec.b, spec.c
-    p, q = spec.z.numerator, spec.z.denominator
+    p, q = z.numerator, z.denominator
     num = den = 1
-    for k in range(spec.termination_index - 1, -1, -1):
-        step = (c + k) * (k + 1) * q
-        num = num * ((a + k) * (b + k) * p) + den * step
-        den *= step
-    return Fraction(num, den)
+    for k in range(K - 1, -1, -1):
+        t = den * ((c + k) * (k + 1) * q)
+        num = num * ((a + k) * (b + k) * p) + t
+        den = t
+    return num, den
 
 
 def _check_int(name: str, value: int) -> None:
@@ -144,27 +157,31 @@ def lhs_direct_run(j: int, n_min: int, n_max: int) -> list[int]:
 
     Defined for N >= 1 (at N = 0 the series parameters are invalid: c^(k)
     hits zero inside the terminating range) and j >= 0 (j = 0 gives 2^N).
-    Each N's series is the brute-force sum of all j+1 terms from
-    ``hyp2f1_terminating``. j! is computed once, and C(N+j-1, j) is
-    stepped to the next N by its exact ratio (N+j)/N. The product is
-    provably an integer; that is checked, not assumed, by one exact
-    division per N, and a non-integer raises ArithmeticError.
+    One ``Hyp2F1Spec`` is built, at n_min: the termination index is K = j
+    at every N, and c = -N-j+1 only decreases along the run and is at most
+    -j = -K for N >= 1, so c^(k) is nonzero for every k <= K at every N of
+    the run once it is at n_min. Each N's series is then the brute-force
+    sum of all j+1 general 2F1 terms by ``_series``, an unreduced integer
+    pair. j! is computed once, and C(N+j-1, j) is stepped to the next N by
+    its exact ratio (N+j)/N. The product is provably an integer; that is
+    checked, not assumed, by one exact division per N, and a non-integer
+    raises ArithmeticError.
     """
     _check_run(j, n_min, n_max)
     if n_min > n_max:
         return []
+    Hyp2F1Spec(-j, -2 * j, -n_min - j + 1, -1)  # valid at n_min, so at every N
     prefactor = factorial(j)
     c = binomial(n_min + j - 1, j)
-    z = Fraction(-1)
     values = []
     for N in range(n_min, n_max + 1):
-        series = hyp2f1_terminating(Hyp2F1Spec(-j, -2 * j, -N - j + 1, z))
-        numerator = prefactor * c * series.numerator << N
-        value, rest = divmod(numerator, series.denominator)
+        num, den = _series(-j, -2 * j, -N - j + 1, -1, j)
+        numerator = prefactor * c * num << N
+        value, rest = divmod(numerator, den)
         if rest:
             raise ArithmeticError(
                 f"lhs_direct(N={N}, j={j}) is not an integer: "
-                f"{Fraction(numerator, series.denominator)}"
+                f"{Fraction(numerator, den)}"
             )
         values.append(value)
         c = c * (N + j) // N

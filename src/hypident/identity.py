@@ -51,13 +51,7 @@ from typing import Callable, Literal, NamedTuple
 
 from .exact_arith import ExactRat, binomial, factorial, pow2
 from .factorial_basis import FallingPoly, falling, poly_values
-from .hypergeom import (
-    Hyp2F1Spec,
-    _check_point,
-    _check_run,
-    hyp2f1_terminating,
-    lhs_direct_run,
-)
+from .hypergeom import _check_point, _check_run, _series, lhs_direct_run
 from .triangles import l_poly, r_poly
 
 __all__ = [
@@ -243,9 +237,11 @@ def map_summand(g: int, l: int, j: int, nu: int) -> Fraction:
     """One weightless term of the map-count sum.
 
     C(2g-2+l+j, j) * 2F1(-j, -nu*j; 2-2g-l-j; 1/(1-nu)), exact. The
-    denominator parameter stays strictly negative over the whole
-    terminating range whenever g >= 1 and l >= 0, so the series is always
-    well defined here.
+    series terminates at K = j, and the denominator parameter is at most
+    -j whenever g >= 1 and l >= 0, so c^(k) stays nonzero over the whole
+    terminating range: the argument checks below stand in for a
+    ``Hyp2F1Spec``, and the series is one ``_series`` pair over which a
+    single Fraction is built.
     """
     if g < 1:
         raise ValueError(f"map_summand: g = {g} must be >= 1")
@@ -255,10 +251,8 @@ def map_summand(g: int, l: int, j: int, nu: int) -> Fraction:
         raise ValueError(f"map_summand: j = {j} must be >= 1")
     if nu < 2:
         raise ValueError(f"map_summand: nu = {nu} must be >= 2")
-    series = hyp2f1_terminating(
-        Hyp2F1Spec(-j, -nu * j, 2 - 2 * g - l - j, Fraction(1, 1 - nu))
-    )
-    return binomial(2 * g - 2 + l + j, j) * series
+    num, den = _series(-j, -nu * j, 2 - 2 * g - l - j, Fraction(1, 1 - nu), j)
+    return Fraction(binomial(2 * g - 2 + l + j, j) * num, den)
 
 
 def summand_equivalence(g: int, l: int, j: int) -> bool:

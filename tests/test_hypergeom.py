@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from hypident import hypergeom
@@ -9,11 +9,13 @@ from hypident.hypergeom import (
     DenominatorPochhammerZero,
     Hyp2F1Spec,
     NonTerminatingSeries,
+    _series,
     hyp2f1_terminating,
     lhs_direct,
+    lhs_direct_run,
 )
 
-from oracles import hyp2f1_by_pochhammer
+from oracles import hyp2f1_by_pochhammer, lhs_by_definition
 
 
 def test_small_series_values():
@@ -123,6 +125,28 @@ def test_symmetric_in_numerator_parameters(params):
     )
 
 
+@given(
+    a=st.integers(min_value=-12, max_value=0),
+    b=st.integers(min_value=-12, max_value=12),
+    c=st.integers(min_value=-40, max_value=40),
+    z=st.fractions(min_value=-4, max_value=4, max_denominator=9),
+)
+@example(a=0, b=-7, c=-5, z=Fraction(-1))  # K = 0: the series is 1
+@example(a=-3, b=0, c=2, z=Fraction(5, 2))  # b = 0 stops it at K = 0
+@example(a=-4, b=-12, c=3, z=Fraction(-3, 7))  # positive c
+@example(a=-5, b=-15, c=-9, z=Fraction(-1, 2))  # map count at nu = 3: z = 1/(1-nu)
+@example(a=-6, b=9, c=-6, z=Fraction(7, 3))  # positive b, c = -K
+def test_series_pair_matches_pochhammer(a, b, c, z):
+    """The unreduced (num, den) pair is the series' value over any valid
+    terminating spec: K = 0, positive c, z = p/q with q > 1 and p < 0."""
+    try:
+        spec = Hyp2F1Spec(a, b, c, z)
+    except DenominatorPochhammerZero:
+        assume(False)
+    num, den = _series(a, b, c, z, spec.termination_index)
+    assert Fraction(num, den) == hyp2f1_by_pochhammer(a, b, c, z)
+
+
 # -- the packaged left-hand side ------------------------------------------
 
 def test_lhs_direct_values():
@@ -145,10 +169,24 @@ def test_lhs_direct_always_integer():
             assert isinstance(lhs_direct(n, j), int)
 
 
+@pytest.mark.parametrize("j", [250, 299, 300])
+def test_lhs_direct_run_matches_definition_at_large_j(j):
+    """Where the series is longest, up to MAX_J: at N = 1, 2 and j+1, each
+    alone and as one run, whose single spec check covers every N."""
+    points = (1, 2, j + 1)
+    expected = [lhs_by_definition(N, j) for N in points]
+    assert [lhs_direct_run(j, N, N)[0] for N in points] == expected
+    assert lhs_direct_run(j, 1, 2) == expected[:2]
+
+
 def test_lhs_direct_integrality_check_fires(monkeypatch):
-    original = hypergeom.hyp2f1_terminating
-    monkeypatch.setattr(hypergeom, "hyp2f1_terminating",
-                        lambda spec: original(spec) + Fraction(1, 3))
+    original = hypergeom._series
+
+    def plus_1_over_3(*args):
+        num, den = original(*args)
+        return 3 * num + den, 3 * den
+
+    monkeypatch.setattr(hypergeom, "_series", plus_1_over_3)
     with pytest.raises(ArithmeticError, match="not an integer"):
         lhs_direct(1, 1)  # prefactor 1! 2^1 C(1,1) = 2 keeps the 1/3
 

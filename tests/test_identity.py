@@ -96,9 +96,13 @@ def test_brute_force_routes_read_no_polynomial_route():
 def test_direct_mode_names_the_first_non_integral_point(monkeypatch):
     """A series whose product is not an integer is an ArithmeticError at
     the first N of the run, not a report."""
-    original = hypergeom.hyp2f1_terminating
-    monkeypatch.setattr(hypergeom, "hyp2f1_terminating",
-                        lambda spec: original(spec) + Fraction(1, 7919))
+    original = hypergeom._series
+
+    def plus_1_over_7919(*args):
+        num, den = original(*args)
+        return 7919 * num + den, 7919 * den
+
+    monkeypatch.setattr(hypergeom, "_series", plus_1_over_7919)
     with pytest.raises(ArithmeticError, match=r"^lhs_direct\(N=3, j=2\) is not an integer: "):
         check_range(2, 3, 7, "direct")
 
