@@ -2,19 +2,14 @@
 
 All arithmetic in this package is exact: integers are Python's unbounded
 ``int``, rationals are ``fractions.Fraction`` (always canonical: positive
-denominator, gcd-reduced, structural equality). The alias ``ExactRat``
-names that role in signatures. No floats anywhere.
+denominator, gcd-reduced, structural equality). No floats anywhere.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-
-ExactRat = Fraction
 
 __all__ = [
-    "ExactRat",
     "binomial",
     "double_factorial_odd",
     "factorial",

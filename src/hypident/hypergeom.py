@@ -10,91 +10,30 @@ exactly computable rational. That is the only regime this module handles;
 there is no analytic continuation and no floating point.
 
 Every series is summed by one integer Horner loop, ``_series``, into an
-unreduced pair (num, den); ``hyp2f1_terminating`` reduces that pair to a
-Fraction for a validated ``Hyp2F1Spec``.
+unreduced pair (num, den); each caller states why its parameters keep
+den nonzero.
 
 ``lhs_direct_run`` packages the one series family the rest of the package
 cares about, j! * 2^N * C(N+j-1, j) * 2F1(-j, -2j; -N-j+1; -1), which is
-always an integer for positive N, over a run of N for one j: one spec
-check covers the run, and each N's pair is divided out exactly, with no
-Fraction. ``lhs_direct`` is that run at one N.
+always an integer for positive N, over a run of N for one j: each N's pair
+is divided out exactly, with no Fraction. ``lhs_direct`` is that run at
+one N.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 
-from .exact_arith import ExactRat, binomial, factorial
+from .exact_arith import binomial, factorial
 
-__all__ = [
-    "DenominatorPochhammerZero",
-    "Hyp2F1Spec",
-    "NonTerminatingSeries",
-    "hyp2f1_terminating",
-    "lhs_direct",
-    "lhs_direct_run",
-]
+__all__ = ["lhs_direct", "lhs_direct_run"]
 
 
-class NonTerminatingSeries(ValueError):
-    """Neither numerator parameter is a nonpositive integer."""
-
-
-class DenominatorPochhammerZero(ValueError):
-    """c^(k) vanishes at some k inside the terminating range."""
-
-
-class Hyp2F1Spec(namedtuple("Hyp2F1Spec", "a b c z")):
-    """Parameters of a terminating 2F1 series, validated on construction.
-
-    Requires at least one nonpositive integer among a, b (termination) and
-    c^(k) != 0 for every k up to the termination index (so each term's
-    denominator is nonzero). a, b and c must be ints and z an int or an
-    exact rational; anything else, bools included, is a TypeError, so no
-    float can reach the series. z is stored as a Fraction.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, a: int, b: int, c: int, z: ExactRat) -> Hyp2F1Spec:
-        for name, value in (("a", a), ("b", b), ("c", c)):
-            _check_int(name, value)
-        if not isinstance(z, (int, Fraction)) or isinstance(z, bool):
-            raise TypeError(f"z must be an exact rational, got {type(z).__name__}")
-        if a > 0 and b > 0:
-            raise NonTerminatingSeries(
-                f"2F1(a={a}, b={b}; ...) does not terminate: "
-                "need a nonpositive integer numerator parameter"
-            )
-        self = super().__new__(cls, a, b, c, Fraction(z))
-        k = self.termination_index
-        # c^(k) vanishes for some k <= K  iff  -K < c <= 0.
-        if -k < c <= 0:
-            raise DenominatorPochhammerZero(
-                f"c = {c} makes c^(k) vanish at k = {-c + 1} "
-                f"<= termination index {k}"
-            )
-        return self
-
-    @property
-    def termination_index(self) -> int:
-        """Least K with a+K = 0 or b+K = 0; the last contributing term."""
-        candidates = [-p for p in (self.a, self.b) if p <= 0]
-        return min(candidates)
-
-
-def hyp2f1_terminating(spec: Hyp2F1Spec) -> Fraction:
-    """Exact rational value of the finite series, k = 0 .. termination index:
-    ``_series`` reduced to one Fraction (one gcd)."""
-    return Fraction(*_series(spec.a, spec.b, spec.c, spec.z, spec.termination_index))
-
-
-def _series(a: int, b: int, c: int, z: ExactRat, K: int) -> tuple[int, int]:
+def _series(a: int, b: int, c: int, z: int | Fraction, K: int) -> tuple[int, int]:
     """The series 2F1(a, b; c; z) summed for k = 0..K, as an unreduced
-    integer pair (num, den). Nothing is checked here: the parameters must
-    be those of a valid ``Hyp2F1Spec`` with termination index K, so that
-    den is nonzero; its sign is that of c^(K).
+    integer pair (num, den). Nothing is checked here. K must be the
+    termination index, the least K with a+K = 0 or b+K = 0, and c+k != 0
+    for every k < K, so that den is nonzero; its sign is that of c^(K).
 
     Consecutive terms have the ratio
     r_k = term_{k+1} / term_k = (a+k)(b+k) p / ((c+k)(k+1) q)  with z = p/q,
@@ -121,8 +60,8 @@ def _check_int(name: str, value: int) -> None:
 def _check_point(N: int, j: int) -> None:
     """The identity's point domain, shared by every route: N >= 1, j >= 0.
 
-    N and j must be ints; anything else, bools included, is a TypeError,
-    as in ``Hyp2F1Spec``. N is checked first, then j by ``_check_j``.
+    N and j must be ints; anything else, bools included, is a TypeError.
+    N is checked first, then j by ``_check_j``.
     """
     _check_int("N", N)
     if N < 1:
@@ -157,20 +96,17 @@ def lhs_direct_run(j: int, n_min: int, n_max: int) -> list[int]:
 
     Defined for N >= 1 (at N = 0 the series parameters are invalid: c^(k)
     hits zero inside the terminating range) and j >= 0 (j = 0 gives 2^N).
-    One ``Hyp2F1Spec`` is built, at n_min: the termination index is K = j
-    at every N, and c = -N-j+1 only decreases along the run and is at most
-    -j = -K for N >= 1, so c^(k) is nonzero for every k <= K at every N of
-    the run once it is at n_min. Each N's series is then the brute-force
-    sum of all j+1 general 2F1 terms by ``_series``, an unreduced integer
-    pair. j! is computed once, and C(N+j-1, j) is stepped to the next N by
-    its exact ratio (N+j)/N. The product is provably an integer; that is
-    checked, not assumed, by one exact division per N, and a non-integer
-    raises ArithmeticError.
+    The termination index is K = j at every N, and c = -N-j+1 <= -j = -K
+    for N >= 1, so c+k != 0 for every k < K, as ``_series`` needs. Each
+    N's series is the brute-force sum of all j+1 general 2F1 terms by
+    ``_series``, an unreduced integer pair. j! is computed once, and
+    C(N+j-1, j) is stepped to the next N by its exact ratio (N+j)/N. The
+    product is provably an integer; that is checked, not assumed, by one
+    exact division per N, and a non-integer raises ArithmeticError.
     """
     _check_run(j, n_min, n_max)
     if n_min > n_max:
         return []
-    Hyp2F1Spec(-j, -2 * j, -n_min - j + 1, -1)  # valid at n_min, so at every N
     prefactor = factorial(j)
     c = binomial(n_min + j - 1, j)
     values = []

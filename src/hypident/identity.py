@@ -49,9 +49,9 @@ from itertools import repeat
 from operator import add, mul
 from typing import Callable, Literal, NamedTuple
 
-from .exact_arith import ExactRat, binomial, factorial, pow2
+from .exact_arith import binomial, factorial, pow2
 from .factorial_basis import FallingPoly, falling, poly_values
-from .hypergeom import _check_point, _check_run, _series, lhs_direct_run
+from .hypergeom import _check_int, _check_point, _check_run, _series, lhs_direct_run
 from .triangles import l_poly, r_poly
 
 __all__ = [
@@ -236,13 +236,15 @@ def check_range(
 def map_summand(g: int, l: int, j: int, nu: int) -> Fraction:
     """One weightless term of the map-count sum.
 
-    C(2g-2+l+j, j) * 2F1(-j, -nu*j; 2-2g-l-j; 1/(1-nu)), exact. The
-    series terminates at K = j, and the denominator parameter is at most
-    -j whenever g >= 1 and l >= 0, so c^(k) stays nonzero over the whole
-    terminating range: the argument checks below stand in for a
-    ``Hyp2F1Spec``, and the series is one ``_series`` pair over which a
+    C(2g-2+l+j, j) * 2F1(-j, -nu*j; 2-2g-l-j; 1/(1-nu)), exact. g, l, j
+    and nu must be ints (bools are not), or it is a TypeError. The series
+    terminates at K = j, and for g >= 1 and l >= 0 its denominator
+    parameter is c = 2-2g-l-j <= -j = -K, so c+k != 0 for every k < K, as
+    ``_series`` needs: the series is one ``_series`` pair over which a
     single Fraction is built.
     """
+    for name, value in (("g", g), ("l", l), ("j", j), ("nu", nu)):
+        _check_int(name, value)
     if g < 1:
         raise ValueError(f"map_summand: g = {g} must be >= 1")
     if not 0 <= l <= 3 * g - 1:
@@ -259,8 +261,11 @@ def summand_equivalence(g: int, l: int, j: int) -> bool:
     """Does the nu = 2 summand match its hypergeometric-free form?
 
     With N = 2g-1+l, the claim is j! * map_summand(g,l,j,2) * 2^N equal to
-    the binomial sum side at (N, j).
+    the binomial sum side at (N, j). g, l and j must be ints, as in
+    ``map_summand``.
     """
+    for name, value in (("g", g), ("l", l), ("j", j)):
+        _check_int(name, value)
     N = 2 * g - 1 + l
     return factorial(j) * map_summand(g, l, j, 2) * pow2(N) == rhs_direct(N, j)
 
@@ -277,7 +282,7 @@ class MapCountSpec(namedtuple("MapCountSpec", "nu g j a")):
 
     __slots__ = ()
 
-    def __new__(cls, nu: int, g: int, j: int, a: tuple[ExactRat, ...]) -> MapCountSpec:
+    def __new__(cls, nu: int, g: int, j: int, a: tuple[Fraction, ...]) -> MapCountSpec:
         for name, value in (("nu", nu), ("g", g), ("j", j)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name!r} must be an integer, got {value!r}")

@@ -1,27 +1,31 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from hypident import hypergeom
-from hypident.hypergeom import (
-    DenominatorPochhammerZero,
-    Hyp2F1Spec,
-    NonTerminatingSeries,
-    _series,
-    hyp2f1_terminating,
-    lhs_direct,
-    lhs_direct_run,
-)
+from hypident.hypergeom import _series, lhs_direct, lhs_direct_run
+from hypident.identity import map_summand
 
-from oracles import hyp2f1_by_pochhammer, lhs_by_definition
+from oracles import hyp2f1_by_pochhammer, lhs_by_definition, rising_product
+
+
+def termination_index(a, b):
+    """K = min(-a, -b) over the nonpositive numerator parameters."""
+    return min(-p for p in (a, b) if p <= 0)
+
+
+def series_value(a, b, c, z):
+    """The terminating series by ``_series``, reduced to one Fraction."""
+    return Fraction(*_series(a, b, c, z, termination_index(a, b)))
 
 
 def test_small_series_values():
-    assert hyp2f1_terminating(Hyp2F1Spec(-1, -2, -1, -1)) == 3
-    assert hyp2f1_terminating(Hyp2F1Spec(-2, -4, -2, -1)) == 11  # 1 + 4 + 6
-    assert hyp2f1_terminating(Hyp2F1Spec(0, -7, -5, -1)) == 1  # stops at k = 0
+    assert series_value(-1, -2, -1, -1) == 3
+    assert series_value(-2, -4, -2, -1) == 11  # 1 + 4 + 6
+    assert series_value(0, -7, -5, -1) == 1  # stops at k = 0
 
 
 def test_matches_direct_pochhammer_summation():
@@ -34,77 +38,51 @@ def test_matches_direct_pochhammer_summation():
                 if -k < c <= 0:
                     continue
                 for z in zs:
-                    spec = Hyp2F1Spec(a, b, c, z)
-                    assert hyp2f1_terminating(spec) == hyp2f1_by_pochhammer(a, b, c, z)
-
-
-def test_termination_index():
-    assert Hyp2F1Spec(-3, -5, 1, -1).termination_index == 3
-    assert Hyp2F1Spec(-5, -3, 1, -1).termination_index == 3
-    assert Hyp2F1Spec(0, -7, -5, -1).termination_index == 0
-    # only one parameter needs to be a nonpositive integer
-    assert Hyp2F1Spec(4, -2, 1, -1).termination_index == 2
+                    assert series_value(a, b, c, z) == hyp2f1_by_pochhammer(a, b, c, z)
 
 
 def test_denominator_outside_window_is_fine():
-    # c = -K is the first safe nonpositive value: c^(k) != 0 for all k <= K
-    spec = Hyp2F1Spec(-3, -5, -3, -1)
-    assert hyp2f1_terminating(spec) == hyp2f1_by_pochhammer(-3, -5, -3, -1)
+    # c = -K is the first safe nonpositive value: c+k != 0 for all k < K
+    assert series_value(-3, -5, -3, -1) == hyp2f1_by_pochhammer(-3, -5, -3, -1)
 
 
-def test_nonterminating_rejected():
-    with pytest.raises(NonTerminatingSeries):
-        Hyp2F1Spec(1, 2, 3, -1)
-
-
-@pytest.mark.parametrize("a, b, c", [(-1, -1, 0), (-3, -5, -2), (-4, -4, -1)])
-def test_denominator_pochhammer_zero_rejected(a, b, c):
-    with pytest.raises(DenominatorPochhammerZero):
-        Hyp2F1Spec(a, b, c, -1)
-
-
-def test_float_z_rejected():
-    with pytest.raises(TypeError):
-        Hyp2F1Spec(-1, -2, -1, 0.5)
-
-
-@pytest.mark.parametrize("a, b, c, z", [
-    (-1, -2, -1, True),
-    (-2, -4, -2.5, -1),
-    (-2.0, -4, -3, -1),
-    (-2, Fraction(-4), -3, -1),
-    (-2, -4, False, -1),
+@pytest.mark.parametrize("a, b, c", [
+    (-1, -1, 0), (-3, -5, -2), (-4, -4, -1), (-2, 3, 0), (-5, -15, -4),
 ])
-def test_non_integer_parameters_rejected(a, b, c, z):
-    """Only ints (not bools) as a, b, c and exact rationals as z reach the
-    series, so no float can leak into a value."""
-    with pytest.raises(TypeError):
-        Hyp2F1Spec(a, b, c, z)
+def test_series_denominator_vanishes_inside_window(a, b, c):
+    """_series's precondition is needed: with -K < c <= 0, c+k = 0 at some
+    k < K and den is 0; at c = -K, the first safe value, den is nonzero."""
+    K = termination_index(a, b)
+    assert _series(a, b, c, -1, K)[1] == 0
+    assert _series(a, b, -K, -1, K)[1] != 0
 
 
-def test_non_integer_parameter_messages():
-    """The TypeError names the first bad parameter and the type it got."""
-    for args, error in (
-        ((-2.0, -4, -3, -1), "a must be an int, got float"),
-        ((-2, Fraction(-4), -3, -1), "b must be an int, got Fraction"),
-        ((-2, -4, False, -1), "c must be an int, got bool"),
-        ((-1, -2, -1, 0.5), "z must be an exact rational, got float"),
-    ):
-        with pytest.raises(TypeError, match=f"^{error}$"):
-            Hyp2F1Spec(*args)
+@pytest.mark.parametrize("a, b, c, z, K", [
+    (-3, -5, 1, -1, 3),
+    (-5, -3, 1, -1, 3),
+    (0, -7, -5, -1, 0),  # stops at k = 0
+    (4, -2, 1, -1, 2),  # only one parameter needs to be nonpositive
+    (-2, 5, -7, Fraction(1, 3), 2),
+])
+def test_series_stops_at_termination_index(a, b, c, z, K):
+    """K is the least k with a+k = 0 or b+k = 0, and the series summed to
+    K is the whole terminating series."""
+    assert termination_index(a, b) == K
+    assert Fraction(*_series(a, b, c, z, K)) == hyp2f1_by_pochhammer(a, b, c, z)
 
 
 def test_matches_pochhammer_in_map_count_regime():
-    """The parameters map_summand uses: a = -j, b = -nu j, c = 2-2g-l-j,
-    z = 1/(1-nu), for every l < 3g."""
+    """map_summand, the composition map_count calls, against the oracle:
+    C(2g-2+l+j, j) 2F1(-j, -nu j; 2-2g-l-j; 1/(1-nu)) for every l < 3g."""
     for nu in range(2, 5):
         z = Fraction(1, 1 - nu)
         for g in range(1, 4):
             for l in range(3 * g):
                 for j in range(1, 26):
-                    a, b, c = -j, -nu * j, 2 - 2 * g - l - j
-                    assert hyp2f1_terminating(Hyp2F1Spec(a, b, c, z)) == \
-                        hyp2f1_by_pochhammer(a, b, c, z), (nu, g, l, j)
+                    expected = comb(2 * g - 2 + l + j, j) * hyp2f1_by_pochhammer(
+                        -j, -nu * j, 2 - 2 * g - l - j, z
+                    )
+                    assert map_summand(g, l, j, nu) == expected, (nu, g, l, j)
 
 
 terminating_params = st.tuples(
@@ -120,9 +98,7 @@ def test_symmetric_in_numerator_parameters(params):
     a, b, c, z = params
     k = min(-a, -b)
     assume(c > 0 or c <= -k)
-    assert hyp2f1_terminating(Hyp2F1Spec(a, b, c, z)) == hyp2f1_terminating(
-        Hyp2F1Spec(b, a, c, z)
-    )
+    assert series_value(a, b, c, z) == series_value(b, a, c, z)
 
 
 @given(
@@ -137,13 +113,11 @@ def test_symmetric_in_numerator_parameters(params):
 @example(a=-5, b=-15, c=-9, z=Fraction(-1, 2))  # map count at nu = 3: z = 1/(1-nu)
 @example(a=-6, b=9, c=-6, z=Fraction(7, 3))  # positive b, c = -K
 def test_series_pair_matches_pochhammer(a, b, c, z):
-    """The unreduced (num, den) pair is the series' value over any valid
-    terminating spec: K = 0, positive c, z = p/q with q > 1 and p < 0."""
-    try:
-        spec = Hyp2F1Spec(a, b, c, z)
-    except DenominatorPochhammerZero:
-        assume(False)
-    num, den = _series(a, b, c, z, spec.termination_index)
+    """The unreduced (num, den) pair is the series' value for any valid
+    terminating parameters: K = 0, positive c, z = p/q with q > 1 and p < 0."""
+    K = termination_index(a, b)
+    assume(not -K < c <= 0)
+    num, den = _series(a, b, c, z, K)
     assert Fraction(num, den) == hyp2f1_by_pochhammer(a, b, c, z)
 
 
@@ -162,8 +136,7 @@ def test_lhs_direct_j0_extension():
 
 
 def test_lhs_direct_always_integer():
-    """Denominator-1 assertion never fires across the sweep domain,
-    and the parameter family never trips the Pochhammer guard."""
+    """The exact-division check never fires across the sweep domain."""
     for j in range(1, 21):
         for n in range(1, 51):
             assert isinstance(lhs_direct(n, j), int)
@@ -172,7 +145,7 @@ def test_lhs_direct_always_integer():
 @pytest.mark.parametrize("j", [250, 299, 300])
 def test_lhs_direct_run_matches_definition_at_large_j(j):
     """Where the series is longest, up to MAX_J: at N = 1, 2 and j+1, each
-    alone and as one run, whose single spec check covers every N."""
+    alone and as one run."""
     points = (1, 2, j + 1)
     expected = [lhs_by_definition(N, j) for N in points]
     assert [lhs_direct_run(j, N, N)[0] for N in points] == expected
@@ -200,8 +173,13 @@ def test_lhs_direct_rejects_n0():
         lhs_direct(3, -1)
 
 
-def test_n0_parameters_hit_pochhammer_guard():
-    """At N = 0 the denominator parameter lands inside the vanishing window."""
-    for j in (1, 2, 5):
-        with pytest.raises(DenominatorPochhammerZero):
-            Hyp2F1Spec(-j, -2 * j, -j + 1, -1)
+def test_series_denominator_vanishes_only_at_n0():
+    """The left side's series at N = 0 (c = 1-j) sums to den == 0, which is
+    why N >= 1 is required; at N = 1 and 2, den is nonzero with the sign
+    of c^(K), K = j."""
+    for j in range(1, 41):
+        assert _series(-j, -2 * j, 1 - j, -1, j)[1] == 0, j
+        for N in (1, 2):
+            c = -N - j + 1
+            den = _series(-j, -2 * j, c, -1, j)[1]
+            assert den != 0 and (den > 0) == (rising_product(c, j) > 0), (N, j)

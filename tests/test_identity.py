@@ -311,6 +311,36 @@ def test_map_summand_domain():
         map_summand(1, 0, 1, 1)
 
 
+@pytest.mark.parametrize("route, args, error", [
+    (summand_equivalence, (True, 0, 1), "g must be an int, got bool"),
+    (summand_equivalence, (1, Fraction(0), 1), "l must be an int, got Fraction"),
+    (summand_equivalence, (1, 0, 1.0), "j must be an int, got float"),
+    (map_summand, (1.0, 0, 1, 2), "g must be an int, got float"),
+    (map_summand, (1, False, 1, 2), "l must be an int, got bool"),
+    (map_summand, (1, 0, True, 2), "j must be an int, got bool"),
+    (map_summand, (1, 0, 1, 2.0), "nu must be an int, got float"),
+    (map_summand, (1, 0, 1, True), "nu must be an int, got bool"),
+    (summand_equivalence, (1.0, 0, 1), "g must be an int, got float"),
+    (summand_equivalence, (1, True, 1), "l must be an int, got bool"),
+    (summand_equivalence, (1, 0, False), "j must be an int, got bool"),
+    (summand_equivalence, (1, 0, "1"), "j must be an int, got str"),
+    (summand_equivalence, (1, 0, Fraction(1)), "j must be an int, got Fraction"),
+    (summand_equivalence, (0.0, 0, 1), "g must be an int, got float"),  # before g >= 1
+    (map_summand, (Fraction(1), 0, 1, 2), "g must be an int, got Fraction"),
+    (map_summand, (1, 0.0, 1, 2), "l must be an int, got float"),
+    (map_summand, (1, 3.0, 1, 2), "l must be an int, got float"),  # before l < 3g
+    (map_summand, (1, 0, "1", 2), "j must be an int, got str"),
+    (map_summand, (1, 0, 1, None), "nu must be an int, got NoneType"),
+    (map_summand, (1, 0, 1, Fraction(2)), "nu must be an int, got Fraction"),
+    (map_summand, (True, 0, 1, 1.0), "g must be an int, got bool"),  # first bad one
+])
+def test_non_integer_summand_arguments_rejected(route, args, error):
+    """A bool or a float is a TypeError before any arithmetic: a bool would
+    count as 0 or 1, and a float j would reach math.factorial."""
+    with pytest.raises(TypeError, match=f"^{error}$"):
+        route(*args)
+
+
 def test_summand_equivalence_examples():
     assert summand_equivalence(1, 0, 1)  # 1*3*2 == rhs_direct(1,1)
     assert summand_equivalence(1, 1, 1)  # 1*4*4 == rhs_direct(2,1)

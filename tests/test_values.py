@@ -1,8 +1,8 @@
 """The package's immutable value types: construction, checks, repr, pickling.
 
-SweepConfig, IdentityPoint, VerifyReport, MapCountSpec, FallingPoly and
-Hyp2F1Spec are validated on construction, compare by value, hash by their
-fields and cannot be changed once built.
+SweepConfig, IdentityPoint, VerifyReport, MapCountSpec and FallingPoly are
+validated on construction, compare by value, hash by their fields and
+cannot be changed once built.
 """
 
 import pickle
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from hypident import identity
 from hypident.cli import SweepConfig
 from hypident.factorial_basis import FallingPoly
-from hypident.hypergeom import Hyp2F1Spec, NonTerminatingSeries
 from hypident.identity import (
     IdentityPoint,
     MapCountSpec,
@@ -39,9 +38,6 @@ VALUES = [
     (MapCountSpec(2, 1, 1, ("1/2", 0, -3)),
      "MapCountSpec(nu=2, g=1, j=1, a=(Fraction(1, 2), Fraction(0, 1), Fraction(-3, 1)))"),
     (FallingPoly([1, 0, 2, 0]), "FallingPoly(coeffs=(1, 0, 2))"),
-    (Hyp2F1Spec(-1, -2, -3, -1), "Hyp2F1Spec(a=-1, b=-2, c=-3, z=Fraction(-1, 1))"),
-    (Hyp2F1Spec(a=-2, b=5, c=-7, z=Fraction(1, 3)),
-     "Hyp2F1Spec(a=-2, b=5, c=-7, z=Fraction(1, 3))"),
 ]
 
 IDS = [text.split("(", 1)[0] for _, text in VALUES]
@@ -112,37 +108,6 @@ def test_falling_poly_trims_any_iterable():
     assert hash(FallingPoly([1, 2, 0])) == hash(FallingPoly((1, 2)))
     assert FallingPoly([1, 2, 0]).degree == 1
     assert type(FallingPoly([1]).coeffs) is tuple
-
-
-# -- Hyp2F1Spec --------------------------------------------------------------
-
-@pytest.mark.parametrize("kwargs, message", [
-    ({"a": 1.0}, "a must be an int, got float"),
-    ({"a": True}, "a must be an int, got bool"),
-    ({"b": Fraction(-4)}, "b must be an int, got Fraction"),
-    ({"b": "-4"}, "b must be an int, got str"),
-    ({"c": None}, "c must be an int, got NoneType"),
-    ({"c": False}, "c must be an int, got bool"),
-    ({"z": 0.5}, "z must be an exact rational, got float"),
-    ({"z": False}, "z must be an exact rational, got bool"),
-    ({"z": "1/2"}, "z must be an exact rational, got str"),
-])
-def test_hyp2f1_spec_type_errors(kwargs, message):
-    params = {"a": -2, "b": -4, "c": -5, "z": -1, **kwargs}
-    with pytest.raises(TypeError) as exc:
-        Hyp2F1Spec(**params)
-    assert str(exc.value) == message
-
-
-def test_hyp2f1_spec_normalises_z_and_checks_in_order():
-    spec = Hyp2F1Spec(-2, -4, -5, -1)
-    assert type(spec.z) is Fraction and spec.z == -1
-    assert Hyp2F1Spec(-2, -4, -5, Fraction(2, 4)).z == Fraction(1, 2)
-    # types are checked before termination
-    with pytest.raises(TypeError):
-        Hyp2F1Spec(1, 2, 3.0, -1)
-    with pytest.raises(NonTerminatingSeries):
-        Hyp2F1Spec(1, 2, 3, -1)
 
 
 # -- MapCountSpec against the coefficient-file loader ------------------------
