@@ -33,6 +33,7 @@ from . import __version__
 from .identity import (
     IdentityPoint,
     VerifyReport,
+    _check_int_fields,
     _check_mode,
     check_identity,
     check_range,
@@ -103,6 +104,10 @@ class SweepConfig(
         fmt: str = "plain",
         timings: bool = False,
     ) -> SweepConfig:
+        _check_int_fields(
+            ("j_min", j_min), ("j_max", j_max), ("n_min", n_min), ("n_max", n_max),
+            ("parallelism", parallelism),
+        )
         if j_min < 0 or j_min > j_max:
             raise ValueError(f"bad j range {j_min}..{j_max}")
         if n_min < 1 or n_min > n_max:

@@ -10,7 +10,8 @@ are converted on entry:
     x^(k)     = sum_i C(k-1, i-1) * k!/i! * (x)_i   (Lah coefficients)
 
 Stirling numbers are produced by the triangular recurrence
-S(k+1, i) = i*S(k, i) + S(k, i-1) with full-table memoization, and
+S(k+1, i) = i*S(k, i) + S(k, i-1) in ``_RecurrenceTable``, the one lazy
+table class (whose other subclass is ``triangles.Triangle``), and
 ``monomial_to_falling(k)`` is row k of that table as it stands. A Lah row
 is built by exact ratios of consecutive coefficients. Closed forms are
 reserved for the test oracles.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from operator import add
 
 from .exact_arith import factorial
@@ -64,24 +65,21 @@ def rising(a: int, n: int) -> int:
     return out
 
 
-class _StirlingTable:
-    """Rows of Stirling-second-kind numbers, grown on demand under a lock.
+class _RecurrenceTable:
+    """Lower-triangular rows of exact integers, grown on demand under a lock:
+    row 0 is (1,), and row top+1 is next[0] = margin(top+1), then
+    next[i] = weight(top, i) * prev[i] + prev[i-1] for 1 <= i <= top, then 1.
+    Rows are published whole, so concurrent readers see only whole rows."""
 
-    Row k holds S(k, 0..k). S(0,0) = 1, S(k,0) = 0 for k >= 1, and entries
-    above the diagonal are 0 (queries, not storage).
-    """
-
-    def __init__(self) -> None:
+    def __init__(
+        self, margin: Callable[[int], int], weight: Callable[[int, int], int]
+    ) -> None:
+        self._margin = margin
+        self._weight = weight
         self._rows: list[tuple[int, ...]] = [(1,)]
         self._lock = threading.Lock()
 
-    def entry(self, k: int, i: int) -> int:
-        if i > k:
-            return 0
-        return self.row(k)[i]
-
     def row(self, k: int) -> tuple[int, ...]:
-        """S(k, 0..k), index-ascending."""
         if k >= len(self._rows):
             self._grow_to(k)
         return self._rows[k]
@@ -89,17 +87,22 @@ class _StirlingTable:
     def _grow_to(self, k: int) -> None:
         with self._lock:
             while len(self._rows) <= k:
-                prev = self._rows[-1]
                 top = len(self._rows) - 1
-                nxt = [0]
+                prev = self._rows[top]
+                nxt = [self._margin(top + 1)]
                 nxt.extend(
-                    i * (prev[i] if i <= top else 0) + prev[i - 1]
-                    for i in range(1, top + 2)
+                    self._weight(top, i) * prev[i] + prev[i - 1]
+                    for i in range(1, top + 1)
                 )
+                nxt.append(1)
                 self._rows.append(tuple(nxt))
 
 
-_STIRLING = _StirlingTable()
+class _StirlingTable(_RecurrenceTable):
+    """Row k holds S(k, 0..k): margin S(k, 0) = 0 for k >= 1, weight i."""
+
+
+_STIRLING = _StirlingTable(lambda k: 0, lambda k, i: i)
 
 
 def stirling2(k: int, i: int) -> int:
@@ -110,7 +113,7 @@ def stirling2(k: int, i: int) -> int:
     """
     if k < 0 or i < 0:
         raise ValueError(f"stirling2({k}, {i}): indices must be >= 0")
-    return _STIRLING.entry(k, i)
+    return _STIRLING.row(k)[i] if i <= k else 0
 
 
 class FallingPoly(namedtuple("FallingPoly", "coeffs")):

@@ -77,6 +77,8 @@ CheckMode = Literal["direct", "fast", "cross"]
 
 # Parsing a decimal is quadratic in its digits: a weight of 2^18 digits
 # takes 0.5 s, one of 2^20 digits 7 s. 3g short weights fit in far less.
+# The bound holds a weight's digits to the file's bytes only because a
+# weight in exponent notation ("1e1000000") is rejected before it is parsed.
 MAX_COEFF_FILE_BYTES = 2**18
 
 
@@ -270,22 +272,29 @@ def summand_equivalence(g: int, l: int, j: int) -> bool:
     return factorial(j) * map_summand(g, l, j, 2) * pow2(N) == rhs_direct(N, j)
 
 
+def _check_int_fields(*fields: tuple[str, object]) -> None:
+    """Each (name, value) must hold an int other than a bool; else a
+    ValueError naming the field."""
+    for name, value in fields:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name!r} must be an integer, got {value!r}")
+
+
 class MapCountSpec(namedtuple("MapCountSpec", "nu g j a")):
     """Inputs for one map count: half-valence nu, genus g, vertices j,
     and the 3g externally supplied weights a.
 
     nu, g and j must be ints; each weight an int, a Fraction or a rational
     string such as "-3/4", stored as a Fraction. Bools and floats are
-    rejected, so no inexact value reaches the count. Every fault is a
-    ValueError naming the offending field or weight.
+    rejected, so no inexact value reaches the count, and so is a string in
+    exponent notation, which could expand to any number of digits. Every
+    fault is a ValueError naming the offending field or weight.
     """
 
     __slots__ = ()
 
     def __new__(cls, nu: int, g: int, j: int, a: tuple[Fraction, ...]) -> MapCountSpec:
-        for name, value in (("nu", nu), ("g", g), ("j", j)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name!r} must be an integer, got {value!r}")
+        _check_int_fields(("nu", nu), ("g", g), ("j", j))
         weights = []
         for idx, entry in enumerate(a):
             if isinstance(entry, bool):
@@ -294,6 +303,8 @@ class MapCountSpec(namedtuple("MapCountSpec", "nu g j a")):
                 raise ValueError(
                     f"a[{idx}]: expected a rational string or integer, got {entry!r}"
                 )
+            if isinstance(entry, str) and ("e" in entry or "E" in entry):
+                raise ValueError(f"a[{idx}]: exponent notation is not accepted; use p/q")
             try:
                 weights.append(Fraction(entry))
             except (ValueError, ZeroDivisionError) as exc:

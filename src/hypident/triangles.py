@@ -35,19 +35,20 @@ Stirling rows 0..j, shifted left by j-i; only the last one is kept,
 because callers read such a row entry by entry. ``l_poly_from_series``
 sums Lah rows with weights stepped by exact ratios, and
 ``vanishing_sum`` steps its binomials the same way. Recurrence rows grow
-under an internal lock, and every row is immutable once published, so
-concurrent readers only ever observe complete rows.
+as Stirling rows do, in ``factorial_basis._RecurrenceTable``: under a
+lock, and published whole, so concurrent readers see only whole rows.
 """
 
 from __future__ import annotations
 
-import threading
+from collections.abc import Callable
 from functools import lru_cache
 from operator import add
-from typing import Callable
 
 from .exact_arith import binomial, double_factorial_odd, factorial, pow2
-from .factorial_basis import FallingPoly, monomial_to_falling, rising_to_falling
+from .factorial_basis import (
+    FallingPoly, _RecurrenceTable, monomial_to_falling, rising_to_falling,
+)
 
 __all__ = [
     "IndexOutOfTriangle",
@@ -76,14 +77,8 @@ def _check_index(i: int, j: int, kind: str) -> None:
         raise IndexOutOfTriangle(f"{kind}({i}, {j}): need 0 <= i <= j and j >= 1")
 
 
-class Triangle:
-    """Lazily grown lower-triangular table of exact integers.
-
-    Level j+1 is filled from level j by
-        next[i] = weight(j, i) * prev[i] + prev[i-1],   1 <= i <= j,
-    with next[0] recomputed from the exact marginal function and the
-    diagonal pinned to 1. Rows are cached whole and grown under a lock.
-    """
+class Triangle(_RecurrenceTable):
+    """A ``_RecurrenceTable`` named by kind, read from level 1 up."""
 
     def __init__(
         self,
@@ -91,11 +86,8 @@ class Triangle:
         margin: Callable[[int], int],
         weight: Callable[[int, int], int],
     ) -> None:
+        super().__init__(margin, weight)
         self.kind = kind
-        self._margin = margin
-        self._weight = weight
-        self._rows: list[tuple[int, ...]] = [(), (margin(1), 1)]
-        self._lock = threading.Lock()
 
     @property
     def max_level(self) -> int:
@@ -113,19 +105,6 @@ class Triangle:
         if j >= len(self._rows):
             self._grow_to(j)
         return self._rows[j]
-
-    def _grow_to(self, j: int) -> None:
-        with self._lock:
-            while len(self._rows) <= j:
-                top = len(self._rows) - 1
-                prev = self._rows[top]
-                nxt = [self._margin(top + 1)]
-                nxt.extend(
-                    self._weight(top, i) * prev[i] + prev[i - 1]
-                    for i in range(1, top + 1)
-                )
-                nxt.append(1)
-                self._rows.append(tuple(nxt))
 
 
 _C = Triangle("C", double_factorial_odd, lambda j, k: 2 * j + 1)

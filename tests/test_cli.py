@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -480,6 +481,19 @@ def test_sweep_config_rejects_an_unknown_mode_or_format(monkeypatch, field, valu
     assert out.getvalue() == ""
 
 
+@pytest.mark.parametrize("value", [True, 1.0])
+@pytest.mark.parametrize("field", ["j_min", "j_max", "n_min", "n_max", "parallelism"])
+def test_sweep_config_rejects_a_bool_or_non_int_field(monkeypatch, field, value):
+    """A bool or float in an int field fails when the config is built,
+    naming the field, so a sweep writes nothing."""
+    monkeypatch.setattr(cli, "_sweep_cell", lambda cell: pytest.fail("swept"))
+    fields = {"j_min": 1, "j_max": 3, "n_min": 1, "n_max": 5, "parallelism": 1}
+    out = io.StringIO()
+    with pytest.raises(ValueError, match=f"^'{field}' must be an integer, got {value!r}$"):
+        cli.run_sweep(cli.SweepConfig(**{**fields, field: value}, fmt="json"), out)
+    assert out.getvalue() == ""
+
+
 @pytest.fixture
 def fake_pool(monkeypatch):
     """Replace the process pool by one that runs cells in this process and
@@ -840,6 +854,17 @@ def test_mapcount_cost_bound(tmp_path, capsys, monkeypatch, nu, g, j, inside):
         assert (code, out, counted) == (2, "", [])
         assert err == (f"error: map-count cost = {cost} is above "
                        f"the bound of {cli.MAX_MAPCOUNT_COST}\n")
+
+
+def test_mapcount_exponent_weight_fails_fast(tmp_path, capsys):
+    """A 48-byte file whose weight is "1e1000000" would parse to a
+    million-digit integer; it exits 2 at once, naming the weight."""
+    path = write_coeffs(tmp_path, '{"nu": 2, "g": 1, "a": ["1e1000000", "0", "0"]}')
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "mapcount", path, "--j", "1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a[0]: exponent notation") and err.count("\n") == 1
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")

@@ -20,6 +20,7 @@ from oracles import (
     falling_product,
     lah_by_definition,
     stirling2_by_enumeration,
+    stirling2_by_formula,
 )
 
 
@@ -184,6 +185,14 @@ def test_monomial_to_falling_coefficients():
 def test_monomial_to_falling_is_the_stirling_row():
     for k in range(61):
         assert monomial_to_falling(k).coeffs == tuple(stirling2(k, i) for i in range(k + 1)), k
+
+
+def test_monomial_to_falling_against_the_explicit_formula():
+    """Each Stirling row the shared recurrence table grows, checked against
+    the alternating-sum formula, which reads no table."""
+    for k in range(61):
+        expected = tuple(stirling2_by_formula(k, i) for i in range(k + 1))
+        assert monomial_to_falling(k).coeffs == expected, k
 
 
 def test_monomial_to_falling_reproduces_powers():

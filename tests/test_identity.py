@@ -391,6 +391,16 @@ def test_map_count_spec_validation():
         MapCountSpec(2.0, 1, 1, (1, 0, 0))
     spec = MapCountSpec(2, 1, 1, (Fraction(1, 2), "-3/4", 5))
     assert spec.a == (Fraction(1, 2), Fraction(-3, 4), Fraction(5))
+    spec = MapCountSpec(2, 1, 1, ("-12", "3/4", "0.25"))
+    assert spec.a == (Fraction(-12), Fraction(3, 4), Fraction(1, 4))
+
+
+@pytest.mark.parametrize("weight", ["1e1000000", "2E3", "1.5e-2", "-3/4e2"])
+def test_spec_rejects_exponent_notation(weight):
+    """A weight in exponent notation is refused before Fraction expands it
+    into as many digits as its exponent asks for."""
+    with pytest.raises(ValueError, match=r"^a\[1\]: exponent notation"):
+        MapCountSpec(2, 1, 1, ("1", weight, "0"))
 
 
 # -- coefficient files --------------------------------------------------------

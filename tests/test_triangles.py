@@ -4,9 +4,9 @@ import types
 
 import pytest
 
-from hypident import triangles
+from hypident import factorial_basis, triangles
 from hypident.exact_arith import double_factorial_odd, factorial, pow2
-from hypident.factorial_basis import poly_eval
+from hypident.factorial_basis import _StirlingTable, poly_eval
 from hypident.hypergeom import lhs_direct
 from hypident.identity import rhs_direct
 from hypident.triangles import (
@@ -248,21 +248,36 @@ def test_triangle_row_kinds():
 
 # -- concurrency contract ---------------------------------------------------
 
-def test_concurrent_growth_is_consistent():
-    """Readers racing to grow a fresh table all observe the same rows a
-    sequential build produces."""
-    fresh = Triangle(
+def _fresh_r():
+    return Triangle(
         "R",
         lambda j: pow2(j) * double_factorial_odd(j),
         lambda j, i: 2 * (2 * j + i + 1),
     )
+
+
+def _fresh_stirling():
+    return _StirlingTable(lambda k: 0, lambda k, i: i)
+
+
+def _triangle_entries(table, j):
+    return tuple(table.entry(i, j) for i in range(j + 1))
+
+
+@pytest.mark.parametrize("fresh_table, serial, read", [
+    (_fresh_r, triangles._R, _triangle_entries),
+    (_fresh_stirling, factorial_basis._STIRLING, _StirlingTable.row),
+], ids=["Triangle", "_StirlingTable"])
+def test_concurrent_growth_is_consistent(fresh_table, serial, read):
+    """Readers racing to grow a fresh table all observe the same rows that
+    the package's own table of that recurrence, grown serially, holds."""
+    fresh = fresh_table()
     results: dict[int, tuple] = {}
     errors: list[BaseException] = []
 
     def reader(tid: int) -> None:
         try:
-            values = tuple(fresh.entry(i, 80 + tid) for i in range(81 + tid))
-            results[tid] = values
+            results[tid] = read(fresh, 80 + tid)
         except BaseException as exc:  # pragma: no cover - failure reporting
             errors.append(exc)
 
@@ -270,9 +285,10 @@ def test_concurrent_growth_is_consistent():
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=60)
+        assert not t.is_alive()
 
     assert not errors
+    assert sorted(results) == list(range(8))
     for tid, values in results.items():
-        expected = tuple(r_entry(i, 80 + tid) for i in range(81 + tid))
-        assert values == expected
+        assert values == read(serial, 80 + tid)
