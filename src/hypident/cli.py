@@ -13,10 +13,13 @@ Subcommands:
 Reports go to stdout (or --out FILE); the human summary and the FAIL
 lines go to stderr, so JSON/CSV report streams stay machine-clean.
 run_sweep alone writes a verify report: its framing and its rows, ordered
-by (j, N) and written one j cell at a time as the sweep goes. With timings
-off (the default), identical configs produce byte-identical output no
-matter the parallelism (--parallelism, default 1). A sweep that ends in an
-error or an interrupt may leave a truncated report.
+by (j, N) and written one j cell at a time as the sweep goes. With
+--parallelism K above 1 (default 1), the cells are checked and rendered
+by up to K forked worker processes that send back their rows over pipes;
+nothing is pickled and no pool module is imported. With timings off (the
+default), identical configs produce byte-identical output no matter the
+parallelism. A sweep that ends in an error or an interrupt may leave a
+truncated report, and never leaves a worker running.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ import argparse
 import contextlib
 import os
 import sys
+import threading
 import time
 from collections import namedtuple
-from typing import TextIO
+from typing import BinaryIO, Iterator, NoReturn, TextIO
 
 from . import __version__
 from .identity import (
@@ -126,13 +130,14 @@ def _sweep_cell(cell: tuple[int, int, int, str]) -> list[VerifyReport]:
     return check_range(*cell)
 
 
-def _sweep_task(
-    task: tuple[tuple[int, int, int, str], str, bool]
-) -> tuple[str, list[str]]:
+_Task = tuple[tuple[int, int, int, str], str, bool]
+
+
+def _sweep_task(task: _Task) -> tuple[str, list[str]]:
     """One j cell, checked and rendered where it runs: task is the cell,
     the format and the timings flag; the result is the cell's rows in that
-    format and the FAIL line of each failing point. So a pool worker sends
-    back text, not pickled reports."""
+    format and the FAIL line of each failing point. So a worker sends back
+    text, not reports."""
     cell, fmt, timings = task
     reports = _sweep_cell(cell)
     return _render_reports(reports, fmt, timings), [
@@ -148,10 +153,12 @@ def run_sweep(config: SweepConfig, out: TextIO) -> list[str]:
     two cells, then the tail. Return the FAIL line of every failing point,
     in (j, N) order.
 
-    The sweep keeps no cell's values after writing its rows. The pool
-    never has more workers than cells or than CPUs, whatever parallelism
-    asks for; its workers render their own cells, and the output does not
-    depend on the worker count.
+    The sweep keeps no cell's values after writing its rows. It never has
+    more workers than cells or than the CPUs this process may run on,
+    whatever parallelism asks for, and is serial where os.fork is missing
+    or while another thread runs. Its workers are forked children that
+    check and render their own cells (_forked_cells), and the output does
+    not depend on the worker count.
     """
     head, between, tail = _FRAMING[config.fmt]
     out.write(head)
@@ -159,28 +166,114 @@ def run_sweep(config: SweepConfig, out: TextIO) -> list[str]:
         ((j, config.n_min, config.n_max, config.mode), config.fmt, config.timings)
         for j in range(config.j_min, config.j_max + 1)
     ]
-    workers = min(config.parallelism, len(tasks), os.cpu_count() or 1)
-    pool = None
-    if workers > 1:
-        # Imported only here, so that every other run (a serial sweep and
-        # every other command) starts without the pool's modules.
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=workers)
+    # A fork while another thread runs could copy a lock that thread holds
+    # (a table's, say) into a worker, locked for good.
+    forkable = hasattr(os, "fork") and threading.active_count() == 1
+    workers = min(config.parallelism, len(tasks), _cpus()) if forkable else 1
     failures: list[str] = []
     separator = ""
-    try:
-        for rows, failed in (pool.map if pool else map)(_sweep_task, tasks):
+    # A generator either way, so that closing it ends a pooled sweep's
+    # workers whichever way the loop ends.
+    with contextlib.closing(
+        _forked_cells(tasks, workers) if workers > 1 else (_sweep_task(t) for t in tasks)
+    ) as cells:
+        for rows, failed in cells:
             out.write(separator)
             out.write(rows)
             separator = between
             failures += failed
-    finally:
-        if pool:
-            # A failed or interrupted sweep drops the cells not yet started.
-            pool.shutdown(cancel_futures=True)
     out.write(tail)
     return failures
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _forked_cells(tasks: list[_Task], workers: int) -> Iterator[tuple[str, list[str]]]:
+    """_sweep_task's result for each task, in order, from workers forked
+    children: worker w runs tasks[w::workers] and writes one frame per
+    task to its own pipe, so task i's frame is the next one on pipe
+    i % workers. A worker blocks while its pipe is full, so the parent
+    holds at most one frame and a worker one rendered cell. However the
+    generator ends, it closes every pipe, kills every worker (one that
+    has sent its last frame is exiting anyway) and waits on each one.
+    """
+    import signal
+
+    readers: list[BinaryIO] = []
+    pids: list[int] = []
+    try:
+        for w in range(workers):
+            read_end, write_end = os.pipe()
+            readers.append(open(read_end, "rb"))
+            with open(write_end, "wb") as pipe:
+                pid = os.fork()
+                if pid == 0:
+                    _work(tasks[w::workers], pipe, readers)
+                pids.append(pid)
+        for i, task in enumerate(tasks):
+            yield _read_frame(readers[i % workers], task[0][0])
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _work(tasks: list[_Task], pipe: BinaryIO, readers: list[BinaryIO]) -> NoReturn:
+    """A forked worker's whole life: one frame per task on pipe, then
+    os._exit, so that it never runs the parent's finally blocks or flushes
+    the parent's buffers. A frame is a header line with the byte lengths
+    of the rendered rows and of the newline-joined FAIL lines, then both.
+    An exception ends the worker with an error frame: "error <length>"
+    and the exception's type and text. Ctrl-C is left to the parent,
+    which ends the workers."""
+    import signal
+
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        for reader in readers:
+            reader.close()
+        for task in tasks:
+            try:
+                rows, failed = _sweep_task(task)
+                body = rows.encode(), "\n".join(failed).encode()
+            except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}".encode()
+                pipe.write(b"error %d\n%s" % (len(error), error))
+                break
+            pipe.write(b"%d %d\n" % tuple(map(len, body)))
+            pipe.writelines(body)
+            pipe.flush()
+        pipe.flush()
+    finally:
+        os._exit(0)
+
+
+def _read_frame(reader: BinaryIO, j: int) -> tuple[str, list[str]]:
+    """Cell j's rows and FAIL lines from the next frame on reader (see
+    _work). An error frame, or the end of the pipe before the end of the
+    frame, is a RuntimeError naming j."""
+
+    def take(size: int) -> str:
+        data = reader.read(size)
+        if len(data) != size:
+            raise RuntimeError(f"worker for j={j} died")
+        return data.decode()
+
+    first, _, second = reader.readline().partition(b" ")
+    if not second.endswith(b"\n"):
+        raise RuntimeError(f"worker for j={j} died")
+    if first == b"error":
+        raise RuntimeError(f"worker for j={j} failed: {take(int(second))}")
+    rows, failed = take(int(first)), take(int(second))
+    return rows, failed.split("\n") if failed else []
 
 
 def _micros(report: VerifyReport, timings: bool) -> int:
@@ -409,9 +502,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, RuntimeError) as exc:
-        # A failed integrality check or a dead worker (BrokenProcessPool is
-        # a RuntimeError) is a fault of the program, not a disagreement of
-        # the identity (exit 1).
+        # A failed integrality check, or a worker that failed or died (the
+        # sweep raises RuntimeError naming its j), is a fault of the
+        # program, not a disagreement of the identity (exit 1).
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

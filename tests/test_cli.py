@@ -1,14 +1,12 @@
 import argparse
-import concurrent.futures
 import contextlib
 import io
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -80,9 +78,9 @@ def test_verify_report_order_is_j_then_n(capsys):
 
 @pytest.mark.parametrize("parallelism", ["1", "2"])
 @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
-def test_verify_out_file(tmp_path, capsys, monkeypatch, fake_pool, fmt, parallelism):
+def test_verify_out_file(tmp_path, capsys, monkeypatch, forks, fmt, parallelism):
     """--out FILE holds the bytes the same sweep writes to stdout."""
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    cpus(monkeypatch, 2)
     target = tmp_path / f"report.{fmt}"
     args = ("verify", "--j", "1..3", "--n", "2..4", "--format", fmt,
             "--parallelism", parallelism)
@@ -92,7 +90,7 @@ def test_verify_out_file(tmp_path, capsys, monkeypatch, fake_pool, fmt, parallel
     assert code == 0
     assert out == ""
     assert target.read_text(encoding="utf-8") == stdout
-    assert fake_pool["started"] == ([2, 2] if parallelism == "2" else [])
+    assert len(forks) == (4 if parallelism == "2" else 0)
     reports = [r for j in range(1, 4) for r in identity.check_range(j, 2, 4)]
     assert stdout == report_document(reports, fmt, False)
 
@@ -125,16 +123,16 @@ def test_verify_non_integral_series_is_internal_error(capsys, monkeypatch):
     assert err.startswith("internal error: lhs_direct(") and err.count("\n") == 1
 
 
-def test_verify_broken_pool_is_internal_error(capsys, monkeypatch):
+def test_verify_dead_worker_is_internal_error(capsys, monkeypatch):
     def broken(config, out):
-        raise BrokenProcessPool("a worker process died")
+        raise RuntimeError("worker for j=3 died")
 
     monkeypatch.setattr(cli, "run_sweep", broken)
     code, out, err = run_cli(capsys, "verify", "--j", "1..4", "--n", "1..10",
                              "--parallelism", "2")
     assert code == 3
     assert out == ""
-    assert err == "internal error: a worker process died\n"
+    assert err == "internal error: worker for j=3 died\n"
 
 
 def test_verify_deterministic_across_parallelism(capsys):
@@ -366,25 +364,33 @@ def test_cells_with_framing_give_the_whole_document(cells, fmt, timings):
 
 @pytest.mark.parametrize("parallelism", [1, 2])
 @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
-def test_verify_writes_each_cell_before_the_next(monkeypatch, capsys, fake_pool, fmt,
+def test_verify_writes_each_cell_before_the_next(monkeypatch, capsys, forks, fmt,
                                                  parallelism):
     """Each j cell's rows reach the report stream before the next cell is
-    checked, and the stream ends as the report rendered in one piece."""
+    checked (serial) or its frame is read from a worker (pooled), and the
+    stream ends as the report rendered in one piece."""
     out = io.StringIO()
     monkeypatch.setattr(cli, "_open_out", lambda path: contextlib.nullcontext(out))
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    cpus(monkeypatch, 2)
     written = []
-    right = cli._sweep_cell
+    right_cell, right_frame = cli._sweep_cell, cli._read_frame
 
     def cell(c):
         written.append((c[0], out.getvalue()))
-        return right(c)
+        return right_cell(c)
 
+    def frame(reader, j):
+        written.append((j, out.getvalue()))
+        return right_frame(reader, j)
+
+    # A worker's cells run in its own process, so the pooled sweep is seen
+    # where the parent reads each frame.
     monkeypatch.setattr(cli, "_sweep_cell", cell)
+    monkeypatch.setattr(cli, "_read_frame", frame)
     code, _, _ = run_cli(capsys, "verify", "--j", "2..5", "--n", "1..3", "--format", fmt,
                          "--parallelism", str(parallelism))
     assert code == 0
-    assert fake_pool["started"] == ([2] if parallelism > 1 else [])
+    assert len(forks) == (2 if parallelism > 1 else 0)
     reports = [r for j in range(2, 6) for r in identity.check_range(j, 1, 3)]
     assert out.getvalue() == report_document(reports, fmt, False)
     # one per row, and one more for the CSV header
@@ -396,43 +402,39 @@ def test_verify_writes_each_cell_before_the_next(monkeypatch, capsys, fake_pool,
     assert [j for j, _ in written] == [2, 3, 4, 5]
 
 
-@pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
-                    reason="pool workers see a monkeypatch only when they are forked")
+@pytest.mark.parametrize("j_min, j_max, n_span, k", [
+    (1, 4, "3..7", 2),
+    (0, 6, "3..9", 3),  # seven cells on three workers: three, two and two each
+])
 @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
-def test_real_pool_reports_a_rigged_route_as_serial(monkeypatch, capsys, fmt):
-    """With a route rigged before the pool forks, pool workers that check
-    and render their own cells give the serial sweep's report, FAIL lines
-    and exit code."""
+def test_real_pool_reports_a_rigged_route_as_serial(monkeypatch, capsys, forks, fmt,
+                                                    j_min, j_max, n_span, k):
+    """With a route rigged before the workers fork, workers that check and
+    render their own cells give the serial sweep's report, FAIL lines and
+    exit code."""
     right = identity.rhs_direct_run
 
     def rigged(j, n_min, n_max):
         return [v + (N == 5 and j % 2) for N, v in
                 zip(range(n_min, n_max + 1), right(j, n_min, n_max))]
 
-    started = []
-
-    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers)
-
     monkeypatch.setattr(identity, "rhs_direct_run", rigged)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    cpus(monkeypatch, k)
     serial, pooled = (
-        run_cli(capsys, "verify", "--j", "1..4", "--n", "3..7", "--mode", "cross",
-                "--format", fmt, "--parallelism", k)
-        for k in ("1", "2")
+        run_cli(capsys, "verify", "--j", f"{j_min}..{j_max}", "--n", n_span,
+                "--mode", "cross", "--format", fmt, "--parallelism", str(parallelism))
+        for parallelism in (1, k)
     )
-    assert started == [2]
+    assert len(forks) == k
+    odd = [j for j in range(j_min, j_max + 1) if j % 2]
     assert serial[0] == pooled[0] == 1
     assert serial[1] == pooled[1]
-    assert serial[1].count("false") == 2
+    assert serial[1].count("false") == len(odd)
     fails = [[line for line in err.splitlines() if line.startswith("FAIL")]
              for _, _, err in (serial, pooled)]
     assert fails[0] == fails[1] == [
         f"FAIL j={j} N=5 lhs={v} rhs={v + 1}"
-        for j in (1, 3) for v in [identity.lhs_direct_run(j, 5, 5)[0]]
+        for j in odd for v in [identity.lhs_direct_run(j, 5, 5)[0]]
     ]
 
 
@@ -494,55 +496,129 @@ def test_sweep_config_rejects_a_bool_or_non_int_field(monkeypatch, field, value)
     assert out.getvalue() == ""
 
 
+def cpus(monkeypatch, count):
+    """Let a sweep see count CPUs, whichever way it counts them."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: count)
+
+
 @pytest.fixture
-def fake_pool(monkeypatch):
-    """Replace the process pool by one that runs cells in this process and
-    records the worker count of every pool and the cancel flag of every
-    shutdown."""
-    log = {"started": [], "shutdowns": []}
+def forks(monkeypatch):
+    """The pid of every worker a sweep forks during the test. Afterwards,
+    the test process must have no child left: every worker was reaped."""
+    started = []
+    fork = os.fork
 
-    class FakePool:
-        def __init__(self, max_workers):
-            log["started"].append(max_workers)
+    def counted():
+        pid = fork()
+        if pid:
+            started.append(pid)
+        return pid
 
-        def map(self, fn, cells):
-            return map(fn, cells)
-
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            log["shutdowns"].append(cancel_futures)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    return log
+    monkeypatch.setattr(cli.os, "fork", counted)
+    yield started
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-def test_pool_is_capped_at_cpu_count(monkeypatch, fake_pool):
-    started = fake_pool["started"]
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+def test_pool_is_capped_at_cpu_count(monkeypatch, forks):
+    cpus(monkeypatch, 3)
     config = cli.SweepConfig(1, 8, 1, 4, parallelism=5000)
     pooled = swept(config)
-    assert started == [3]
+    assert len(forks) == 3
     serial = swept(cli.SweepConfig(1, 8, 1, 4))
     assert pooled[0] == serial[0]
     assert pooled[1] == serial[1]
-    assert started == [3]
+    assert len(forks) == 3
+    # without an affinity set, os.cpu_count() is the count, and None is 1
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    cli.run_sweep(config, io.StringIO())
-    assert started == [3]
+    assert swept(config) == serial
+    assert len(forks) == 3
 
 
-def test_interrupted_sweep_cancels_pending_cells(monkeypatch, fake_pool):
+def test_pool_is_capped_at_the_affinity_set(monkeypatch, forks):
+    """A process allowed on one CPU of two runs its sweep serially."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     config = cli.SweepConfig(1, 4, 1, 3, parallelism=2)
-    cli.run_sweep(config, io.StringIO())
-    assert fake_pool["shutdowns"] == [True]
+    assert swept(config) == swept(config._replace(parallelism=1))
+    assert forks == []
 
-    def interrupted(cell):
-        raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "_sweep_cell", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        cli.run_sweep(config, io.StringIO())
-    assert fake_pool["shutdowns"] == [True, True]
+def test_a_sweep_without_fork_or_beside_a_thread_is_serial(monkeypatch, forks):
+    cpus(monkeypatch, 2)
+    config = cli.SweepConfig(1, 4, 1, 3, parallelism=2)
+    serial = swept(config._replace(parallelism=1))
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait, args=(60,))
+    waiting.start()
+    try:
+        assert swept(config) == serial
+    finally:
+        release.set()
+        waiting.join(60)
+    assert not waiting.is_alive()
+    assert forks == []
+    monkeypatch.delattr(cli.os, "fork")
+    assert swept(config) == serial
+
+
+def raise_arithmetic_error():
+    raise ArithmeticError("rigged")
+
+
+@pytest.mark.parametrize("rig, error", [
+    (raise_arithmetic_error, "worker for j=3 failed: ArithmeticError: rigged"),
+    (lambda: os._exit(9), "worker for j=3 died"),
+])
+def test_a_failed_or_dead_worker_is_internal_error(monkeypatch, capsys, forks, rig, error):
+    """A worker whose cell raises, or that exits mid-cell, ends the sweep
+    with exit 3 and one line naming the cell's j. The other worker, still
+    busy with a later cell, is killed, and every worker is reaped (the
+    forks fixture)."""
+    right = cli._sweep_cell
+
+    def cell(c):
+        if c[0] == 3:
+            rig()
+        if c[0] == 4:
+            time.sleep(60)
+        return right(c)
+
+    monkeypatch.setattr(cli, "_sweep_cell", cell)
+    cpus(monkeypatch, 2)
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "verify", "--j", "1..6", "--n", "1..4", "--mode", "cross",
+                           "--parallelism", "2")
+    assert time.perf_counter() - start < 30
+    assert len(forks) == 2
+    assert code == 3
+    assert err == f"internal error: {error}\n"
+
+
+@pytest.mark.parametrize("exc", [BrokenPipeError, KeyboardInterrupt])
+def test_interrupted_sweep_cancels_pending_cells(monkeypatch, forks, exc):
+    """A report stream that fails, or an interrupt, after the first cell
+    is written ends the sweep with that exception. The workers, busy with
+    later cells, are killed, and every worker is reaped (the forks
+    fixture)."""
+    cpus(monkeypatch, 2)
+    right = cli._sweep_cell
+    monkeypatch.setattr(cli, "_sweep_cell", lambda c: time.sleep(60) if c[0] > 2 else right(c))
+
+    class Failing(io.StringIO):
+        def write(self, text):
+            if "N=" in self.getvalue():
+                raise exc
+            return super().write(text)
+
+    start = time.perf_counter()
+    with pytest.raises(exc):
+        cli.run_sweep(cli.SweepConfig(1, 6, 1, 4, "cross", 2), Failing())
+    assert time.perf_counter() - start < 30
+    assert len(forks) == 2
 
 
 def test_interrupt_exits_130(capsys, monkeypatch):
@@ -941,12 +1017,13 @@ def test_import_hypident_imports_no_dataclasses():
     assert pool_or_dataclasses(modules) == []
 
 
-def test_only_a_pooled_sweep_imports_the_pool():
+def test_a_pooled_sweep_imports_no_pool():
+    """Pooled or not, a sweep imports neither concurrent.futures nor
+    multiprocessing; only its forked workers import signal."""
     modules = imported_modules("-m", "hypident", "verify", "--j", "1..2", "--n", "1..3",
                                "--parallelism", "2")
-    pooled = (os.cpu_count() or 1) > 1
-    assert ("concurrent.futures.process" in modules) == pooled
-    assert "dataclasses" not in modules
+    assert ("signal" in modules) == (cli._cpus() > 1 and hasattr(os, "fork"))
+    assert pool_or_dataclasses(modules) == []
 
 
 def test_parallelism_comes_only_from_the_flag():
