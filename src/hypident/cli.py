@@ -16,7 +16,8 @@ run_sweep alone writes a verify report: its framing and its rows, ordered
 by (j, N) and written one j cell at a time as the sweep goes. With
 --parallelism K above 1 (default 1), the cells are checked and rendered
 by up to K forked worker processes that send back their rows over pipes;
-nothing is pickled and no pool module is imported. With timings off (the
+nothing is pickled and no pool module is imported. _sweep_task times
+each cell, and --timings shows that time in the rows; without it (the
 default), identical configs produce byte-identical output no matter the
 parallelism. A sweep that ends in an error or an interrupt may leave a
 truncated report, and never leaves a worker running.
@@ -91,9 +92,9 @@ class SweepConfig(
     namedtuple("SweepConfig", "j_min j_max n_min n_max mode parallelism fmt timings")
 ):
     """A verification sweep: inclusive j/N ranges, mode, worker count, and
-    the report format and timings flag its cells are rendered with. All
-    but timings are checked here, so a bad config fails before a sweep
-    writes anything."""
+    the report format and timings flag its cells are rendered with. Every
+    field is checked here, so a bad config fails before a sweep writes
+    anything."""
 
     __slots__ = ()
 
@@ -121,6 +122,8 @@ class SweepConfig(
         _check_mode(mode)
         if fmt not in _FRAMING:
             raise ValueError(f"unknown format {fmt!r}; expected plain, json or csv")
+        if not isinstance(timings, bool):
+            raise ValueError(f"'timings' must be a bool, got {timings!r}")
         return super().__new__(
             cls, j_min, j_max, n_min, n_max, mode, parallelism, fmt, timings
         )
@@ -130,17 +133,15 @@ def _sweep_cell(cell: tuple[int, int, int, str]) -> list[VerifyReport]:
     return check_range(*cell)
 
 
-_Task = tuple[tuple[int, int, int, str], str, bool]
-
-
-def _sweep_task(task: _Task) -> tuple[str, list[str]]:
-    """One j cell, checked and rendered where it runs: task is the cell,
-    the format and the timings flag; the result is the cell's rows in that
-    format and the FAIL line of each failing point. So a worker sends back
-    text, not reports."""
-    cell, fmt, timings = task
-    reports = _sweep_cell(cell)
-    return _render_reports(reports, fmt, timings), [
+def _sweep_task(config: SweepConfig, j: int) -> tuple[str, list[str]]:
+    """Cell j of config, checked, timed and rendered where it runs: the
+    cell's rows in config.fmt and the FAIL line of each failing point. So
+    a worker sends back text, not reports. With timings, each row's micros
+    is its equal share of the time the cell took to check, else 0."""
+    start = time.perf_counter()
+    reports = _sweep_cell((j, config.n_min, config.n_max, config.mode))
+    micros = int((time.perf_counter() - start) * 1e6 / len(reports)) if config.timings else 0
+    return _render_reports(reports, config.fmt, micros), [
         f"FAIL j={r.point.j} N={r.point.N} lhs={r.lhs} rhs={r.rhs}"
         for r in reports if not r.equal
     ]
@@ -162,20 +163,17 @@ def run_sweep(config: SweepConfig, out: TextIO) -> list[str]:
     """
     head, between, tail = _FRAMING[config.fmt]
     out.write(head)
-    tasks = [
-        ((j, config.n_min, config.n_max, config.mode), config.fmt, config.timings)
-        for j in range(config.j_min, config.j_max + 1)
-    ]
+    js = range(config.j_min, config.j_max + 1)
     # A fork while another thread runs could copy a lock that thread holds
     # (a table's, say) into a worker, locked for good.
     forkable = hasattr(os, "fork") and threading.active_count() == 1
-    workers = min(config.parallelism, len(tasks), _cpus()) if forkable else 1
+    workers = min(config.parallelism, len(js), _cpus()) if forkable else 1
     failures: list[str] = []
     separator = ""
     # A generator either way, so that closing it ends a pooled sweep's
     # workers whichever way the loop ends.
     with contextlib.closing(
-        _forked_cells(tasks, workers) if workers > 1 else (_sweep_task(t) for t in tasks)
+        _forked_cells(config, workers) if workers > 1 else (_sweep_task(config, j) for j in js)
     ) as cells:
         for rows, failed in cells:
             out.write(separator)
@@ -193,10 +191,10 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _forked_cells(tasks: list[_Task], workers: int) -> Iterator[tuple[str, list[str]]]:
-    """_sweep_task's result for each task, in order, from workers forked
-    children: worker w runs tasks[w::workers] and writes one frame per
-    task to its own pipe, so task i's frame is the next one on pipe
+def _forked_cells(config: SweepConfig, workers: int) -> Iterator[tuple[str, list[str]]]:
+    """_sweep_task's result for each j of config, in order, from workers
+    forked children: worker w runs js[w::workers] and writes one frame per
+    cell to its own pipe, so the i-th cell's frame is the next one on pipe
     i % workers. A worker blocks while its pipe is full, so the parent
     holds at most one frame and a worker one rendered cell. However the
     generator ends, it closes every pipe, kills every worker (one that
@@ -204,6 +202,7 @@ def _forked_cells(tasks: list[_Task], workers: int) -> Iterator[tuple[str, list[
     """
     import signal
 
+    js = range(config.j_min, config.j_max + 1)
     readers: list[BinaryIO] = []
     pids: list[int] = []
     try:
@@ -213,10 +212,10 @@ def _forked_cells(tasks: list[_Task], workers: int) -> Iterator[tuple[str, list[
             with open(write_end, "wb") as pipe:
                 pid = os.fork()
                 if pid == 0:
-                    _work(tasks[w::workers], pipe, readers)
+                    _work(config, js[w::workers], pipe, readers)
                 pids.append(pid)
-        for i, task in enumerate(tasks):
-            yield _read_frame(readers[i % workers], task[0][0])
+        for i, j in enumerate(js):
+            yield _read_frame(readers[i % workers], j)
     finally:
         for reader in readers:
             reader.close()
@@ -226,8 +225,8 @@ def _forked_cells(tasks: list[_Task], workers: int) -> Iterator[tuple[str, list[
             os.waitpid(pid, 0)
 
 
-def _work(tasks: list[_Task], pipe: BinaryIO, readers: list[BinaryIO]) -> NoReturn:
-    """A forked worker's whole life: one frame per task on pipe, then
+def _work(config: SweepConfig, js: range, pipe: BinaryIO, readers: list[BinaryIO]) -> NoReturn:
+    """A forked worker's whole life: one frame per j in js on pipe, then
     os._exit, so that it never runs the parent's finally blocks or flushes
     the parent's buffers. A frame is a header line with the byte lengths
     of the rendered rows and of the newline-joined FAIL lines, then both.
@@ -240,9 +239,9 @@ def _work(tasks: list[_Task], pipe: BinaryIO, readers: list[BinaryIO]) -> NoRetu
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         for reader in readers:
             reader.close()
-        for task in tasks:
+        for j in js:
             try:
-                rows, failed = _sweep_task(task)
+                rows, failed = _sweep_task(config, j)
                 body = rows.encode(), "\n".join(failed).encode()
             except Exception as exc:
                 error = f"{type(exc).__name__}: {exc}".encode()
@@ -276,10 +275,6 @@ def _read_frame(reader: BinaryIO, j: int) -> tuple[str, list[str]]:
     return rows, failed.split("\n") if failed else []
 
 
-def _micros(report: VerifyReport, timings: bool) -> int:
-    return int(report.elapsed * 1_000_000) if timings else 0
-
-
 def _decimals(report: VerifyReport) -> tuple[str, str]:
     """lhs and rhs in decimal; rhs reuses lhs's string only when the two
     ints are equal, whatever the report's verdict says."""
@@ -299,8 +294,8 @@ _FRAMING = {
 }
 
 
-def _render_reports(reports: list[VerifyReport], fmt: str, timings: bool) -> str:
-    """One cell's rows in fmt, without the report's framing (_FRAMING).
+def _render_reports(reports: list[VerifyReport], fmt: str, micros: int) -> str:
+    """One cell's rows in fmt, each with micros, without the report's framing (_FRAMING).
 
     JSON rows are written from a template instead of by json.dumps, whose
     indented output runs CPython's pure-Python encoder; every field is an
@@ -313,13 +308,13 @@ def _render_reports(reports: list[VerifyReport], fmt: str, timings: bool) -> str
             f'  {{\n    "N": {r.point.N},\n    "j": {r.point.j},\n'
             f'    "lhs": "{lhs}",\n    "rhs": "{rhs}",\n'
             f'    "equal": {"true" if r.equal else "false"},\n'
-            f'    "micros": {_micros(r, timings)}\n  }}'
+            f'    "micros": {micros}\n  }}'
             for r, lhs, rhs in decimals
         )
     if fmt == "csv":
         return "".join(
             f"{r.point.N},{r.point.j},{lhs},{rhs},"
-            f"{'true' if r.equal else 'false'},{_micros(r, timings)}\n"
+            f"{'true' if r.equal else 'false'},{micros}\n"
             for r, lhs, rhs in decimals
         )
     return "".join(

@@ -42,7 +42,6 @@ N = 2g-1+l.
 from __future__ import annotations
 
 import json
-import time
 from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
@@ -97,13 +96,12 @@ class IdentityPoint(namedtuple("IdentityPoint", "N j")):
 
 
 class VerifyReport(NamedTuple):
-    """Outcome of one identity check: both side values, verdict, timing."""
+    """Outcome of one identity check: both side values and the verdict."""
 
     point: IdentityPoint
     lhs: int
     rhs: int
     equal: bool
-    elapsed: float  # seconds
 
 
 def rhs_direct_run(j: int, n_min: int, n_max: int) -> list[int]:
@@ -211,15 +209,14 @@ def check_range(
     "cross" all four. Equal rows are one polynomial, so they agree at every
     N >= 1 and are evaluated once. A report's lhs is the first route's
     value and its rhs the last's; equal means every route agrees at that
-    N, and is reported, never raised. Each report's elapsed is its equal
-    share of the run's time. j is checked first, the same way in every
-    mode, then the types of n_min and n_max as ``IdentityPoint`` checks N,
-    so an empty run of N (n_min > n_max) still rejects a bad j or a
-    non-int bound, and otherwise returns [].
+    N, and is reported, never raised. Nothing is timed, so repeated checks
+    give equal reports. j is checked first, the same way in every mode,
+    then the types of n_min and n_max as ``IdentityPoint`` checks N, so an
+    empty run of N (n_min > n_max) still rejects a bad j or a non-int
+    bound, and otherwise returns [].
     """
     _check_mode(mode)
     _check_run(j, n_min, n_max)
-    start = time.perf_counter()
     points = [IdentityPoint(N, j) for N in range(n_min, n_max + 1)]
     routes = []
     if mode != "fast":
@@ -228,9 +225,8 @@ def check_range(
         routes += _fast_values(j, n_min, n_max, l_poly, r_poly)
     if mode != "fast":
         routes.append(rhs_direct_run(j, n_min, n_max))
-    share = (time.perf_counter() - start) / max(len(points), 1)
     return [
-        VerifyReport(point, values[0], values[-1], values.count(values[0]) == len(values), share)
+        VerifyReport(point, values[0], values[-1], values.count(values[0]) == len(values))
         for point, values in zip(points, zip(*routes))
     ]
 
@@ -286,8 +282,8 @@ class MapCountSpec(namedtuple("MapCountSpec", "nu g j a")):
 
     nu, g and j must be ints; each weight an int, a Fraction or a rational
     string such as "-3/4", stored as a Fraction. Bools and floats are
-    rejected, so no inexact value reaches the count, and so is a string in
-    exponent notation, which could expand to any number of digits. Every
+    rejected, so no inexact value reaches the count, and so are strings with
+    "_" (Python 3.11+ only) or in exponent notation (any number of digits). Every
     fault is a ValueError naming the offending field or weight.
     """
 
@@ -305,6 +301,8 @@ class MapCountSpec(namedtuple("MapCountSpec", "nu g j a")):
                 )
             if isinstance(entry, str) and ("e" in entry or "E" in entry):
                 raise ValueError(f"a[{idx}]: exponent notation is not accepted; use p/q")
+            if isinstance(entry, str) and "_" in entry:
+                raise ValueError(f"a[{idx}]: digit separators are not accepted")
             try:
                 weights.append(Fraction(entry))
             except (ValueError, ZeroDivisionError) as exc:
@@ -370,7 +368,7 @@ def mapcount_spec_from_file(path: str, j: int) -> MapCountSpec:
         raise ValueError(f"{path}: size is above the bound of {MAX_COEFF_FILE_BYTES} bytes")
     try:
         raw = json.loads(data.decode("utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None

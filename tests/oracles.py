@@ -145,26 +145,23 @@ def l_entry_by_binomial_sum(i: int, j: int) -> int:
     return factorial(j) // factorial(i) * inner
 
 
-def report_document(reports, fmt: str, timings: bool) -> str:
-    """A verify report in one piece: the JSON list that
-    ``json.dumps(rows, indent=2)`` prints, or a CSV header and one line per
-    report, or one plain line per report."""
-    def micros(r):
-        return int(r.elapsed * 1_000_000) if timings else 0
-
+def report_document(reports, fmt: str, micros: int = 0) -> str:
+    """A verify report in one piece, every row with the given micros: the
+    JSON list that ``json.dumps(rows, indent=2)`` prints, or a CSV header
+    and one line per report, or one plain line per report."""
     def verdict(r):
         return "true" if r.equal else "false"
 
     if fmt == "json":
         rows = [
             {"N": r.point.N, "j": r.point.j, "lhs": str(r.lhs), "rhs": str(r.rhs),
-             "equal": r.equal, "micros": micros(r)}
+             "equal": r.equal, "micros": micros}
             for r in reports
         ]
         return json.dumps(rows, indent=2) + "\n"
     if fmt == "csv":
         lines = ["N,j,lhs,rhs,equal,micros"] + [
-            f"{r.point.N},{r.point.j},{r.lhs},{r.rhs},{verdict(r)},{micros(r)}"
+            f"{r.point.N},{r.point.j},{r.lhs},{r.rhs},{verdict(r)},{micros}"
             for r in reports
         ]
     else:

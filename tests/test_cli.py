@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -92,7 +93,7 @@ def test_verify_out_file(tmp_path, capsys, monkeypatch, forks, fmt, parallelism)
     assert target.read_text(encoding="utf-8") == stdout
     assert len(forks) == (4 if parallelism == "2" else 0)
     reports = [r for j in range(1, 4) for r in identity.check_range(j, 2, 4)]
-    assert stdout == report_document(reports, fmt, False)
+    assert stdout == report_document(reports, fmt)
 
 
 def test_verify_unwritable_out_fails_before_sweep(tmp_path, capsys, monkeypatch):
@@ -162,7 +163,7 @@ def test_verify_failing_point_exits_1(capsys, monkeypatch):
 
     def rigged(j, n_min, n_max, mode="fast"):
         return [
-            VerifyReport(IdentityPoint(N, j), 1 if N == 2 else 6, 6, N != 2, 0.0)
+            VerifyReport(IdentityPoint(N, j), 1 if N == 2 else 6, 6, N != 2)
             for N in range(n_min, n_max + 1)
         ]
 
@@ -202,7 +203,7 @@ def test_fast_sweep_matches_check_identity(j_min, j_max, n_min, n_max):
         for j in range(j_min, j_max + 1)
         for N in range(n_min, n_max + 1)
     ]
-    assert rows == cli._render_reports(expected, "plain", False)
+    assert rows == cli._render_reports(expected, "plain", 0)
     assert failed == []
     assert all(r.equal for r in expected)
 
@@ -228,12 +229,11 @@ def test_fast_sweep_catches_one_wrong_coefficient(capsys, monkeypatch, row, inde
                 poly_eval(identity.l_poly(3), N) << N,
                 poly_eval(identity.r_poly(3), N) << N,
                 index == -1 and N < 3,
-                0.0,
             )
             for N in range(n_min, n_max + 1)
         ]
         rows, failed = swept(cli.SweepConfig(3, 3, n_min, n_max))
-        assert rows == cli._render_reports(expected, "plain", False)
+        assert rows == cli._render_reports(expected, "plain", 0)
         assert failed == fail_lines(expected)
     code, out, err = run_cli(capsys, "verify", "--j", "2..3", "--n", "3..12")
     assert code == 1
@@ -260,7 +260,7 @@ def test_render_writes_both_values_whatever_the_verdict(capsys, monkeypatch):
 
     def rigged(j, n_min, n_max, mode="fast"):
         return [
-            VerifyReport(IdentityPoint(N, j), *pairs[N], True, 0.0)
+            VerifyReport(IdentityPoint(N, j), *pairs[N], True)
             for N in range(n_min, n_max + 1)
         ]
 
@@ -296,20 +296,20 @@ def verify_reports(draw):
         lhs,
         draw(st.one_of(st.just(lhs), exact_values)),
         draw(st.booleans()),
-        draw(st.floats(0, 10)),
     )
 
 
-@given(st.lists(verify_reports(), max_size=4), st.sampled_from(["json", "csv"]), st.booleans())
-def test_render_round_trips(reports, fmt, timings):
+@given(st.lists(verify_reports(), max_size=4), st.sampled_from(["json", "csv"]),
+       st.integers(0, 10**9))
+def test_render_round_trips(reports, fmt, micros):
     """JSON and CSV reports parse back to the same N, j, lhs, rhs and
-    verdict, whatever the verdict says, with micros 0 unless timings is on."""
+    verdict, whatever the verdict says, with the given micros on every row."""
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
         head, _, tail = cli._FRAMING[fmt]
-        out = head + cli._render_reports(reports, fmt, timings) + tail
+        out = head + cli._render_reports(reports, fmt, micros) + tail
         if fmt == "json":
             got = [
                 (row["N"], row["j"], int(row["lhs"]), int(row["rhs"]), row["equal"], row["micros"])
@@ -320,14 +320,10 @@ def test_render_round_trips(reports, fmt, timings):
             assert header == "N,j,lhs,rhs,equal,micros"
             got = []
             for line in lines:
-                N, j, lhs, rhs, equal, micros = line.split(",")
+                N, j, lhs, rhs, equal, row_micros = line.split(",")
                 verdict = {"true": True, "false": False}[equal]
-                got.append((int(N), int(j), int(lhs), int(rhs), verdict, int(micros)))
-        assert got == [
-            (r.point.N, r.point.j, r.lhs, r.rhs, r.equal,
-             int(r.elapsed * 1_000_000) if timings else 0)
-            for r in reports
-        ]
+                got.append((int(N), int(j), int(lhs), int(rhs), verdict, int(row_micros)))
+        assert got == [(r.point.N, r.point.j, r.lhs, r.rhs, r.equal, micros) for r in reports]
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
@@ -343,8 +339,8 @@ def report_cells(draw):
     return [reports[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-@given(report_cells(), st.sampled_from(["json", "csv", "plain"]), st.booleans())
-def test_cells_with_framing_give_the_whole_document(cells, fmt, timings):
+@given(report_cells(), st.sampled_from(["json", "csv", "plain"]), st.integers(0, 10**9))
+def test_cells_with_framing_give_the_whole_document(cells, fmt, micros):
     """The framing around the cells that _render_reports writes, whatever
     the cell boundaries, gives the bytes of the report rendered in one
     piece (JSON by json.dumps(rows, indent=2))."""
@@ -354,9 +350,9 @@ def test_cells_with_framing_give_the_whole_document(cells, fmt, timings):
     try:
         head, between, tail = cli._FRAMING[fmt]
         streamed = head + between.join(
-            cli._render_reports(cell, fmt, timings) for cell in cells) + tail
+            cli._render_reports(cell, fmt, micros) for cell in cells) + tail
         assert streamed == report_document(
-            [r for cell in cells for r in cell], fmt, timings)
+            [r for cell in cells for r in cell], fmt, micros)
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
@@ -392,7 +388,7 @@ def test_verify_writes_each_cell_before_the_next(monkeypatch, capsys, forks, fmt
     assert code == 0
     assert len(forks) == (2 if parallelism > 1 else 0)
     reports = [r for j in range(2, 6) for r in identity.check_range(j, 1, 3)]
-    assert out.getvalue() == report_document(reports, fmt, False)
+    assert out.getvalue() == report_document(reports, fmt)
     # one per row, and one more for the CSV header
     marker = {"json": '"N": ', "csv": "\n", "plain": " N="}[fmt]
     for j, text in written:
@@ -448,6 +444,31 @@ def test_verify_timings_flag(capsys):
     assert report["micros"] >= 1
 
 
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_timings_are_one_share_per_cell(monkeypatch, capsys, forks, fmt, parallelism):
+    """With --timings, every row of a j cell has the same micros, at least
+    one is positive, and zeroing them gives the untimed report's bytes."""
+    cpus(monkeypatch, 2)
+    argv = ("verify", "--j", "20..24", "--n", "1..30", "--mode", "cross", "--format", fmt,
+            "--parallelism", str(parallelism))
+    code, timed, _ = run_cli(capsys, *argv, "--timings")
+    assert code == 0
+    if fmt == "json":
+        rows = [(row["j"], row["micros"]) for row in json.loads(timed)]
+    else:
+        rows = [(int(fields[1]), int(fields[5]))
+                for fields in (line.split(",") for line in timed.splitlines()[1:])]
+    shares = {}
+    for j, micros in rows:
+        assert shares.setdefault(j, micros) == micros
+    assert sorted(shares) == list(range(20, 25))
+    assert max(shares.values()) > 0
+    assert len(forks) == (2 if parallelism > 1 else 0)
+    pattern, zero = (r'"micros": \d+', '"micros": 0') if fmt == "json" else (r",\d+$", ",0")
+    assert re.sub(pattern, zero, timed, flags=re.M) == run_cli(capsys, *argv)[1]
+
+
 def test_parallelism_flag(capsys, monkeypatch):
     """--parallelism sets the worker count, 1 by default; a count below 1
     is a usage error with one error line, and a value that is not an
@@ -493,6 +514,17 @@ def test_sweep_config_rejects_a_bool_or_non_int_field(monkeypatch, field, value)
     out = io.StringIO()
     with pytest.raises(ValueError, match=f"^'{field}' must be an integer, got {value!r}$"):
         cli.run_sweep(cli.SweepConfig(**{**fields, field: value}, fmt="json"), out)
+    assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize("value", ["no", 1, None])
+def test_sweep_config_rejects_a_non_bool_timings(monkeypatch, value):
+    """timings must be a bool, or the config fails naming the field: a
+    string such as "no" would otherwise turn timings on."""
+    monkeypatch.setattr(cli, "_sweep_cell", lambda cell: pytest.fail("swept"))
+    out = io.StringIO()
+    with pytest.raises(ValueError, match=f"^'timings' must be a bool, got {value!r}$"):
+        cli.run_sweep(cli.SweepConfig(1, 1, 1, 1, timings=value), out)
     assert out.getvalue() == ""
 
 
@@ -716,7 +748,7 @@ def test_j_above_bound_is_usage_error(capsys, monkeypatch, argv, target, error):
     assert cli.MAX_J == 300
     started = []
     result = {
-        "check_identity": VerifyReport(IdentityPoint(5, 1), 0, 0, True, 0.0),
+        "check_identity": VerifyReport(IdentityPoint(5, 1), 0, 0, True),
         "run_sweep": [],
         "mapcount_spec_from_file": MapCountSpec(2, 1, 1, (1, 0, 0)),
     }.get(target, "")
@@ -941,6 +973,23 @@ def test_mapcount_exponent_weight_fails_fast(tmp_path, capsys):
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err.startswith("error: a[0]: exponent notation") and err.count("\n") == 1
+
+
+def test_mapcount_weight_with_digit_separators(tmp_path, capsys):
+    path = write_coeffs(tmp_path, '{"nu": 2, "g": 1, "a": ["1", "0", "1_000"]}')
+    code, out, err = run_cli(capsys, "mapcount", path, "--j", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: a[2]: digit separators are not accepted\n"
+
+
+def test_mapcount_file_not_utf8(tmp_path, capsys):
+    """A file that is not UTF-8 is a usage error naming the file, as a
+    file that is not JSON is."""
+    path = tmp_path / "coeffs.json"
+    path.write_bytes(b'\xff\xfe{"nu": 2, "g": 1, "a": ["1", "0", "0"]}')
+    code, out, err = run_cli(capsys, "mapcount", str(path), "--j", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: not valid JSON (") and err.count("\n") == 1
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")

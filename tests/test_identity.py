@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -184,7 +185,22 @@ def test_binomial_falling_sum_domain():
 def test_check_identity_direct():
     report = check_identity(IdentityPoint(1, 1), "direct")
     assert report.equal and report.lhs == report.rhs == 6
-    assert report.elapsed >= 0.0
+    assert report == (IdentityPoint(1, 1), 6, 6, True)
+
+
+@pytest.mark.parametrize("mode", ["direct", "fast", "cross"])
+def test_repeated_checks_give_equal_reports(mode):
+    """A report holds no clock reading: checking a point or a run again
+    gives equal reports, and so does a pickle round trip."""
+    assert VerifyReport._fields == ("point", "lhs", "rhs", "equal")
+    point = IdentityPoint(9, 4)
+    first, again = (check_identity(point, mode) for _ in range(2))
+    assert first == again and hash(first) == hash(again)
+    assert pickle.loads(pickle.dumps(first)) == first
+    run = check_range(4, 1, 12, mode)
+    assert run == check_range(4, 1, 12, mode)
+    assert pickle.loads(pickle.dumps(run)) == run
+    assert run[8] == first
 
 
 def test_check_identity_cross():
@@ -401,6 +417,14 @@ def test_spec_rejects_exponent_notation(weight):
     into as many digits as its exponent asks for."""
     with pytest.raises(ValueError, match=r"^a\[1\]: exponent notation"):
         MapCountSpec(2, 1, 1, ("1", weight, "0"))
+
+
+@pytest.mark.parametrize("weight", ["1_000", "1_0/3", "0.2_5"])
+def test_spec_rejects_digit_separators(weight):
+    """Fraction reads "1_000" from Python 3.11 on and rejects it before, so
+    a weight with "_" is refused on every version."""
+    with pytest.raises(ValueError, match=r"^a\[2\]: digit separators are not accepted$"):
+        MapCountSpec(2, 1, 1, ("1", "0", weight))
 
 
 # -- coefficient files --------------------------------------------------------
