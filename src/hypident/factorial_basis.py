@@ -9,12 +9,11 @@ are converted on entry:
     x^k       = sum_i S(k, i) * (x)_i           (Stirling, second kind)
     x^(k)     = sum_i C(k-1, i-1) * k!/i! * (x)_i   (Lah coefficients)
 
-Stirling numbers are produced by the triangular recurrence
-S(k+1, i) = i*S(k, i) + S(k, i-1) in ``_RecurrenceTable``, the one lazy
-table class (whose other subclass is ``triangles.Triangle``), and
-``monomial_to_falling(k)`` is row k of that table as it stands. A Lah row
-is built by exact ratios of consecutive coefficients. Closed forms are
-reserved for the test oracles.
+Both coefficient rows come from ``_RecurrenceTable``, the one lazy table
+class: ``monomial_to_falling(k)`` is row k of ``_STIRLING``, grown by
+S(k+1, i) = i*S(k, i) + S(k, i-1), and ``rising_to_falling(k)`` is row k
+of ``_LAH``, grown by L(k+1, i) = (k+i)*L(k, i) + L(k, i-1). Closed forms
+are reserved for the test oracles.
 
 A polynomial is evaluated at one point by Horner's rule (``poly_eval``)
 and over a run of consecutive integers by forward differences
@@ -69,7 +68,8 @@ class _RecurrenceTable:
     """Lower-triangular rows of exact integers, grown on demand under a lock:
     row 0 is (1,), and row top+1 is next[0] = margin(top+1), then
     next[i] = weight(top, i) * prev[i] + prev[i-1] for 1 <= i <= top, then 1.
-    Rows are published whole, so concurrent readers see only whole rows."""
+    Rows are published whole, so concurrent readers see only whole rows.
+    Sibling subclasses: ``_StirlingTable``, ``_LahTable``, ``triangles.Triangle``."""
 
     def __init__(
         self, margin: Callable[[int], int], weight: Callable[[int, int], int]
@@ -103,6 +103,13 @@ class _StirlingTable(_RecurrenceTable):
 
 
 _STIRLING = _StirlingTable(lambda k: 0, lambda k, i: i)
+
+
+class _LahTable(_RecurrenceTable):
+    """Row k holds L(k, 0..k): margin L(k, 0) = 0 for k >= 1, weight k + i."""
+
+
+_LAH = _LahTable(lambda k: 0, lambda k, i: k + i)
 
 
 def stirling2(k: int, i: int) -> int:
@@ -190,16 +197,10 @@ def monomial_to_falling(k: int) -> FallingPoly:
 def rising_to_falling(k: int) -> FallingPoly:
     """The rising factorial x^(k) expressed in the falling basis.
 
-    Coefficient of (x)_i is the Lah number C(k-1, i-1) * k!/i! for
-    1 <= i <= k; for k = 0 this is the constant 1. The row starts at k! for
-    i = 1 and steps by the exact ratio of consecutive Lah numbers,
-    L(k, i+1) = L(k, i) (k-i) / (i(i+1)).
+    Coefficient of (x)_i is the Lah number L(k, i) = C(k-1, i-1) * k!/i!
+    for 1 <= i <= k, read as row k of the Lah table; for k = 0 this is the
+    constant 1.
     """
     if k < 0:
         raise ValueError(f"rising_to_falling({k}): k must be >= 0")
-    if k == 0:
-        return FallingPoly((1,))
-    coeffs = [0, factorial(k)]
-    for i in range(1, k):
-        coeffs.append(coeffs[i] * (k - i) // (i * (i + 1)))
-    return FallingPoly(coeffs)
+    return FallingPoly(_LAH.row(k))

@@ -282,9 +282,9 @@ class MapCountSpec(namedtuple("MapCountSpec", "nu g j a")):
 
     nu, g and j must be ints; each weight an int, a Fraction or a rational
     string such as "-3/4", stored as a Fraction. Bools and floats are
-    rejected, so no inexact value reaches the count, and so are strings with
-    "_" (Python 3.11+ only) or in exponent notation (any number of digits). Every
-    fault is a ValueError naming the offending field or weight.
+    rejected, so no inexact value reaches the count, as are strings with "_",
+    in exponent notation or with non-ASCII characters (Fraction reads them).
+    Every fault is a ValueError naming the offending field or weight.
     """
 
     __slots__ = ()
@@ -303,6 +303,8 @@ class MapCountSpec(namedtuple("MapCountSpec", "nu g j a")):
                 raise ValueError(f"a[{idx}]: exponent notation is not accepted; use p/q")
             if isinstance(entry, str) and "_" in entry:
                 raise ValueError(f"a[{idx}]: digit separators are not accepted")
+            if isinstance(entry, str) and not entry.isascii():
+                raise ValueError(f"a[{idx}]: only ASCII characters are accepted")
             try:
                 weights.append(Fraction(entry))
             except (ValueError, ZeroDivisionError) as exc:
@@ -360,16 +362,17 @@ def mapcount_spec_from_file(path: str, j: int) -> MapCountSpec:
 
     A file above MAX_COEFF_FILE_BYTES is a ValueError before anything is
     parsed; at most that many bytes (plus one) are read, so a device or
-    pipe that never ends is rejected too.
+    pipe that never ends is rejected too. Every ValueError names the file.
     """
     with open(path, "rb") as fh:
         data = fh.read(MAX_COEFF_FILE_BYTES + 1)
     if len(data) > MAX_COEFF_FILE_BYTES:
         raise ValueError(f"{path}: size is above the bound of {MAX_COEFF_FILE_BYTES} bytes")
     try:
-        raw = json.loads(data.decode("utf-8"))
+        return mapcount_spec_from_obj(json.loads(data.decode("utf-8")), j)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
-    return mapcount_spec_from_obj(raw, j)
+    except ValueError as exc:  # the spec's own checks; keeps the class
+        raise type(exc)(f"{path}: {exc}") from None

@@ -972,14 +972,26 @@ def test_mapcount_exponent_weight_fails_fast(tmp_path, capsys):
     code, out, err = run_cli(capsys, "mapcount", path, "--j", "1")
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
-    assert err.startswith("error: a[0]: exponent notation") and err.count("\n") == 1
+    assert err.startswith(f"error: {path}: a[0]: exponent notation") and err.count("\n") == 1
 
 
 def test_mapcount_weight_with_digit_separators(tmp_path, capsys):
     path = write_coeffs(tmp_path, '{"nu": 2, "g": 1, "a": ["1", "0", "1_000"]}')
     code, out, err = run_cli(capsys, "mapcount", path, "--j", "1")
     assert (code, out) == (2, "")
-    assert err == "error: a[2]: digit separators are not accepted\n"
+    assert err == f"error: {path}: a[2]: digit separators are not accepted\n"
+
+
+@pytest.mark.parametrize("weight", ["\u0661\u0662", "\u0663/\u0664", "\uff11\uff12", "\u00a01"],
+                         ids=["arabic-indic", "arabic-indic-ratio", "full-width", "no-break-space"])
+def test_mapcount_non_ascii_weight(tmp_path, capsys, weight):
+    """Weights in non-ASCII digits or spaces, which Fraction would read, exit 2
+    with one error line naming the file, and print no count."""
+    path = write_coeffs(tmp_path, json.dumps({"nu": 2, "g": 1, "a": [weight, "0", "1"]},
+                                             ensure_ascii=False))
+    code, out, err = run_cli(capsys, "mapcount", path, "--j", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: a[0]: only ASCII characters are accepted\n"
 
 
 def test_mapcount_file_not_utf8(tmp_path, capsys):

@@ -214,6 +214,11 @@ def test_rising_to_falling_matches_lah_definition():
         assert rising_to_falling(k).coeffs == expected, k
 
 
+def test_rising_to_falling_reads_the_lah_table():
+    for k in range(151):
+        assert rising_to_falling(k).coeffs == factorial_basis._LAH.row(k), k
+
+
 def test_rising_to_falling_reproduces_rising_factorials():
     for k in range(13):
         p = rising_to_falling(k)

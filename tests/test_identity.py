@@ -427,6 +427,22 @@ def test_spec_rejects_digit_separators(weight):
         MapCountSpec(2, 1, 1, ("1", "0", weight))
 
 
+NON_ASCII_WEIGHTS = ["\u0661\u0662", "\u0663/\u0664", "\uff11\uff12", "\u00a01"]
+NON_ASCII_IDS = ["arabic-indic", "arabic-indic-ratio", "full-width", "no-break-space"]
+
+
+@pytest.mark.parametrize("weight", NON_ASCII_WEIGHTS, ids=NON_ASCII_IDS)
+def test_spec_rejects_non_ascii_weights(weight):
+    """Fraction reads any Unicode decimal digit and strips any Unicode
+    space, so "\u0661\u0662" would be the weight 12; only ASCII is accepted."""
+    with pytest.raises(ValueError, match=r"^a\[0\]: only ASCII characters are accepted$"):
+        MapCountSpec(2, 1, 1, (weight, "0", "1"))
+
+
+def test_spec_accepts_ascii_spaces():
+    assert MapCountSpec(2, 1, 1, (" 1", "0 ", " -3/4 ")).a == (1, 0, Fraction(-3, 4))
+
+
 # -- coefficient files --------------------------------------------------------
 
 def test_spec_from_obj_parses_rationals():
@@ -464,3 +480,21 @@ def test_spec_from_file(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ValueError):
         mapcount_spec_from_file(str(bad), j=1)
+
+
+@pytest.mark.parametrize("text, exc_type, message", [
+    ('{"nu": 2, "g": 1, "a": ["1", "0"]}', CoefficientLengthMismatch,
+     "need 3g = 3 coefficients, got 2"),
+    ('{"nu": 2, "g": 1, "a": ["1", "0", "1_000"]}', ValueError,
+     "a[2]: digit separators are not accepted"),
+    ('{"nu": 2, "g": 1}', ValueError, "coefficient file is missing key(s): a"),
+], ids=["length", "separator", "missing-key"])
+def test_spec_from_file_names_the_file(tmp_path, text, exc_type, message):
+    """A value error from the file's contents is prefixed with the path and
+    keeps its class."""
+    path = tmp_path / "coeffs.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        mapcount_spec_from_file(str(path), j=1)
+    assert type(info.value) is exc_type
+    assert str(info.value) == f"{path}: {message}"

@@ -6,7 +6,7 @@ import pytest
 
 from hypident import factorial_basis, triangles
 from hypident.exact_arith import double_factorial_odd, factorial, pow2
-from hypident.factorial_basis import _StirlingTable, poly_eval
+from hypident.factorial_basis import _LahTable, _RecurrenceTable, _StirlingTable, poly_eval
 from hypident.hypergeom import lhs_direct
 from hypident.identity import rhs_direct
 from hypident.triangles import (
@@ -260,6 +260,10 @@ def _fresh_stirling():
     return _StirlingTable(lambda k: 0, lambda k, i: i)
 
 
+def _fresh_lah():
+    return _LahTable(lambda k: 0, lambda k, i: k + i)
+
+
 def _triangle_entries(table, j):
     return tuple(table.entry(i, j) for i in range(j + 1))
 
@@ -267,7 +271,8 @@ def _triangle_entries(table, j):
 @pytest.mark.parametrize("fresh_table, serial, read", [
     (_fresh_r, triangles._R, _triangle_entries),
     (_fresh_stirling, factorial_basis._STIRLING, _StirlingTable.row),
-], ids=["Triangle", "_StirlingTable"])
+    (_fresh_lah, factorial_basis._LAH, _LahTable.row),
+], ids=["Triangle", "_StirlingTable", "_LahTable"])
 def test_concurrent_growth_is_consistent(fresh_table, serial, read):
     """Readers racing to grow a fresh table all observe the same rows that
     the package's own table of that recurrence, grown serially, holds."""
@@ -292,3 +297,14 @@ def test_concurrent_growth_is_consistent(fresh_table, serial, read):
     assert sorted(results) == list(range(8))
     for tid, values in results.items():
         assert values == read(serial, 80 + tid)
+
+
+def test_recurrence_tables_are_siblings():
+    """perfbench wraps Triangle._grow_to and _StirlingTable._grow_to by
+    class, so a table that subclassed another would have its rows counted
+    as the other's."""
+    tables = (_LahTable, _StirlingTable, Triangle)
+    for table in tables:
+        assert issubclass(table, _RecurrenceTable)
+        for other in tables:
+            assert table is other or not issubclass(table, other), (table, other)
