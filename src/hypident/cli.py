@@ -15,18 +15,20 @@ lines go to stderr, so JSON/CSV report streams stay machine-clean.
 run_sweep alone writes a verify report: its framing and its rows, ordered
 by (j, N) and written one j cell at a time as the sweep goes. With
 --parallelism K above 1 (default 1), the cells are checked and rendered
-by up to K forked worker processes that send back their rows over pipes;
-nothing is pickled and no pool module is imported. _sweep_task times
-each cell, and --timings shows that time in the rows; without it (the
-default), identical configs produce byte-identical output no matter the
-parallelism. A sweep that ends in an error or an interrupt may leave a
-truncated report, and never leaves a worker running.
+by up to K forked worker processes that send back their rows over pipes:
+each cell crosses as one marshal value, and no pool module is imported.
+_sweep_task times each cell, and --timings shows that time in the rows;
+without it (the default), identical configs produce byte-identical output
+no matter the parallelism. A sweep that ends in an error or an interrupt
+may leave a truncated report, and never leaves a worker running.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import io
+import marshal
 import os
 import sys
 import threading
@@ -193,12 +195,12 @@ def _cpus() -> int:
 
 def _forked_cells(config: SweepConfig, workers: int) -> Iterator[tuple[str, list[str]]]:
     """_sweep_task's result for each j of config, in order, from workers
-    forked children: worker w runs js[w::workers] and writes one frame per
-    cell to its own pipe, so the i-th cell's frame is the next one on pipe
-    i % workers. A worker blocks while its pipe is full, so the parent
-    holds at most one frame and a worker one rendered cell. However the
+    forked children: worker w runs js[w::workers] and writes one marshal
+    value per cell to its own pipe, so the i-th cell is the next value on
+    pipe i % workers. A worker blocks while its pipe is full, so the parent
+    holds at most one cell and a worker one rendered cell. However the
     generator ends, it closes every pipe, kills every worker (one that
-    has sent its last frame is exiting anyway) and waits on each one.
+    has sent its last cell is exiting anyway) and waits on each one.
     """
     import signal
 
@@ -226,13 +228,11 @@ def _forked_cells(config: SweepConfig, workers: int) -> Iterator[tuple[str, list
 
 
 def _work(config: SweepConfig, js: range, pipe: BinaryIO, readers: list[BinaryIO]) -> NoReturn:
-    """A forked worker's whole life: one frame per j in js on pipe, then
-    os._exit, so that it never runs the parent's finally blocks or flushes
-    the parent's buffers. A frame is a header line with the byte lengths
-    of the rendered rows and of the newline-joined FAIL lines, then both.
-    An exception ends the worker with an error frame: "error <length>"
-    and the exception's type and text. Ctrl-C is left to the parent,
-    which ends the workers."""
+    """A forked worker's whole life: _sweep_task's (rows, FAIL lines) for
+    each j in js, one marshal value per cell on pipe, then os._exit, so it
+    never runs the parent's finally blocks or flushes the parent's buffers.
+    An exception ends the worker with one str value, its type and text.
+    Ctrl-C is left to the parent, which ends the workers."""
     import signal
 
     try:
@@ -241,38 +241,29 @@ def _work(config: SweepConfig, js: range, pipe: BinaryIO, readers: list[BinaryIO
             reader.close()
         for j in js:
             try:
-                rows, failed = _sweep_task(config, j)
-                body = rows.encode(), "\n".join(failed).encode()
+                marshal.dump(_sweep_task(config, j), pipe)
             except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}".encode()
-                pipe.write(b"error %d\n%s" % (len(error), error))
+                marshal.dump(f"{type(exc).__name__}: {exc}", pipe)
                 break
-            pipe.write(b"%d %d\n" % tuple(map(len, body)))
-            pipe.writelines(body)
-            pipe.flush()
-        pipe.flush()
+            finally:
+                pipe.flush()
     finally:
         os._exit(0)
 
 
 def _read_frame(reader: BinaryIO, j: int) -> tuple[str, list[str]]:
-    """Cell j's rows and FAIL lines from the next frame on reader (see
-    _work). An error frame, or the end of the pipe before the end of the
-    frame, is a RuntimeError naming j."""
-
-    def take(size: int) -> str:
-        data = reader.read(size)
-        if len(data) != size:
-            raise RuntimeError(f"worker for j={j} died")
-        return data.decode()
-
-    first, _, second = reader.readline().partition(b" ")
-    if not second.endswith(b"\n"):
-        raise RuntimeError(f"worker for j={j} died")
-    if first == b"error":
-        raise RuntimeError(f"worker for j={j} failed: {take(int(second))}")
-    rows, failed = take(int(first)), take(int(second))
-    return rows, failed.split("\n") if failed else []
+    """Cell j's rows and FAIL lines, the next marshal value on reader (see
+    _work). A str value, or the pipe's end before a whole value, is a
+    RuntimeError naming j. Both ends are this interpreter, forked, and no
+    outside input crosses the pipe, so marshal's caveats about untrusted
+    data and about other Python versions do not apply."""
+    try:
+        cell = marshal.load(reader)
+    except EOFError:
+        raise RuntimeError(f"worker for j={j} died") from None
+    if isinstance(cell, str):
+        raise RuntimeError(f"worker for j={j} failed: {cell}")
+    return cell
 
 
 def _decimals(report: VerifyReport) -> tuple[str, str]:
@@ -489,7 +480,10 @@ def main(argv: list[str] | None = None) -> int:
         # Exact values pass CPython's default 4300-digit limit on str(int).
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # A report that cannot be written fails here, not at exit.
+        sys.stdout.flush()
+        return code
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
@@ -505,4 +499,18 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    if sys.stdout is None:
+        print("error: stdout is closed", file=sys.stderr)
+        sys.exit(2)
+    if not isinstance(sys.stdout.buffer, io.BufferedWriter):
+        # Under python -u, stdout writes straight to the raw file and drops
+        # the rest of a short write (a full disk, a reader gone); a
+        # BufferedWriter writes the rest, or raises.
+        buffered = io.BufferedWriter(sys.stdout.buffer)
+        sys.stdout = io.TextIOWrapper(buffered, sys.stdout.encoding, line_buffering=True)
+    code = main()
+    if code == 2:
+        # What stdout still holds must not fail again at the interpreter's
+        # closing flush (see "Note on SIGPIPE" in the signal module's docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

@@ -259,13 +259,12 @@ def summand_equivalence(g: int, l: int, j: int) -> bool:
     """Does the nu = 2 summand match its hypergeometric-free form?
 
     With N = 2g-1+l, the claim is j! * map_summand(g,l,j,2) * 2^N equal to
-    the binomial sum side at (N, j). g, l and j must be ints, as in
-    ``map_summand``.
+    the binomial sum side at (N, j). ``map_summand`` checks g, l and j
+    first, with its own messages.
     """
-    for name, value in (("g", g), ("l", l), ("j", j)):
-        _check_int(name, value)
+    summand = map_summand(g, l, j, 2)
     N = 2 * g - 1 + l
-    return factorial(j) * map_summand(g, l, j, 2) * pow2(N) == rhs_direct(N, j)
+    return factorial(j) * summand * pow2(N) == rhs_direct(N, j)
 
 
 def _check_int_fields(*fields: tuple[str, object]) -> None:

@@ -95,16 +95,12 @@ class Triangle(_RecurrenceTable):
 
     def entry(self, i: int, j: int) -> int:
         _check_index(i, j, self.kind)
-        if j >= len(self._rows):
-            self._grow_to(j)
-        return self._rows[j][i]
+        return super().row(j)[i]
 
     def row(self, j: int) -> tuple[int, ...]:
         """Entries (0..j, j), index-ascending."""
         _check_index(0, j, self.kind)
-        if j >= len(self._rows):
-            self._grow_to(j)
-        return self._rows[j]
+        return super().row(j)
 
 
 _C = Triangle("C", double_factorial_odd, lambda j, k: 2 * j + 1)

@@ -1,7 +1,9 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
+import marshal
 import os
 import re
 import subprocess
@@ -630,6 +632,30 @@ def test_a_failed_or_dead_worker_is_internal_error(monkeypatch, capsys, forks, r
     assert err == f"internal error: {error}\n"
 
 
+def test_read_frame_reads_one_cell_per_value():
+    """The cells a worker dumps on its pipe are read back one value each,
+    in order."""
+    cells = [cli._sweep_task(cli.SweepConfig(7, 7, 1, 2, fmt="json"), 7),
+             ("j=8 N=1 lhs=1 rhs=2 equal=false\n", ["FAIL j=8 N=1 lhs=1 rhs=2", "FAIL x"])]
+    reader = io.BytesIO(b"".join(map(marshal.dumps, cells)))
+    assert [cli._read_frame(reader, j) for j in (7, 8)] == cells
+    assert reader.read() == b""
+
+
+def test_read_frame_names_a_failed_worker():
+    with pytest.raises(RuntimeError, match="^worker for j=7 failed: ValueError: x$"):
+        cli._read_frame(io.BytesIO(marshal.dumps("ValueError: x")), 7)
+
+
+def test_read_frame_names_a_worker_that_died_mid_cell():
+    """A pipe that ends anywhere before a cell's last byte, or before its
+    first, means the worker died."""
+    data = marshal.dumps(("j=7 N=1 lhs=1 rhs=2 equal=false\n", ["FAIL j=7 N=1 lhs=1 rhs=2"]))
+    for size in range(len(data)):
+        with pytest.raises(RuntimeError, match="^worker for j=7 died$"):
+            cli._read_frame(io.BytesIO(data[:size]), 7)
+
+
 @pytest.mark.parametrize("exc", [BrokenPipeError, KeyboardInterrupt])
 def test_interrupted_sweep_cancels_pending_cells(monkeypatch, forks, exc):
     """A report stream that fails, or an interrupt, after the first cell
@@ -1019,16 +1045,67 @@ def test_mapcount_missing_file(capsys):
 
 # -- entry points ------------------------------------------------------------------
 
+def child_env(unbuffered=None):
+    """The environment of a fresh hypident process: it imports the same
+    hypident as this test, installed or not, and runs under python -u iff
+    unbuffered is set."""
+    env = {**os.environ, "PYTHONPATH": str(Path(hypident.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env if unbuffered is None else {**env, "PYTHONUNBUFFERED": unbuffered}
+
+
 def test_python_m_entrypoint():
-    proc = subprocess.run(
-        [sys.executable, "-m", "hypident", "eval", "both", "1", "1"],
-        capture_output=True,
-        text=True,
-        # the child imports the same hypident as this test, installed or not
-        env={**os.environ, "PYTHONPATH": str(Path(hypident.__file__).parents[1])},
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "lhs=6 rhs=6 equal=true\n"
+    for unbuffered in (None, "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hypident", "eval", "both", "1", "1"],
+            capture_output=True,
+            text=True,
+            env=child_env(unbuffered),
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "lhs=6 rhs=6 equal=true\n"
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "--j", "1", "--n", "1..2000", "--format", "csv"),  # one cell, 1.25 MB
+    ("table", "L", "--jmax", "200"),  # 3.9 MB
+    ("verify", "--j", "1..3", "--n", "1..20", "--format", "csv"),  # fits stdout's buffer
+    ("eval", "lhs", "20000", "30"),  # fits stdout's buffer
+])
+def test_a_report_past_the_file_size_limit_exits_2(tmp_path, argv, unbuffered):
+    """A report that cannot be written whole exits 2 with one error line,
+    buffered or under python -u, and nothing fails again at exit."""
+    resource = pytest.importorskip("resource")
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE,
+                           (1024, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+    with open(tmp_path / "report", "wb") as out:
+        proc = subprocess.run([sys.executable, "-m", "hypident", *argv], stdout=out,
+                              stderr=subprocess.PIPE, text=True, env=child_env(unbuffered),
+                              preexec_fn=limit_file_size)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == (
+        f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}")
+    assert "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in the child")
+@pytest.mark.parametrize("argv", [
+    ("verify", "--j", "1..3", "--n", "1..5"),
+    ("table", "R", "--jmax", "4"),
+    ("eval", "both", "7", "3"),
+    ("mapcount", "{coeffs}", "--j", "2"),
+])
+def test_a_closed_stdout_exits_2(tmp_path, argv):
+    coeffs = write_coeffs(tmp_path, '{"nu": 2, "g": 1, "a": ["1", "0", "0"]}')
+    argv = [arg.format(coeffs=coeffs) for arg in argv]
+    proc = subprocess.run([sys.executable, "-m", "hypident", *argv], stderr=subprocess.PIPE,
+                          text=True, env=child_env(), preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: stdout is closed\n"
 
 
 # -- what a process imports -------------------------------------------------------
@@ -1040,7 +1117,7 @@ def imported_modules(*argv, env=None):
     """Every module a fresh ``python -S ARGV`` imports, as -X importtime
     lists them, with env added to the environment; -S keeps the site
     hooks' own imports out of the list."""
-    env = {**os.environ, "PYTHONPATH": str(Path(hypident.__file__).parents[1]), **(env or {})}
+    env = {**child_env(), **(env or {})}
     proc = subprocess.run(
         [sys.executable, "-S", "-X", "importtime", *argv],
         capture_output=True, text=True, env=env,
