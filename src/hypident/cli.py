@@ -12,7 +12,7 @@ Subcommands:
 
 Reports go to stdout (or --out FILE); the human summary and the FAIL
 lines go to stderr, so JSON/CSV report streams stay machine-clean.
-run_sweep alone writes a verify report: its framing and its rows, ordered
+run_sweep alone writes a verify report, laid out by _FORMATS: rows ordered
 by (j, N) and written one j cell at a time as the sweep goes. With
 --parallelism K above 1 (default 1), the cells are checked and rendered
 by up to K forked worker processes that send back their rows over pipes:
@@ -38,6 +38,7 @@ from typing import BinaryIO, Iterator, NoReturn, TextIO
 
 from . import __version__
 from .identity import (
+    MODES,
     IdentityPoint,
     VerifyReport,
     _check_int_fields,
@@ -49,7 +50,7 @@ from .identity import (
     mapcount_spec_from_file,
     rhs_fast,
 )
-from .triangles import export_csv, export_json
+from .triangles import KINDS, export_csv, export_json
 
 # Printing an exact value takes time quadratic in its digits (CPython's
 # str(int)); at N = 10^6 one value takes over a second, so a sweep over
@@ -122,7 +123,7 @@ class SweepConfig(
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         _check_mode(mode)
-        if fmt not in _FRAMING:
+        if fmt not in _FORMATS:
             raise ValueError(f"unknown format {fmt!r}; expected plain, json or csv")
         if not isinstance(timings, bool):
             raise ValueError(f"'timings' must be a bool, got {timings!r}")
@@ -151,9 +152,9 @@ def _sweep_task(config: SweepConfig, j: int) -> tuple[str, list[str]]:
 
 def run_sweep(config: SweepConfig, out: TextIO) -> list[str]:
     """Run the grid, one cell per j value, and write its whole report to
-    out: the head of _FRAMING[config.fmt], each cell's rows (ordered by N)
-    in j order as soon as the cell is checked, with the separator between
-    two cells, then the tail. Return the FAIL line of every failing point,
+    out: the head of _FORMATS[config.fmt], each cell's rows (ordered by N)
+    in j order as soon as the cell is checked, joined by the format's
+    separator, then the tail. Return the FAIL line of every failing point,
     in (j, N) order.
 
     The sweep keeps no cell's values after writing its rows. It never has
@@ -163,7 +164,7 @@ def run_sweep(config: SweepConfig, out: TextIO) -> list[str]:
     check and render their own cells (_forked_cells), and the output does
     not depend on the worker count.
     """
-    head, between, tail = _FRAMING[config.fmt]
+    head, _, sep, tail = _FORMATS[config.fmt]
     out.write(head)
     js = range(config.j_min, config.j_max + 1)
     # A fork while another thread runs could copy a lock that thread holds
@@ -180,7 +181,7 @@ def run_sweep(config: SweepConfig, out: TextIO) -> list[str]:
         for rows, failed in cells:
             out.write(separator)
             out.write(rows)
-            separator = between
+            separator = sep
             failures += failed
     out.write(tail)
     return failures
@@ -266,53 +267,37 @@ def _read_frame(reader: BinaryIO, j: int) -> tuple[str, list[str]]:
     return cell
 
 
-def _decimals(report: VerifyReport) -> tuple[str, str]:
-    """lhs and rhs in decimal; rhs reuses lhs's string only when the two
-    ints are equal, whatever the report's verdict says."""
-    lhs = str(report.lhs)
-    return lhs, lhs if report.rhs == report.lhs else str(report.rhs)
-
-
-# Per format, what a report holds before its first cell, between two cells
-# and after its last one. With the cells that _render_reports writes, these
-# give the bytes of json.dumps(rows, indent=2) + "\n" for JSON, and of a
-# header line and one line per row for CSV and plain. A sweep has at least
-# one cell, and every cell at least one row.
-_FRAMING = {
-    "json": ("[\n", ",\n", "\n]\n"),
-    "csv": ("N,j,lhs,rhs,equal,micros\n", "", ""),
-    "plain": ("", "", ""),
+# Per format: what a report holds before its first row, the row built from
+# (N, j, lhs, rhs, verdict, micros), the separator between two rows, which
+# is also the one between two cells, and what it holds after its last row.
+# These give the bytes of json.dumps(rows, indent=2) + "\n" for JSON, and of
+# a header line and one line per row for CSV and plain. A sweep has at
+# least one cell, and every cell at least one row. JSON rows are built by
+# hand, not by json.dumps, whose indented output runs CPython's pure-Python
+# encoder; every field is an int, a bool or a decimal digit string, so no
+# escaping is needed.
+_FORMATS = {
+    "plain": ("", lambda N, j, lhs, rhs, verdict, micros:
+              f"j={j} N={N} lhs={lhs} rhs={rhs} equal={verdict}\n", "", ""),
+    "json": ("[\n", lambda N, j, lhs, rhs, verdict, micros: (
+        f'  {{\n    "N": {N},\n    "j": {j},\n    "lhs": "{lhs}",\n    "rhs": "{rhs}",\n'
+        f'    "equal": {verdict},\n    "micros": {micros}\n  }}'), ",\n", "\n]\n"),
+    "csv": ("N,j,lhs,rhs,equal,micros\n", lambda N, j, lhs, rhs, verdict, micros:
+            f"{N},{j},{lhs},{rhs},{verdict},{micros}\n", "", ""),
 }
 
 
 def _render_reports(reports: list[VerifyReport], fmt: str, micros: int) -> str:
-    """One cell's rows in fmt, each with micros, without the report's framing (_FRAMING).
-
-    JSON rows are written from a template instead of by json.dumps, whose
-    indented output runs CPython's pure-Python encoder; every field is an
-    int, a bool or a decimal digit string, so no escaping is needed.
-    """
-    # A generator, so each row's strings are built as the row is rendered.
-    decimals = ((r, *_decimals(r)) for r in reports)
-    if fmt == "json":
-        return ",\n".join(
-            f'  {{\n    "N": {r.point.N},\n    "j": {r.point.j},\n'
-            f'    "lhs": "{lhs}",\n    "rhs": "{rhs}",\n'
-            f'    "equal": {"true" if r.equal else "false"},\n'
-            f'    "micros": {micros}\n  }}'
-            for r, lhs, rhs in decimals
-        )
-    if fmt == "csv":
-        return "".join(
-            f"{r.point.N},{r.point.j},{lhs},{rhs},"
-            f"{'true' if r.equal else 'false'},{micros}\n"
-            for r, lhs, rhs in decimals
-        )
-    return "".join(
-        f"j={r.point.j} N={r.point.N} lhs={lhs} rhs={rhs} "
-        f"equal={'true' if r.equal else 'false'}\n"
-        for r, lhs, rhs in decimals
-    )
+    """One cell's rows in fmt, each with micros, joined by the separator of
+    _FORMATS[fmt], without its head and tail. A row's rhs reuses lhs's
+    decimal string only when the two ints are equal, whatever the verdict."""
+    _, row, sep, _ = _FORMATS[fmt]
+    rows = []
+    for r in reports:
+        lhs = str(r.lhs)
+        rhs = lhs if r.rhs == r.lhs else str(r.rhs)
+        rows.append(row(r.point.N, r.point.j, lhs, rhs, "true" if r.equal else "false", micros))
+    return sep.join(rows)
 
 
 def _open_out(path: str | None) -> contextlib.AbstractContextManager[TextIO]:
@@ -376,6 +361,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     with _open_out(args.out) as out:
         start = time.perf_counter()
         failures = run_sweep(config, out)
+        # The report is out before the summary says it is verified.
+        out.flush()
         wall = time.perf_counter() - start
     points = _points(config)
     print(
@@ -438,9 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"inclusive j range (default 1..10; 0 <= j <= {MAX_J})")
     p_verify.add_argument("--n", type=_span, default=(1, 50), metavar="A..B",
                           help=f"inclusive N range (default 1..50; 1 <= N <= {MAX_N})")
-    p_verify.add_argument("--mode", choices=("direct", "fast", "cross"), default="fast",
+    p_verify.add_argument("--mode", choices=MODES, default="fast",
                           help="comparison mode (default fast; cross checks all four routes)")
-    p_verify.add_argument("--format", choices=("plain", "json", "csv"), default="plain",
+    p_verify.add_argument("--format", choices=tuple(_FORMATS), default="plain",
                           help="report format (default plain)")
     p_verify.add_argument("--out", metavar="FILE", default=None,
                           help="write reports to FILE instead of stdout")
@@ -452,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="dump triangle rows")
-    p_table.add_argument("kind", choices=("C", "R", "L"), help="which triangle")
+    p_table.add_argument("kind", choices=KINDS, help="which triangle")
     p_table.add_argument("--jmax", type=int, required=True,
                          help=f"top level to dump (1 <= jmax <= {MAX_J})")
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -499,6 +486,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    if sys.stderr is None:
+        # fd 2 is closed: an error line has nowhere to go, and print would
+        # send it to stdout (file=None is stdout).
+        sys.exit(2)
     if sys.stdout is None:
         print("error: stdout is closed", file=sys.stderr)
         sys.exit(2)
@@ -508,9 +499,21 @@ def entrypoint() -> None:
         # BufferedWriter writes the rest, or raises.
         buffered = io.BufferedWriter(sys.stdout.buffer)
         sys.stdout = io.TextIOWrapper(buffered, sys.stdout.encoding, line_buffering=True)
-    code = main()
+    try:
+        code = main()
+    except OSError:
+        # stderr cannot be written (its reader went away), so main's own
+        # error line failed too.
+        code = 2
+    except SystemExit as exc:
+        # argparse exits by itself: 0 after --help or --version, 2 on a
+        # usage error, whose line may still sit in a broken stderr.
+        code = exc.code
     if code == 2:
-        # What stdout still holds must not fail again at the interpreter's
-        # closing flush (see "Note on SIGPIPE" in the signal module's docs).
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # What stdout or stderr still holds must not fail again at the
+        # interpreter's closing flush (see "Note on SIGPIPE" in the signal
+        # module's docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, sys.stderr.fileno())
     sys.exit(code)

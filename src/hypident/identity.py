@@ -46,7 +46,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
-from typing import Callable, Literal, NamedTuple
+from typing import Callable, Literal, NamedTuple, get_args
 
 from .exact_arith import binomial, factorial, pow2
 from .factorial_basis import FallingPoly, falling, poly_values
@@ -73,6 +73,7 @@ __all__ = [
 ]
 
 CheckMode = Literal["direct", "fast", "cross"]
+MODES: tuple[str, ...] = get_args(CheckMode)
 
 # Parsing a decimal is quadratic in its digits: a weight of 2^18 digits
 # takes 0.5 s, one of 2^20 digits 7 s. 3g short weights fit in far less.
@@ -188,7 +189,7 @@ def binomial_falling_sum(N: int, i: int) -> int:
 
 
 def _check_mode(mode: str) -> None:
-    if mode not in ("direct", "fast", "cross"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected direct, fast or cross")
 
 

@@ -67,6 +67,9 @@ __all__ = [
     "vanishing_sum",
 ]
 
+# The kinds triangle_row and the exports accept, in the order `table` lists them.
+KINDS = ("C", "R", "L")
+
 
 class IndexOutOfTriangle(ValueError):
     """Requested (i, j) lies outside the lower triangle (0 <= i <= j, j >= 1)."""
@@ -271,7 +274,7 @@ def triangle_row(kind: str, j: int) -> tuple[int, ...]:
 
 
 def _check_row(kind: str, j: int) -> None:
-    if kind not in ("C", "R", "L"):
+    if kind not in KINDS:
         raise ValueError(f"unknown triangle kind {kind!r}; expected C, R or L")
     _check_index(0, j, kind)
 

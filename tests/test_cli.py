@@ -310,7 +310,7 @@ def test_render_round_trips(reports, fmt, micros):
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        head, _, tail = cli._FRAMING[fmt]
+        head, _, _, tail = cli._FORMATS[fmt]
         out = head + cli._render_reports(reports, fmt, micros) + tail
         if fmt == "json":
             got = [
@@ -350,8 +350,8 @@ def test_cells_with_framing_give_the_whole_document(cells, fmt, micros):
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        head, between, tail = cli._FRAMING[fmt]
-        streamed = head + between.join(
+        head, _, sep, tail = cli._FORMATS[fmt]
+        streamed = head + sep.join(
             cli._render_reports(cell, fmt, micros) for cell in cells) + tail
         assert streamed == report_document(
             [r for cell in cells for r in cell], fmt, micros)
@@ -1106,6 +1106,61 @@ def test_a_closed_stdout_exits_2(tmp_path, argv):
                           text=True, env=child_env(), preexec_fn=lambda: os.close(1))
     assert proc.returncode == 2
     assert proc.stderr == "error: stdout is closed\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 2 in the child")
+@pytest.mark.parametrize("argv", [
+    ("verify", "--j", "1..3", "--n", "1..5", "--format", "json"),
+    ("table", "R", "--jmax", "4"),
+    ("eval", "both", "7", "3"),
+    ("mapcount", "{coeffs}", "--j", "2"),
+    ("--version",),
+])
+def test_a_closed_stderr_exits_2_and_writes_nothing(tmp_path, argv):
+    """With fd 2 closed, sys.stderr is None, and print(file=None) would
+    write the summary or an error line to stdout, into the report."""
+    coeffs = write_coeffs(tmp_path, '{"nu": 2, "g": 1, "a": ["1", "0", "0"]}')
+    argv = [arg.format(coeffs=coeffs) for arg in argv]
+    proc = subprocess.run([sys.executable, "-m", "hypident", *argv], stdout=subprocess.PIPE,
+                          env=child_env(), preexec_fn=lambda: os.close(2))
+    assert (proc.returncode, proc.stdout) == (2, b"")
+
+
+def run_with_broken_stderr(argv, unbuffered=None):
+    """A fresh hypident process whose stderr is a pipe nobody reads."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "hypident", *argv], stdout=subprocess.PIPE,
+                              stderr=write_end, env=child_env(unbuffered))
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a pipe with no reader")
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+@pytest.mark.parametrize("k", ["1", "2"])
+@pytest.mark.parametrize("span", [
+    ("--j", "1", "--n", "1..2"),  # fits stdout's buffer
+    ("--j", "0..12", "--n", "1..40"),  # 480 rows, past it
+])
+def test_a_broken_stderr_exits_2_after_the_whole_report(span, k, unbuffered):
+    """The summary cannot be written, so verify exits 2, not 1 (which means
+    a failing point), and stdout still holds the whole report."""
+    argv = ("verify", *span, "--format", "json", "--parallelism", k)
+    whole = subprocess.run([sys.executable, "-m", "hypident", *argv], stdout=subprocess.PIPE,
+                           stderr=subprocess.DEVNULL, env=child_env())
+    assert whole.returncode == 0
+    proc = run_with_broken_stderr(argv, unbuffered)
+    assert (proc.returncode, proc.stdout) == (2, whole.stdout)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a pipe with no reader")
+def test_a_broken_stderr_keeps_exit_2_for_bad_input_and_0_for_eval():
+    assert run_with_broken_stderr(("verify", "--n", "0..2")).returncode == 2
+    assert run_with_broken_stderr(("verify", "--format", "xml")).returncode == 2
+    proc = run_with_broken_stderr(("eval", "both", "3", "2"))
+    assert (proc.returncode, proc.stdout) == (0, b"lhs=384 rhs=384 equal=true\n")
 
 
 # -- what a process imports -------------------------------------------------------
