@@ -57,8 +57,8 @@ from .triangles import KINDS, export_csv, export_json
 # many such N is limited by MAX_GRID.
 MAX_N = 1_000_000
 # The triangles keep every row up to the largest j asked for, so time and
-# memory grow roughly as j^3: `table L --jmax 300` takes under a second and
-# 80 MB, --jmax 500 five seconds and 250 MB.
+# memory grow roughly as j^3: `table L --jmax 300` takes about 0.6 s and
+# 63 MB, rows 1..500 about 2.6 s and 250 MB.
 MAX_J = 300
 # A sweep keeps one j cell's values at a time, and printing a value takes
 # time quadratic in its bits. So a grid's size is its number of points
@@ -500,15 +500,19 @@ def entrypoint() -> None:
         buffered = io.BufferedWriter(sys.stdout.buffer)
         sys.stdout = io.TextIOWrapper(buffered, sys.stdout.encoding, line_buffering=True)
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:
+            # argparse exits by itself: 0 after --help or --version, 2 on a
+            # usage error, whose line may still sit in a broken stderr. It
+            # ignores a failed write, so the text of --help or --version
+            # may still sit in stdout's buffer: it fails here, not at exit.
+            code = exc.code
+            sys.stdout.flush()
     except OSError:
-        # stderr cannot be written (its reader went away), so main's own
-        # error line failed too.
+        # stdout or stderr cannot be written (its reader went away), so
+        # main's own error line failed too.
         code = 2
-    except SystemExit as exc:
-        # argparse exits by itself: 0 after --help or --version, 2 on a
-        # usage error, whose line may still sit in a broken stderr.
-        code = exc.code
     if code == 2:
         # What stdout or stderr still holds must not fail again at the
         # interpreter's closing flush (see "Note on SIGPIPE" in the signal

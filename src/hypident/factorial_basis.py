@@ -18,7 +18,8 @@ are reserved for the test oracles.
 A polynomial is evaluated at one point by Horner's rule (``poly_eval``)
 and over a run of consecutive integers by forward differences
 (``poly_values``): since Delta (x)_i = i (x)_{i-1}, the differences at 0
-are Delta^k p(0) = k! c_k, and each unit step is one pass of additions.
+are Delta^k p(0) = k! c_k, and each difference level over the run is the
+running sum of the level above it, one ``itertools.accumulate`` pass.
 When walking up from 0 would cost more than twice the run itself,
 ``poly_values`` falls back to Horner's rule at each point.
 """
@@ -28,9 +29,8 @@ from __future__ import annotations
 import threading
 from collections import namedtuple
 from collections.abc import Callable, Iterable
-from operator import add
-
-from .exact_arith import factorial
+from itertools import accumulate
+from operator import mul
 
 __all__ = [
     "FallingPoly",
@@ -162,25 +162,25 @@ def poly_eval(p: FallingPoly, x: int) -> int:
 def poly_values(p: FallingPoly, lo: int, hi: int) -> list[int]:
     """Evaluate p at every integer lo, lo+1, ..., hi, exactly.
 
-    Starts from the forward differences at 0, d[k] = Delta^k p(0) = k! c_k,
-    and steps x by one with d[k] += d[k+1], so d[0] = p(x) throughout.
-    p(hi) depends on d[k] at x only for k <= hi - x, so each step first
-    drops the higher differences; when the degree exceeds hi this saves
-    the additions that could never reach a value. The walk from 0 costs
-    lo steps before the first value; when that is more than the hi-lo+1
-    steps that collect values (or lo < 0), each point is evaluated by
-    ``poly_eval`` instead.
+    Works from the forward differences at 0, Delta^k p(0) = k! c_k, one
+    level at a time: Delta^k p(x+1) = Delta^k p(x) + Delta^{k+1} p(x), so
+    level k over x = 0..hi-k is the running sum of level k+1 started at
+    k! c_k, and level 0 holds p(0..hi). The top level, k = min(degree, hi),
+    is constant, since no higher difference reaches p(hi); when the degree
+    exceeds hi this saves the additions that could never reach a value.
+    The walk from 0 costs lo steps before the first value; when that is
+    more than the hi-lo+1 steps that collect values (or lo < 0), each
+    point is evaluated by ``poly_eval`` instead. An empty run is [].
     """
-    if lo < 0 or lo > hi - lo + 1:
+    if lo < 0 or lo > hi - lo + 1 or hi < lo:
         return [poly_eval(p, x) for x in range(lo, hi + 1)]
-    d = [factorial(k) * c for k, c in enumerate(p.coeffs)] or [0]
-    values = []
-    for x in range(hi + 1):
-        if x >= lo:
-            values.append(d[0])
-        del d[hi - x + 1:]
-        d = list(map(add, d, d[1:])) + d[-1:]
-    return values
+    coeffs = p.coeffs or (0,)
+    top = min(len(coeffs) - 1, hi)
+    diffs = list(map(mul, accumulate(range(1, top + 1), mul, initial=1), coeffs))
+    level = [diffs[top]] * (hi - top + 1)
+    for d in reversed(diffs[:top]):
+        level = list(accumulate(level, initial=d))
+    return level[lo:]
 
 
 def monomial_to_falling(k: int) -> FallingPoly:

@@ -11,8 +11,8 @@ at once. The brute-force routes are ``lhs_direct_run`` in ``hypergeom``,
 which sums every term of each N's series, sharing across the run only j!
 and C(N+j-1, j) stepped from the previous N, and ``rhs_direct_run`` here,
 which builds the products P(l) once, sums every term of the binomial sum
-at the run's first N and reaches each further N by one pass of Pascal's
-rule, additions only; ``lhs_direct`` and ``rhs_direct`` are these runs at
+at the run's first N and walks Pascal's rule from there to every further
+N, additions only; ``lhs_direct`` and ``rhs_direct`` are these runs at
 one N. The fast routes, ``_fast_values`` behind ``lhs_fast``/``rhs_fast``,
 evaluate 2^N L_j(N) and 2^N R_j(N).
 ``check_range`` is the one checker: for one j over a run of N it
@@ -44,7 +44,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add, mul
 from typing import Callable, Literal, NamedTuple, get_args
 
@@ -115,10 +115,13 @@ def rhs_direct_run(j: int, n_min: int, n_max: int) -> list[int]:
     with a_N(l) = sum_m C(N,m) P(l+m), the value at N is a_N(0) and
     a_{N+1}(l) = a_N(l) + a_N(l+1). The walk is seeded at n_min with every
     term of a_{n_min}(l) for l = 0..n_max-n_min, C(n_min,m+1) stepped from
-    C(n_min,m) by its exact ratio (n_min-m)/(m+1); each further N is one
-    pass of additions. So one point costs its N+1 products, and a run from
-    N = 1 costs additions only. This route reads no polynomial or
-    triangle, so it stays independent of ``rhs_fast``.
+    C(n_min,m) by its exact ratio (n_min-m)/(m+1). Then it goes one l at
+    a time, from l = n_max-n_min down to 0: a_N(l) for N = n_min..n_max-l
+    is the running sum of a_N(l+1), started at a_{n_min}(l), one
+    ``itertools.accumulate`` pass of additions, and l = 0 holds the
+    values. So one point costs its N+1 products, and a run from N = 1
+    costs additions only. This route reads no polynomial or triangle, so
+    it stays independent of ``rhs_fast``.
     """
     _check_run(j, n_min, n_max)
     if n_min > n_max:
@@ -136,10 +139,9 @@ def rhs_direct_run(j: int, n_min: int, n_max: int) -> list[int]:
     for m in range(1, n_min + 1):
         c = c * (n_min - m + 1) // m
         sums = list(map(add, sums, map(mul, repeat(c), products[m:m + width])))
-    values = [sums[0]]
-    for _ in range(width - 1):
-        sums = list(map(add, sums, sums[1:]))
-        values.append(sums[0])
+    values = sums[-1:]
+    for seed in reversed(sums[:-1]):
+        values = list(accumulate(values, initial=seed))
     return values
 
 

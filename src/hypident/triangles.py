@@ -18,8 +18,9 @@ plus a two-term recurrence:
       The inner sums have the generating function
           sum_{i>=1} S_i y^(i-1) = sum_{k=1}^j C(2j, j+k) (1+y)^(k-1),
       so a closed-form row is built whole: one Taylor shift by 1 of the
-      vector C(2j, j+1..2j) (Pascal's rule, about j^2/2 additions), then
-      a running product for the j!/i! factors.
+      vector C(2j, j+1..2j), about j^2/2 additions in j passes, each pass
+      the prefix sums of the reversed vector by ``itertools.accumulate``
+      and freezing one S_i; then a running product for the j!/i! factors.
 
 R and L are provably the same table, but they are kept as separate objects
 with independent construction routes on purpose: their entry-by-entry
@@ -30,20 +31,22 @@ principal verification target, so collapsing them would test nothing.
 Every route builds a row whole. The recurrence routes build level by
 level and keep every row, so random access to (i, j) builds every row up
 to j. An L closed-form row is built on its own from the binomials of its
-level and cached. An R closed-form row is the C(., j)-weighted sum of
-Stirling rows 0..j, shifted left by j-i; only the last one is kept,
-because callers read such a row entry by entry. ``l_poly_from_series``
-sums Lah rows with weights stepped by exact ratios, and
-``vanishing_sum`` steps its binomials the same way. Recurrence rows grow
-as Stirling rows do, in ``factorial_basis._RecurrenceTable``: under a
-lock, and published whole, so concurrent readers see only whole rows.
+level, each stepped from the last by an exact ratio, and cached. An R
+closed-form row is the C(., j)-weighted sum of Stirling rows 0..j,
+shifted left by j-i; only the last one is kept, because callers read
+such a row entry by entry. ``l_poly_from_series`` sums Lah rows with
+weights stepped by exact ratios, and ``vanishing_sum`` steps its
+binomials the same way. Recurrence rows grow as Stirling rows do, in
+``factorial_basis._RecurrenceTable``: under a lock, and published whole,
+so concurrent readers see only whole rows.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from functools import lru_cache
-from operator import add
+from itertools import accumulate
+from operator import add, mul
 
 from .exact_arith import binomial, double_factorial_odd, factorial, pow2
 from .factorial_basis import (
@@ -167,18 +170,18 @@ def l_entry_recurrence(i: int, j: int) -> int:
 
 @lru_cache(maxsize=None)
 def _l_closed_row(j: int) -> tuple[int, ...]:
-    # a[m] = C(2j, j+1+m). The Taylor shift turns sum_m a[m] y^m into
-    # sum_m a[m] (1+y)^m in place, after which a[i-1] = S_i.
-    a = [binomial(2 * j, j + k) for k in range(1, j + 1)]
-    for i in range(j - 1):
-        for k in range(j - 2, i - 1, -1):
-            a[k] += a[k + 1]
-    row = [factorial(2 * j) // factorial(j)] + a
-    scale = 1  # j!/i!
-    for i in range(j, 0, -1):
-        row[i] *= scale
-        scale *= i
-    return tuple(row)
+    # seq = C(2j, 2j-m) for m = 0..j-1, each binomial stepped from the last
+    # by its exact ratio: the vector C(2j, j+1..2j) reversed. One Taylor
+    # shift pass is its prefix sums, after which the last entry is final:
+    # pass i freezes S_{i+1}.
+    seq = list(accumulate(range(j - 1), lambda c, m: c * (2 * j - m) // (m + 1), initial=1))
+    sums = []
+    while seq:
+        seq = list(accumulate(seq))
+        sums.append(seq.pop())
+    # j!/i! for i = j..1
+    scales = accumulate(range(j, 1, -1), mul, initial=1)
+    return (factorial(2 * j) // factorial(j), *map(mul, sums, reversed(list(scales))))
 
 
 # Callers read a row entry by entry, so only the last row is kept.

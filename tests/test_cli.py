@@ -1163,6 +1163,23 @@ def test_a_broken_stderr_keeps_exit_2_for_bad_input_and_0_for_eval():
     assert (proc.returncode, proc.stdout) == (0, b"lhs=384 rhs=384 equal=true\n")
 
 
+@pytest.mark.skipif(os.name != "posix", reason="needs a pipe with no reader")
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+@pytest.mark.parametrize("argv", [("--version",), ("verify", "--help")])
+def test_version_or_help_to_a_broken_stdout_exits_2_and_writes_nothing(argv, unbuffered):
+    """argparse ignores a failed write and exits 0; the text left in
+    stdout's buffer fails at entrypoint's flush (exit 2), not at the
+    interpreter's closing flush (exit 120, "Exception ignored")."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hypident", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=child_env(unbuffered))
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, b"")
+
+
 # -- what a process imports -------------------------------------------------------
 
 POOL_AND_DATACLASSES = ("concurrent", "multiprocessing", "dataclasses")

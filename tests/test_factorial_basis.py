@@ -144,7 +144,7 @@ def test_poly_values_matches_poly_eval(coeffs, lo, width):
     width=st.integers(0, 40),
 )
 def test_poly_values_degree_above_range(coeffs, hi, width):
-    # mostly degree > hi, where the walk drops the differences above hi - x
+    # mostly degree > hi, where the walk starts at level hi, not at the degree
     p = FallingPoly(tuple(coeffs))
     lo = max(hi - width, 0)
     assert poly_values(p, lo, hi) == horner_values(p, lo, hi)
@@ -160,7 +160,7 @@ def test_poly_values_edges(monkeypatch):
     for p in (FallingPoly(()), FallingPoly((7,)), FallingPoly((0, 0, 3)), r_poly(5)):
         for lo in (0, 1, 2, 9, 250):
             assert poly_values(p, lo, lo) == [poly_eval(p, lo)]
-        assert poly_values(p, 4, 3) == []
+        assert poly_values(p, 4, 3) == poly_values(p, 0, -1) == []
     assert poly_values(FallingPoly(()), 0, 5) == [0] * 6
     assert poly_values(FallingPoly((7,)), 300, 310) == [7] * 11
     # the walk from 0 is taken while lo <= hi - lo + 1, else Horner per point

@@ -253,6 +253,17 @@ def test_check_range_checks_n_types_as_identity_point(mode, n_min, n_max, messag
 
 
 @pytest.mark.parametrize("mode", ["direct", "fast", "cross"])
+@pytest.mark.parametrize("j, n_min, n_max", [(0, 1, 6), (3, 1, 9), (5, 37, 45)])
+def test_check_range_reports_identity_points(mode, j, n_min, n_max):
+    """Each report's point is an IdentityPoint (N, j), at N = 1 and at an
+    offset n_min alike; a plain tuple would compare equal, so the type is
+    checked too."""
+    points = [report.point for report in check_range(j, n_min, n_max, mode)]
+    assert points == [IdentityPoint(N, j) for N in range(n_min, n_max + 1)]
+    assert all(type(point) is IdentityPoint for point in points)
+
+
+@pytest.mark.parametrize("mode", ["direct", "fast", "cross"])
 def test_check_range_empty_run(mode):
     assert check_range(1, 5, 4, mode) == []
     assert check_range(0, 2, 1, mode) == []

@@ -5,6 +5,7 @@ import types
 import pytest
 
 from hypident import factorial_basis, triangles
+from hypident.cli import MAX_J
 from hypident.exact_arith import double_factorial_odd, factorial, pow2
 from hypident.factorial_basis import _LahTable, _RecurrenceTable, _StirlingTable, poly_eval
 from hypident.hypergeom import lhs_direct
@@ -60,7 +61,9 @@ def test_l_entry_closed_values():
 
 
 def test_l_closed_rows_match_binomial_sum():
-    for j in range(1, 61):
+    # Rows 1..60, and the Taylor shift's longest passes: past 1000 bits
+    # (j = 149, 150) and at the CLI's bound on j.
+    for j in [*range(1, 61), 149, 150, MAX_J]:
         row = triangle_row("L", j)
         assert row == tuple(l_entry_by_binomial_sum(i, j) for i in range(j + 1)), j
 
