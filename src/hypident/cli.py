@@ -92,7 +92,8 @@ __all__ = ["SweepConfig", "entrypoint", "main", "run_sweep"]
 
 
 class SweepConfig(
-    namedtuple("SweepConfig", "j_min j_max n_min n_max mode parallelism fmt timings")
+    namedtuple("SweepConfig", "j_min j_max n_min n_max mode parallelism fmt timings",
+               defaults=("fast", 1, "plain", False))
 ):
     """A verification sweep: inclusive j/N ranges, mode, worker count, and
     the report format and timings flag its cells are rendered with. Every
@@ -101,21 +102,10 @@ class SweepConfig(
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        j_min: int,
-        j_max: int,
-        n_min: int,
-        n_max: int,
-        mode: str = "fast",
-        parallelism: int = 1,
-        fmt: str = "plain",
-        timings: bool = False,
-    ) -> SweepConfig:
-        _check_int_fields(
-            ("j_min", j_min), ("j_max", j_max), ("n_min", n_min), ("n_max", n_max),
-            ("parallelism", parallelism),
-        )
+    def __new__(cls, *args, **kwargs) -> SweepConfig:
+        self = super().__new__(cls, *args, **kwargs)
+        j_min, j_max, n_min, n_max, mode, parallelism, fmt, timings = self
+        _check_int_fields(*zip(self._fields[:4], self), ("parallelism", parallelism))
         if j_min < 0 or j_min > j_max:
             raise ValueError(f"bad j range {j_min}..{j_max}")
         if n_min < 1 or n_min > n_max:
@@ -123,13 +113,11 @@ class SweepConfig(
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         _check_mode(mode)
-        if fmt not in _FORMATS:
+        if not isinstance(fmt, str) or fmt not in _FORMATS:
             raise ValueError(f"unknown format {fmt!r}; expected plain, json or csv")
         if not isinstance(timings, bool):
             raise ValueError(f"'timings' must be a bool, got {timings!r}")
-        return super().__new__(
-            cls, j_min, j_max, n_min, n_max, mode, parallelism, fmt, timings
-        )
+        return self
 
 
 def _sweep_cell(cell: tuple[int, int, int, str]) -> list[VerifyReport]:
@@ -347,16 +335,7 @@ def _grid_size(config: SweepConfig) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     _bounded("N", args.n[1], MAX_N)
     _bounded("j", args.j[1], MAX_J)
-    config = SweepConfig(
-        j_min=args.j[0],
-        j_max=args.j[1],
-        n_min=args.n[0],
-        n_max=args.n[1],
-        mode=args.mode,
-        parallelism=args.parallelism,
-        fmt=args.format,
-        timings=args.timings,
-    )
+    config = SweepConfig(*args.j, *args.n, args.mode, args.parallelism, args.format, args.timings)
     _bounded("grid size", _grid_size(config), MAX_GRID)
     with _open_out(args.out) as out:
         start = time.perf_counter()

@@ -43,10 +43,10 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import add, mul
-from typing import Callable, Literal, NamedTuple, get_args
 
 from .exact_arith import binomial, factorial, pow2
 from .factorial_basis import FallingPoly, falling, poly_values
@@ -72,8 +72,7 @@ __all__ = [
     "summand_equivalence",
 ]
 
-CheckMode = Literal["direct", "fast", "cross"]
-MODES: tuple[str, ...] = get_args(CheckMode)
+MODES = ("direct", "fast", "cross")
 
 # Parsing a decimal is quadratic in its digits: a weight of 2^18 digits
 # takes 0.5 s, one of 2^20 digits 7 s. 3g short weights fit in far less.
@@ -96,13 +95,10 @@ class IdentityPoint(namedtuple("IdentityPoint", "N j")):
         return super().__new__(cls, N, j)
 
 
-class VerifyReport(NamedTuple):
+class VerifyReport(namedtuple("VerifyReport", "point lhs rhs equal")):
     """Outcome of one identity check: both side values and the verdict."""
 
-    point: IdentityPoint
-    lhs: int
-    rhs: int
-    equal: bool
+    __slots__ = ()
 
 
 def rhs_direct_run(j: int, n_min: int, n_max: int) -> list[int]:
@@ -195,14 +191,14 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}; expected direct, fast or cross")
 
 
-def check_identity(point: IdentityPoint, mode: CheckMode = "fast") -> VerifyReport:
+def check_identity(point: IdentityPoint, mode: str = "fast") -> VerifyReport:
     """Evaluate both sides at ``point`` and report whether they agree:
     ``check_range`` over the single N of the point."""
     return check_range(point.j, point.N, point.N, mode)[0]
 
 
 def check_range(
-    j: int, n_min: int, n_max: int, mode: CheckMode = "fast"
+    j: int, n_min: int, n_max: int, mode: str = "fast"
 ) -> list[VerifyReport]:
     """Check the identity at (N, j) for N = n_min..n_max, in N order.
 
@@ -293,6 +289,8 @@ class MapCountSpec(namedtuple("MapCountSpec", "nu g j a")):
 
     def __new__(cls, nu: int, g: int, j: int, a: tuple[Fraction, ...]) -> MapCountSpec:
         _check_int_fields(("nu", nu), ("g", g), ("j", j))
+        if not isinstance(a, (list, tuple)):
+            raise ValueError(f"'a' must be a list or tuple of weights, got {type(a).__name__}")
         weights = []
         for idx, entry in enumerate(a):
             if isinstance(entry, bool):

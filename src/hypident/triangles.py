@@ -31,12 +31,12 @@ principal verification target, so collapsing them would test nothing.
 Every route builds a row whole. The recurrence routes build level by
 level and keep every row, so random access to (i, j) builds every row up
 to j. An L closed-form row is built on its own from the binomials of its
-level, each stepped from the last by an exact ratio, and cached. An R
-closed-form row is the C(., j)-weighted sum of Stirling rows 0..j,
-shifted left by j-i; only the last one is kept, because callers read
-such a row entry by entry. ``l_poly_from_series`` sums Lah rows with
-weights stepped by exact ratios, and ``vanishing_sum`` steps its
-binomials the same way. Recurrence rows grow as Stirling rows do, in
+level, each stepped from the last by an exact ratio. An R closed-form
+row is the C(., j)-weighted sum of Stirling rows 0..j, shifted left by
+j-i. Each closed form keeps only its last row, because its callers read
+one level at a time, entry by entry. ``l_poly_from_series`` sums Lah
+rows with weights stepped by exact ratios, and ``vanishing_sum`` steps
+its binomials the same way. Recurrence rows grow as Stirling rows do, in
 ``factorial_basis._RecurrenceTable``: under a lock, and published whole,
 so concurrent readers see only whole rows.
 """
@@ -168,7 +168,8 @@ def l_entry_recurrence(i: int, j: int) -> int:
     return _L_REC.entry(i, j)
 
 
-@lru_cache(maxsize=None)
+# Callers read one level at a time, so only the last row is kept.
+@lru_cache(maxsize=1)
 def _l_closed_row(j: int) -> tuple[int, ...]:
     # seq = C(2j, 2j-m) for m = 0..j-1, each binomial stepped from the last
     # by its exact ratio: the vector C(2j, j+1..2j) reversed. One Taylor
@@ -184,7 +185,7 @@ def _l_closed_row(j: int) -> tuple[int, ...]:
     return (factorial(2 * j) // factorial(j), *map(mul, sums, reversed(list(scales))))
 
 
-# Callers read a row entry by entry, so only the last row is kept.
+# Callers read one level at a time, so only the last row is kept.
 @lru_cache(maxsize=1)
 def _r_closed_row(j: int) -> tuple[int, ...]:
     # x^k is Stirling row k in the falling basis, so the sums over k for

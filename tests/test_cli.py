@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import errno
+import importlib
 import io
 import json
 import marshal
@@ -495,13 +496,16 @@ def test_parallelism_flag(capsys, monkeypatch):
 @pytest.mark.parametrize("field, value, error", [
     ("mode", "slow", "unknown mode 'slow'; expected direct, fast or cross"),
     ("fmt", "xml", "unknown format 'xml'; expected plain, json or csv"),
+    ("mode", ["fast"], "unknown mode ['fast']; expected direct, fast or cross"),
+    ("fmt", ["json"], "unknown format ['json']; expected plain, json or csv"),
 ])
 def test_sweep_config_rejects_an_unknown_mode_or_format(monkeypatch, field, value, error):
-    """A bad mode or format fails when the config is built, so a sweep
-    never starts a cell or writes a byte of a report for it."""
+    """A bad mode or format, an unhashable one included, fails with a
+    ValueError when the config is built, so a sweep never starts a cell or
+    writes a byte of a report for it."""
     monkeypatch.setattr(cli, "_sweep_cell", lambda cell: pytest.fail("swept"))
     out = io.StringIO()
-    with pytest.raises(ValueError, match=f"^{error}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
         cli.run_sweep(cli.SweepConfig(1, 1, 1, 2, **{field: value}), out)
     assert out.getvalue() == ""
 
@@ -1066,6 +1070,17 @@ def test_python_m_entrypoint():
         assert proc.stdout == "lhs=6 rhs=6 equal=true\n"
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in 3.11")
+def test_installed_script_is_the_entrypoint():
+    """pyproject.toml's hypident script resolves to cli.entrypoint."""
+    import tomllib
+
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    module, _, name = scripts["hypident"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.entrypoint
+
+
 @pytest.mark.parametrize("unbuffered", [None, "1"])
 @pytest.mark.parametrize("argv", [
     ("verify", "--j", "1", "--n", "1..2000", "--format", "csv"),  # one cell, 1.25 MB
@@ -1222,9 +1237,12 @@ def test_commands_import_no_pool_and_no_dataclasses(tmp_path, argv):
 
 
 def test_import_hypident_imports_no_dataclasses():
+    """Nor typing: the library's modules annotate with built-in and
+    collections.abc types only (cli's NoReturn has no such substitute)."""
     modules = imported_modules("-c", "import hypident")
     assert "hypident.identity" in modules
     assert pool_or_dataclasses(modules) == []
+    assert "typing" not in modules
 
 
 def test_a_pooled_sweep_imports_no_pool():

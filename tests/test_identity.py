@@ -422,6 +422,18 @@ def test_map_count_spec_validation():
     assert spec.a == (Fraction(-12), Fraction(3, 4), Fraction(1, 4))
 
 
+@pytest.mark.parametrize("a, name", [
+    ("103", "str"), (b"103", "bytes"), ({1: 0, 0: 0, 3: 0}, "dict"), ({1, 0, 3}, "set"),
+    (5, "int"),
+], ids=["str", "bytes", "dict", "set", "int"])
+def test_spec_rejects_weights_that_are_not_a_list_or_tuple(a, name):
+    """A string is not split into digit weights, nor bytes into byte
+    values, a dict into its keys or a set into its elements in any order;
+    a scalar is a ValueError naming the field, as every other fault is."""
+    with pytest.raises(ValueError, match=f"^'a' must be a list or tuple of weights, got {name}$"):
+        MapCountSpec(2, 1, 1, a)
+
+
 @pytest.mark.parametrize("weight", ["1e1000000", "2E3", "1.5e-2", "-3/4e2"])
 def test_spec_rejects_exponent_notation(weight):
     """A weight in exponent notation is refused before Fraction expands it

@@ -91,6 +91,13 @@ def test_sweep_config_defaults_and_checks():
             SweepConfig(*args)
 
 
+def test_sweep_config_declares_its_defaults_in_its_named_tuple():
+    assert SweepConfig._field_defaults == {
+        "mode": "fast", "parallelism": 1, "fmt": "plain", "timings": False,
+    }
+    assert VerifyReport._fields == ("point", "lhs", "rhs", "equal")
+
+
 def test_checks_run_again_on_unpickling(monkeypatch):
     seen = []
     monkeypatch.setattr(identity, "_check_point", lambda N, j: seen.append((N, j)))
