@@ -13,9 +13,12 @@ Subcommands:
 Reports go to stdout (or --out FILE); the human summary and the FAIL
 lines go to stderr, so JSON/CSV report streams stay machine-clean.
 run_sweep alone writes a verify report, laid out by _FORMATS: rows ordered
-by (j, N) and written one j cell at a time as the sweep goes. With
---parallelism K above 1 (default 1), the cells are checked and rendered
-by up to K forked worker processes that send back their rows over pipes:
+by (j, N) and written one j cell at a time as the sweep goes. A cell is
+checked as columns (identity.check_cell: lhs values, rhs values, verdicts)
+and rendered straight from them; check_range, one report per point, is a
+view over a cell that the sweep never builds. With --parallelism K above
+1 (default 1), the cells are checked and rendered by up to K forked
+worker processes that send back their rows over pipes:
 each cell crosses as one marshal value, and no pool module is imported.
 _sweep_task times each cell, and --timings shows that time in the rows;
 without it (the default), identical configs produce byte-identical output
@@ -34,17 +37,19 @@ import sys
 import threading
 import time
 from collections import namedtuple
+from itertools import compress, count, repeat
+from operator import not_
 from typing import BinaryIO, Iterator, NoReturn, TextIO
 
 from . import __version__
 from .identity import (
     MODES,
+    CellReport,
     IdentityPoint,
-    VerifyReport,
     _check_int_fields,
     _check_mode,
+    check_cell,
     check_identity,
-    check_range,
     lhs_fast,
     map_count,
     mapcount_spec_from_file,
@@ -120,8 +125,8 @@ class SweepConfig(
         return self
 
 
-def _sweep_cell(cell: tuple[int, int, int, str]) -> list[VerifyReport]:
-    return check_range(*cell)
+def _sweep_cell(cell: tuple[int, int, int, str]) -> CellReport:
+    return check_cell(*cell)
 
 
 def _sweep_task(config: SweepConfig, j: int) -> tuple[str, list[str]]:
@@ -130,11 +135,11 @@ def _sweep_task(config: SweepConfig, j: int) -> tuple[str, list[str]]:
     a worker sends back text, not reports. With timings, each row's micros
     is its equal share of the time the cell took to check, else 0."""
     start = time.perf_counter()
-    reports = _sweep_cell((j, config.n_min, config.n_max, config.mode))
-    micros = int((time.perf_counter() - start) * 1e6 / len(reports)) if config.timings else 0
-    return _render_reports(reports, config.fmt, micros), [
-        f"FAIL j={r.point.j} N={r.point.N} lhs={r.lhs} rhs={r.rhs}"
-        for r in reports if not r.equal
+    cell = _sweep_cell((j, config.n_min, config.n_max, config.mode))
+    micros = int((time.perf_counter() - start) * 1e6 / len(cell.lhs)) if config.timings else 0
+    failed = compress(zip(count(cell.n_min), cell.lhs, cell.rhs), map(not_, cell.equal))
+    return _render_reports(cell, config.fmt, micros), [
+        f"FAIL j={cell.j} N={N} lhs={lhs} rhs={rhs}" for N, lhs, rhs in failed
     ]
 
 
@@ -275,17 +280,20 @@ _FORMATS = {
 }
 
 
-def _render_reports(reports: list[VerifyReport], fmt: str, micros: int) -> str:
+def _render_reports(cell: CellReport, fmt: str, micros: int) -> str:
     """One cell's rows in fmt, each with micros, joined by the separator of
-    _FORMATS[fmt], without its head and tail. A row's rhs reuses lhs's
-    decimal string only when the two ints are equal, whatever the verdict."""
+    _FORMATS[fmt], without its head and tail, built by one map over the
+    cell's columns. Each value is printed once: a row's rhs reuses lhs's
+    decimal string when the two ints are equal, whatever the verdict."""
     _, row, sep, _ = _FORMATS[fmt]
-    rows = []
-    for r in reports:
-        lhs = str(r.lhs)
-        rhs = lhs if r.rhs == r.lhs else str(r.rhs)
-        rows.append(row(r.point.N, r.point.j, lhs, rhs, "true" if r.equal else "false", micros))
-    return sep.join(rows)
+    lhs = list(map(str, cell.lhs))
+    rhs = lhs if cell.rhs == cell.lhs else [
+        text if a == b else str(b) for text, a, b in zip(lhs, cell.lhs, cell.rhs)
+    ]
+    return sep.join(map(
+        row, count(cell.n_min), repeat(str(cell.j)), lhs, rhs,
+        map(("false", "true").__getitem__, cell.equal), repeat(str(micros)),
+    ))
 
 
 def _open_out(path: str | None) -> contextlib.AbstractContextManager[TextIO]:
@@ -299,15 +307,25 @@ def _open_out(path: str | None) -> contextlib.AbstractContextManager[TextIO]:
     return open(path, "w", encoding="utf-8")
 
 
+def _int(text: str) -> int:
+    """An optional sign and ASCII digits, as an int. int() also reads
+    surrounding spaces, "_" separators and non-ASCII digits, which are
+    usage errors here, as they are in a coefficient file's weights."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    try:
+        if digits.isascii() and digits.isdigit():
+            return int(text)
+    except ValueError:  # past the 4300-digit limit, not yet lifted
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _span(text: str) -> tuple[int, int]:
     """Parse 'a..b' (inclusive) or a single integer 'a' as (a, a)."""
+    lo_s, hi_s = text.split("..", 1) if ".." in text else (text, text)
     try:
-        if ".." in text:
-            lo_s, hi_s = text.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-        else:
-            lo = hi = int(text)
-    except ValueError:
+        lo, hi = _int(lo_s), _int(hi_s)
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"expected INT or INT..INT, got {text!r}") from None
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
@@ -410,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="report format (default plain)")
     p_verify.add_argument("--out", metavar="FILE", default=None,
                           help="write reports to FILE instead of stdout")
-    p_verify.add_argument("--parallelism", type=int, default=1, metavar="K",
+    p_verify.add_argument("--parallelism", type=_int, default=1, metavar="K",
                           help="worker processes, partitioned by j (default 1)")
     p_verify.add_argument("--timings", action="store_true",
                           help="report each point's share of its j cell's time in micros "
@@ -419,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="dump triangle rows")
     p_table.add_argument("kind", choices=KINDS, help="which triangle")
-    p_table.add_argument("--jmax", type=int, required=True,
+    p_table.add_argument("--jmax", type=_int, required=True,
                          help=f"top level to dump (1 <= jmax <= {MAX_J})")
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.add_argument("--out", metavar="FILE", default=None)
@@ -427,13 +445,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate one point of the identity")
     p_eval.add_argument("side", choices=("lhs", "rhs", "both"))
-    p_eval.add_argument("N", type=int)
-    p_eval.add_argument("j", type=int)
+    p_eval.add_argument("N", type=_int)
+    p_eval.add_argument("j", type=_int)
     p_eval.set_defaults(func=cmd_eval)
 
     p_map = sub.add_parser("mapcount", help="evaluate the map-count formula")
     p_map.add_argument("coeff_file", help='JSON file {"nu": int, "g": int, "a": [...]}')
-    p_map.add_argument("--j", type=int, required=True,
+    p_map.add_argument("--j", type=_int, required=True,
                        help=f"number of vertices (1 <= j <= {MAX_J})")
     p_map.set_defaults(func=cmd_mapcount)
 

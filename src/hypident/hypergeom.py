@@ -22,8 +22,6 @@ one N.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exact_arith import binomial, factorial
 
 __all__ = ["lhs_direct", "lhs_direct_run"]
@@ -115,6 +113,8 @@ def lhs_direct_run(j: int, n_min: int, n_max: int) -> list[int]:
         numerator = prefactor * c * num << N
         value, rest = divmod(numerator, den)
         if rest:
+            from fractions import Fraction
+
             raise ArithmeticError(
                 f"lhs_direct(N={N}, j={j}) is not an integer: "
                 f"{Fraction(numerator, den)}"

@@ -15,10 +15,13 @@ at the run's first N and walks Pascal's rule from there to every further
 N, additions only; ``lhs_direct`` and ``rhs_direct`` are these runs at
 one N. The fast routes, ``_fast_values`` behind ``lhs_fast``/``rhs_fast``,
 evaluate 2^N L_j(N) and 2^N R_j(N).
-``check_range`` is the one checker: for one j over a run of N it
+``check_cell`` is the one checker: for one j over a run of N it
 evaluates each route of the chosen mode once over the whole run and
-reports the outcome at every N; an unequal pair is a result, never an
-exception. ``check_identity`` is ``check_range`` at a single point.
+returns the cell as columns, a ``CellReport`` holding the first and the
+last route's values and one verdict per N; an unequal pair is a result,
+never an exception. ``check_range`` is a view over a cell, one checked
+``VerifyReport`` per point, and ``check_identity`` is ``check_range`` at a
+single point.
 
 The j = 0 boundary is accepted as a harmless extension (both sides
 collapse to 2^N). N = 0 is rejected: there the hypergeometric side's
@@ -36,17 +39,16 @@ where the 3g weights a_l are supplied by the caller (typically from a JSON
 coefficient file; this package never fabricates them). ``map_summand``
 exposes one weightless term of that sum, and ``summand_equivalence``
 checks the nu = 2 statement that ties each term back to the identity with
-N = 2g-1+l.
+N = 2g-1+l. Only these map-count functions use ``fractions`` and
+``json``, so they import them, and checking the identity loads neither.
 """
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from collections.abc import Callable
-from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import add, mul
+from itertools import accumulate, count, repeat
+from operator import add, and_, eq, lshift, mul
 
 from .exact_arith import binomial, factorial, pow2
 from .factorial_basis import FallingPoly, falling, poly_values
@@ -54,11 +56,13 @@ from .hypergeom import _check_int, _check_point, _check_run, _series, lhs_direct
 from .triangles import l_poly, r_poly
 
 __all__ = [
+    "CellReport",
     "CoefficientLengthMismatch",
     "IdentityPoint",
     "MapCountSpec",
     "VerifyReport",
     "binomial_falling_sum",
+    "check_cell",
     "check_identity",
     "check_range",
     "lhs_fast",
@@ -97,6 +101,14 @@ class IdentityPoint(namedtuple("IdentityPoint", "N j")):
 
 class VerifyReport(namedtuple("VerifyReport", "point lhs rhs equal")):
     """Outcome of one identity check: both side values and the verdict."""
+
+    __slots__ = ()
+
+
+class CellReport(namedtuple("CellReport", "j n_min lhs rhs equal")):
+    """Outcome of one j cell, N = n_min, n_min + 1, ..., as columns: the
+    first route's values, the last route's and one verdict per N. rhs is
+    lhs, the same list, when both come from one shared polynomial row."""
 
     __slots__ = ()
 
@@ -159,7 +171,7 @@ def _fast_values(
         row = route(j) if j else FallingPoly((1,))
         values.append(
             values[-1] if row == last
-            else [v << N for N, v in enumerate(poly_values(row, n_min, n_max), n_min)]
+            else list(map(lshift, poly_values(row, n_min, n_max), count(n_min)))
         )
         last = row
     return values
@@ -197,26 +209,23 @@ def check_identity(point: IdentityPoint, mode: str = "fast") -> VerifyReport:
     return check_range(point.j, point.N, point.N, mode)[0]
 
 
-def check_range(
-    j: int, n_min: int, n_max: int, mode: str = "fast"
-) -> list[VerifyReport]:
-    """Check the identity at (N, j) for N = n_min..n_max, in N order.
+def check_cell(j: int, n_min: int, n_max: int, mode: str = "fast") -> CellReport:
+    """Check the identity at (N, j) for N = n_min..n_max, as one cell.
 
     mode "direct" compares the two brute-force routes, "fast" the two
     polynomial routes (L_j from its closed form and R_j from its
     recurrence, each evaluated over the whole run by ``poly_values``), and
     "cross" all four. Equal rows are one polynomial, so they agree at every
-    N >= 1 and are evaluated once. A report's lhs is the first route's
-    value and its rhs the last's; equal means every route agrees at that
-    N, and is reported, never raised. Nothing is timed, so repeated checks
-    give equal reports. j is checked first, the same way in every mode,
-    then the types of n_min and n_max as ``IdentityPoint`` checks N, so an
-    empty run of N (n_min > n_max) still rejects a bad j or a non-int
-    bound, and otherwise returns [].
+    N >= 1 and are evaluated once; then rhs is lhs. lhs holds the first
+    route's values and rhs the last's; equal[i] says whether every route
+    agrees at N = n_min + i, and is reported, never raised. Nothing is
+    timed, so repeated checks give equal cells. j is checked first, the
+    same way in every mode, then the types of n_min and n_max as
+    ``IdentityPoint`` checks N, so an empty run of N (n_min > n_max) still
+    rejects a bad j or a non-int bound, and otherwise has empty columns.
     """
     _check_mode(mode)
     _check_run(j, n_min, n_max)
-    points = [IdentityPoint(N, j) for N in range(n_min, n_max + 1)]
     routes = []
     if mode != "fast":
         routes.append(lhs_direct_run(j, n_min, n_max))
@@ -224,9 +233,23 @@ def check_range(
         routes += _fast_values(j, n_min, n_max, l_poly, r_poly)
     if mode != "fast":
         routes.append(rhs_direct_run(j, n_min, n_max))
+    lhs = routes[0]
+    equal = [True] * len(lhs)
+    for values in routes[1:]:
+        if values is not lhs:
+            equal = list(map(and_, equal, map(eq, lhs, values)))
+    return CellReport(j, n_min, lhs, routes[-1], equal)
+
+
+def check_range(
+    j: int, n_min: int, n_max: int, mode: str = "fast"
+) -> list[VerifyReport]:
+    """``check_cell`` as one ``VerifyReport`` per point, in N order, each
+    point a checked ``IdentityPoint``; [] for an empty run."""
+    cell = check_cell(j, n_min, n_max, mode)
     return [
-        VerifyReport(point, values[0], values[-1], values.count(values[0]) == len(values))
-        for point, values in zip(points, zip(*routes))
+        VerifyReport(IdentityPoint(N, j), lhs, rhs, equal)
+        for N, lhs, rhs, equal in zip(count(n_min), cell.lhs, cell.rhs, cell.equal)
     ]
 
 
@@ -240,6 +263,8 @@ def map_summand(g: int, l: int, j: int, nu: int) -> Fraction:
     ``_series`` needs: the series is one ``_series`` pair over which a
     single Fraction is built.
     """
+    from fractions import Fraction
+
     for name, value in (("g", g), ("l", l), ("j", j), ("nu", nu)):
         _check_int(name, value)
     if g < 1:
@@ -288,6 +313,8 @@ class MapCountSpec(namedtuple("MapCountSpec", "nu g j a")):
     __slots__ = ()
 
     def __new__(cls, nu: int, g: int, j: int, a: tuple[Fraction, ...]) -> MapCountSpec:
+        from fractions import Fraction
+
         _check_int_fields(("nu", nu), ("g", g), ("j", j))
         if not isinstance(a, (list, tuple)):
             raise ValueError(f"'a' must be a list or tuple of weights, got {type(a).__name__}")
@@ -329,6 +356,8 @@ def map_count(spec: MapCountSpec) -> Fraction:
     when the supplied weights are the true ones, which this package does
     not assert).
     """
+    from fractions import Fraction
+
     prefactor = factorial(spec.j) * (
         2 * spec.nu * (spec.nu - 1) * binomial(2 * spec.nu - 1, spec.nu - 1)
     ) ** spec.j
@@ -364,6 +393,8 @@ def mapcount_spec_from_file(path: str, j: int) -> MapCountSpec:
     parsed; at most that many bytes (plus one) are read, so a device or
     pipe that never ends is rejected too. Every ValueError names the file.
     """
+    import json
+
     with open(path, "rb") as fh:
         data = fh.read(MAX_COEFF_FILE_BYTES + 1)
     if len(data) > MAX_COEFF_FILE_BYTES:

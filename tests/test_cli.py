@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,13 @@ from hypothesis import strategies as st
 import hypident
 from hypident import cli, hypergeom, identity
 from hypident.factorial_basis import FallingPoly, poly_eval
-from hypident.identity import IdentityPoint, MapCountSpec, VerifyReport, check_identity
+from hypident.identity import (
+    CellReport,
+    IdentityPoint,
+    MapCountSpec,
+    VerifyReport,
+    check_identity,
+)
 from oracles import report_document
 
 
@@ -165,12 +172,11 @@ def test_verify_failing_point_exits_1(capsys, monkeypatch):
     """The sweep exit code contract: any unequal report means exit 1."""
 
     def rigged(j, n_min, n_max, mode="fast"):
-        return [
-            VerifyReport(IdentityPoint(N, j), 1 if N == 2 else 6, 6, N != 2)
-            for N in range(n_min, n_max + 1)
-        ]
+        ns = range(n_min, n_max + 1)
+        return CellReport(j, n_min, [1 if N == 2 else 6 for N in ns], [6] * len(ns),
+                          [N != 2 for N in ns])
 
-    monkeypatch.setattr(cli, "check_range", rigged)
+    monkeypatch.setattr(cli, "check_cell", rigged)
     for mode in ("fast", "direct", "cross"):
         code, out, err = run_cli(capsys, "verify", "--j", "1..1", "--n", "1..3",
                                  "--mode", mode)
@@ -183,6 +189,12 @@ def test_verify_failing_point_exits_1(capsys, monkeypatch):
 def fail_lines(reports):
     return [f"FAIL j={r.point.j} N={r.point.N} lhs={r.lhs} rhs={r.rhs}"
             for r in reports if not r.equal]
+
+
+def reports_of(cell):
+    """A cell's columns as one report per point, as check_range gives them."""
+    return [VerifyReport(IdentityPoint(N, cell.j), lhs, rhs, equal)
+            for N, lhs, rhs, equal in zip(count(cell.n_min), cell.lhs, cell.rhs, cell.equal)]
 
 
 def swept(config):
@@ -206,7 +218,7 @@ def test_fast_sweep_matches_check_identity(j_min, j_max, n_min, n_max):
         for j in range(j_min, j_max + 1)
         for N in range(n_min, n_max + 1)
     ]
-    assert rows == cli._render_reports(expected, "plain", 0)
+    assert rows == report_document(expected, "plain")
     assert failed == []
     assert all(r.equal for r in expected)
 
@@ -236,7 +248,7 @@ def test_fast_sweep_catches_one_wrong_coefficient(capsys, monkeypatch, row, inde
             for N in range(n_min, n_max + 1)
         ]
         rows, failed = swept(cli.SweepConfig(3, 3, n_min, n_max))
-        assert rows == cli._render_reports(expected, "plain", 0)
+        assert rows == report_document(expected, "plain")
         assert failed == fail_lines(expected)
     code, out, err = run_cli(capsys, "verify", "--j", "2..3", "--n", "3..12")
     assert code == 1
@@ -262,12 +274,11 @@ def test_render_writes_both_values_whatever_the_verdict(capsys, monkeypatch):
     pairs = {1: (6, 7), 2: (big, big + 1), 3: (big, big)}
 
     def rigged(j, n_min, n_max, mode="fast"):
-        return [
-            VerifyReport(IdentityPoint(N, j), *pairs[N], True)
-            for N in range(n_min, n_max + 1)
-        ]
+        ns = range(n_min, n_max + 1)
+        return CellReport(j, n_min, [pairs[N][0] for N in ns], [pairs[N][1] for N in ns],
+                          [True] * len(ns))
 
-    monkeypatch.setattr(cli, "check_range", rigged)
+    monkeypatch.setattr(cli, "check_cell", rigged)
     for fmt in ("plain", "json", "csv"):
         code, out, _ = run_cli(capsys, "verify", "--j", "1", "--n", "1..3",
                                "--format", fmt)
@@ -292,27 +303,29 @@ exact_values = st.one_of(
 
 
 @st.composite
-def verify_reports(draw):
-    lhs = draw(exact_values)
-    return VerifyReport(
-        IdentityPoint(draw(st.integers(1, cli.MAX_N)), draw(st.integers(0, cli.MAX_J))),
-        lhs,
-        draw(st.one_of(st.just(lhs), exact_values)),
-        draw(st.booleans()),
-    )
+def cell_reports(draw, min_size=0):
+    """A cell whose verdicts need not match its values: rhs is lhs, the
+    same list, or drawn value by value, each equal to lhs's or not."""
+    lhs = draw(st.lists(exact_values, min_size=min_size, max_size=4))
+    rhs = lhs if draw(st.booleans()) else [
+        draw(st.one_of(st.just(value), exact_values)) for value in lhs
+    ]
+    equal = draw(st.lists(st.booleans(), min_size=len(lhs), max_size=len(lhs)))
+    return CellReport(draw(st.integers(0, cli.MAX_J)), draw(st.integers(1, cli.MAX_N)),
+                      lhs, rhs, equal)
 
 
-@given(st.lists(verify_reports(), max_size=4), st.sampled_from(["json", "csv"]),
-       st.integers(0, 10**9))
-def test_render_round_trips(reports, fmt, micros):
+@given(cell_reports(), st.sampled_from(["json", "csv"]), st.integers(0, 10**9))
+def test_render_round_trips(cell, fmt, micros):
     """JSON and CSV reports parse back to the same N, j, lhs, rhs and
     verdict, whatever the verdict says, with the given micros on every row."""
+    reports = reports_of(cell)
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
         head, _, _, tail = cli._FORMATS[fmt]
-        out = head + cli._render_reports(reports, fmt, micros) + tail
+        out = head + cli._render_reports(cell, fmt, micros) + tail
         if fmt == "json":
             got = [
                 (row["N"], row["j"], int(row["lhs"]), int(row["rhs"]), row["equal"], row["micros"])
@@ -332,17 +345,8 @@ def test_render_round_trips(reports, fmt, micros):
             sys.set_int_max_str_digits(limit)
 
 
-@st.composite
-def report_cells(draw):
-    """Unequal as well as equal reports, split into one or more non-empty
-    cells at any boundary."""
-    reports = draw(st.lists(verify_reports(), min_size=1, max_size=6))
-    cuts = sorted(draw(st.sets(st.integers(1, len(reports) - 1))) if len(reports) > 1 else [])
-    bounds = [0, *cuts, len(reports)]
-    return [reports[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-@given(report_cells(), st.sampled_from(["json", "csv", "plain"]), st.integers(0, 10**9))
+@given(st.lists(cell_reports(min_size=1), min_size=1, max_size=3),
+       st.sampled_from(["json", "csv", "plain"]), st.integers(0, 10**9))
 def test_cells_with_framing_give_the_whole_document(cells, fmt, micros):
     """The framing around the cells that _render_reports writes, whatever
     the cell boundaries, gives the bytes of the report rendered in one
@@ -355,7 +359,7 @@ def test_cells_with_framing_give_the_whole_document(cells, fmt, micros):
         streamed = head + sep.join(
             cli._render_reports(cell, fmt, micros) for cell in cells) + tail
         assert streamed == report_document(
-            [r for cell in cells for r in cell], fmt, micros)
+            [r for cell in cells for r in reports_of(cell)], fmt, micros)
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
@@ -435,6 +439,67 @@ def test_real_pool_reports_a_rigged_route_as_serial(monkeypatch, capsys, forks, 
         f"FAIL j={j} N=5 lhs={v} rhs={v + 1}"
         for j in odd for v in [identity.lhs_direct_run(j, 5, 5)[0]]
     ]
+
+
+# Each mode's routes in check_cell's order: lhs is the first's value, rhs the
+# last's. "L" and "R" are the polynomial routes of _fast_values.
+MODE_ROUTES = {
+    "direct": ("lhs_direct_run", "rhs_direct_run"),
+    "fast": ("L", "R"),
+    "cross": ("lhs_direct_run", "L", "R", "rhs_direct_run"),
+}
+
+
+def route_values(route, j, n_min, n_max):
+    if route in ("L", "R"):
+        return identity._fast_values(j, n_min, n_max, identity.l_poly,
+                                     identity.r_poly)[route == "R"]
+    return getattr(identity, route)(j, n_min, n_max)
+
+
+def rig_route(monkeypatch, route, j_bad, n_bad):
+    """Add 1 to route's value at (N, j) = (n_bad, j_bad) alone."""
+    def bump(values, j, n_min):
+        return [v + (j == j_bad and N == n_bad) for N, v in zip(count(n_min), values)]
+
+    if route in ("L", "R"):
+        right = identity._fast_values
+
+        def rigged(j, n_min, n_max, *rows):
+            values = right(j, n_min, n_max, *rows)
+            if len(rows) == 2:
+                index = route == "R"
+                values[index] = bump(values[index], j, n_min)
+            return values
+
+        monkeypatch.setattr(identity, "_fast_values", rigged)
+    else:
+        right = getattr(identity, route)
+        monkeypatch.setattr(identity, route,
+                            lambda j, n_min, n_max: bump(right(j, n_min, n_max), j, n_min))
+
+
+@pytest.mark.parametrize("mode, route",
+                         [(mode, route) for mode, routes in MODE_ROUTES.items() for route in routes])
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_sweep_cells_agree_with_check_range(monkeypatch, capsys, fmt, mode, route):
+    """With one route wrong at one point, the rows and FAIL lines a sweep
+    builds from its cells' columns are check_range's reports, field by
+    field, and it exits 1; each report's lhs is the mode's first route and
+    its rhs the last, and it is equal where every route agrees."""
+    rig_route(monkeypatch, route, 3, 5)
+    code, out, err = run_cli(capsys, "verify", "--j", "2..4", "--n", "3..7", "--mode", mode,
+                             "--format", fmt)
+    reports = [r for j in range(2, 5) for r in identity.check_range(j, 3, 7, mode)]
+    assert code == 1
+    assert out == report_document(reports, fmt)
+    assert [line for line in err.splitlines() if line.startswith("FAIL")] == fail_lines(reports)
+    assert [(r.point.j, r.point.N) for r in reports if not r.equal] == [(3, 5)]
+    for j in range(2, 5):
+        routes = [route_values(name, j, 3, 7) for name in MODE_ROUTES[mode]]
+        assert [(r.lhs, r.rhs, r.equal) for r in reports if r.point.j == j] == [
+            (values[0], values[-1], len(set(values)) == 1) for values in zip(*routes)
+        ]
 
 
 def test_verify_timings_flag(capsys):
@@ -721,6 +786,43 @@ def test_span_parses_or_rejects_any_text(text):
     assert type(lo) is int and type(hi) is int and lo <= hi
 
 
+@pytest.mark.parametrize("text", ["１", "١٢", "1_0", " 2", "2 ", "+-1", "²", "0x10", "+"])
+@pytest.mark.parametrize("argv, error", [
+    (("verify", "--j", "{}"), "argument --j: expected INT or INT..INT, got {!r}"),
+    (("verify", "--n", "1..{}"), "argument --n: expected INT or INT..INT, got {!r}"),
+    (("verify", "--parallelism", "{}"), "argument --parallelism: invalid int value: {!r}"),
+    (("table", "C", "--jmax", "{}"), "argument --jmax: invalid int value: {!r}"),
+    (("eval", "both", "{}", "1"), "argument N: invalid int value: {!r}"),
+    (("eval", "both", "1", "{}"), "argument j: invalid int value: {!r}"),
+    (("mapcount", "unread.json", "--j", "{}"), "argument --j: invalid int value: {!r}"),
+])
+def test_integer_arguments_take_ascii_digits_only(capsys, monkeypatch, argv, error, text):
+    """int() reads full-width and Arabic-Indic digits, "_" separators and
+    surrounding spaces; an integer argument of any kind takes an optional
+    sign and ASCII digits only, and anything else is a usage error."""
+    monkeypatch.setattr(cli, "run_sweep", lambda config, out: pytest.fail("swept"))
+    value = next(arg.format(text) for arg in argv if "{}" in arg)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([arg.format(text) for arg in argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: ")
+    assert err.endswith(f"hypident {argv[0]}: error: {error.format(value)}\n")
+
+
+def test_integer_arguments_take_a_sign(capsys, monkeypatch):
+    assert cli._span("+1..+3") == (1, 3)
+    assert cli._span("-0") == (0, 0)
+    assert cli._span("-2..007") == (-2, 7)
+    assert run_cli(capsys, "eval", "both", "+2", "+01") == (0, "lhs=16 rhs=16 equal=true\n", "")
+    seen = []
+    monkeypatch.setattr(cli, "run_sweep",
+                        lambda config, out: seen.append(config.parallelism) or [])
+    assert run_cli(capsys, "verify", "--parallelism", "+2")[0] == 0
+    assert seen == [2]
+
+
 # -- eval ----------------------------------------------------------------------
 
 def test_eval_both(capsys):
@@ -953,7 +1055,7 @@ def test_mapcount_file_size_bound(tmp_path, capsys, monkeypatch):
     above = write_coeffs(tmp_path, doc + " " * (bound + 1 - len(doc)), "above.json")
     assert run_cli(capsys, "mapcount", at_bound, "--j", "1") == (0, "36\n", "")
     parsed = []
-    monkeypatch.setattr(identity.json, "loads", lambda text: parsed.append(text))
+    monkeypatch.setattr(json, "loads", lambda text: parsed.append(text))
     code, out, err = run_cli(capsys, "mapcount", above, "--j", "1")
     assert (code, out, parsed) == (2, "", [])
     assert err == f"error: {above}: size is above the bound of {bound} bytes\n"
@@ -1252,6 +1354,31 @@ def test_a_pooled_sweep_imports_no_pool():
                                "--parallelism", "2")
     assert ("signal" in modules) == (cli._cpus() > 1 and hasattr(os, "fork"))
     assert pool_or_dataclasses(modules) == []
+
+
+# fractions imports decimal; both and json are for map counts alone.
+MAP_COUNT_MODULES = ("fractions", "decimal", "_decimal", "_pydecimal", "json", "_json")
+
+
+@pytest.mark.parametrize("argv", [
+    ("-c", "import hypident"),
+    ("-m", "hypident", "verify", "--j", "1..3", "--n", "1..5", "--parallelism", "1"),
+    ("-m", "hypident", "verify", "--j", "1..3", "--n", "1..5", "--mode", "cross",
+     "--format", "json", "--parallelism", "2"),
+    ("-m", "hypident", "table", "R", "--jmax", "4", "--format", "json"),
+    ("-m", "hypident", "eval", "both", "7", "3"),
+])
+def test_only_mapcount_imports_fractions_and_json(argv):
+    """A pooled sweep's workers write their imports to the same stderr."""
+    modules = imported_modules(*argv)
+    assert "hypident.identity" in modules
+    assert sorted(m for m in modules if m.split(".")[0] in MAP_COUNT_MODULES) == []
+
+
+def test_mapcount_imports_fractions_and_json(tmp_path):
+    coeffs = write_coeffs(tmp_path, '{"nu": 2, "g": 1, "a": ["1", "0", "0"]}')
+    modules = imported_modules("-m", "hypident", "mapcount", coeffs, "--j", "2")
+    assert {"fractions", "decimal", "json"} <= modules
 
 
 def test_parallelism_comes_only_from_the_flag():

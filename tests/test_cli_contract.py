@@ -2,7 +2,9 @@
 
 Whatever the arguments, ``cli.main`` returns 0 with a report that parses
 in its format, or exits 2 with one error line (its own ``error: ...``, or
-argparse's usage error), and no other exception escapes. The bounds are
+argparse's usage error), and no other exception escapes. An integer
+argument is an optional sign and ASCII digits: one written with "_" or
+non-ASCII digits, which int() reads, is a usage error. The bounds are
 patched down so that examples near and past them stay quick, each within
 a deadline, and ``cli._cpus`` reads 1 so that no example forks.
 """
@@ -186,7 +188,10 @@ def test_cli_exits_0_with_a_report_or_2_with_one_error_line(case):
     command, argv, clean, drawn = case
     code, out, err = run(argv)
     assert code in (0, 2), (argv, code, err)
-    if code == 2:
+    if any("_" in arg or any(c.isdigit() and not c.isascii() for c in arg) for arg in argv):
+        # No argument that holds either is a number or a name the CLI reads.
+        assert (code, out) == (2, "") and err.startswith("usage: "), (argv, err)
+    elif code == 2:
         assert out == ""
         last = err.splitlines()[-1]
         assert last.startswith(("error: ", f"hypident {command}: error: ")), (argv, err)

@@ -11,11 +11,13 @@ from hypident.exact_arith import binomial, factorial, pow2
 from hypident.factorial_basis import FallingPoly, falling
 from hypident.hypergeom import lhs_direct, lhs_direct_run
 from hypident.identity import (
+    CellReport,
     CoefficientLengthMismatch,
     IdentityPoint,
     MapCountSpec,
     VerifyReport,
     binomial_falling_sum,
+    check_cell,
     check_identity,
     check_range,
     lhs_fast,
@@ -267,6 +269,43 @@ def test_check_range_reports_identity_points(mode, j, n_min, n_max):
 def test_check_range_empty_run(mode):
     assert check_range(1, 5, 4, mode) == []
     assert check_range(0, 2, 1, mode) == []
+
+
+@pytest.mark.parametrize("mode", ["direct", "fast", "cross"])
+@pytest.mark.parametrize("j, n_min, n_max", [(0, 1, 6), (3, 1, 9), (5, 37, 45), (2, 5, 4)])
+def test_check_range_is_a_view_over_check_cell(mode, j, n_min, n_max):
+    """One report per column entry, in N order; an empty run has empty
+    columns and no report."""
+    cell = check_cell(j, n_min, n_max, mode)
+    assert type(cell) is CellReport and (cell.j, cell.n_min) == (j, n_min)
+    assert len(cell.lhs) == len(cell.rhs) == len(cell.equal) == max(0, n_max - n_min + 1)
+    assert check_range(j, n_min, n_max, mode) == [
+        VerifyReport(IdentityPoint(N, j), lhs, rhs, equal)
+        for N, lhs, rhs, equal in zip(range(n_min, n_max + 1), cell.lhs, cell.rhs, cell.equal)
+    ]
+
+
+def test_check_cell_shares_rhs_only_between_equal_rows(monkeypatch):
+    """rhs is lhs, one list, exactly when the fast mode's L and R rows are
+    equal; the brute-force routes never share, and unequal rows are two
+    lists compared point by point."""
+    for j in (0, 1, 4, 9):
+        cell = check_cell(j, 1, 12, "fast")
+        assert cell.rhs is cell.lhs and cell.equal == [True] * 12
+        for mode in ("direct", "cross"):
+            cell = check_cell(j, 1, 12, mode)
+            assert cell.rhs is not cell.lhs and cell.rhs == cell.lhs
+    right = identity.r_poly
+
+    def wrong(j):
+        *rest, top = right(j).coeffs
+        return FallingPoly((*rest, top + 1))
+
+    monkeypatch.setattr(identity, "r_poly", wrong)
+    cell = check_cell(4, 1, 12, "fast")
+    assert cell.rhs is not cell.lhs
+    # the wrong top coefficient is multiplied by (N)_4, zero below N = 4
+    assert cell.equal == [N < 4 for N in range(1, 13)]
 
 
 MODE_ROUTES = {

@@ -17,6 +17,7 @@ from hypident import identity
 from hypident.cli import SweepConfig
 from hypident.factorial_basis import FallingPoly
 from hypident.identity import (
+    CellReport,
     IdentityPoint,
     MapCountSpec,
     VerifyReport,
@@ -96,6 +97,20 @@ def test_sweep_config_declares_its_defaults_in_its_named_tuple():
         "mode": "fast", "parallelism": 1, "fmt": "plain", "timings": False,
     }
     assert VerifyReport._fields == ("point", "lhs", "rhs", "equal")
+    assert CellReport._fields == ("j", "n_min", "lhs", "rhs", "equal")
+
+
+def test_cell_report_is_a_named_tuple_of_columns():
+    """A cell holds lists, so it is not hashable, but its fields are
+    fixed like every other value type's."""
+    values = [6, 16]
+    cell = CellReport(1, 1, values, values, [True, True])
+    assert repr(cell) == "CellReport(j=1, n_min=1, lhs=[6, 16], rhs=[6, 16], equal=[True, True])"
+    assert pickle.loads(pickle.dumps(cell)) == cell
+    with pytest.raises(AttributeError):
+        cell.lhs = []
+    with pytest.raises(AttributeError):
+        cell.extra = 1
 
 
 def test_checks_run_again_on_unpickling(monkeypatch):
