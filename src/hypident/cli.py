@@ -15,11 +15,10 @@ lines go to stderr, so JSON/CSV report streams stay machine-clean.
 run_sweep alone writes a verify report, laid out by _FORMATS: rows ordered
 by (j, N) and written one j cell at a time as the sweep goes. A cell is
 checked as columns (identity.check_cell: lhs values, rhs values, verdicts)
-and rendered straight from them; check_range, one report per point, is a
-view over a cell that the sweep never builds. With --parallelism K above
-1 (default 1), the cells are checked and rendered by up to K forked
-worker processes that send back their rows over pipes:
-each cell crosses as one marshal value, and no pool module is imported.
+and rendered straight from them. With --parallelism K above 1 (default
+1), the cells are checked and rendered by up to K forked worker processes
+that send back their rows over pipes: each cell crosses as one marshal
+value, and no pool module is imported.
 _sweep_task times each cell, and --timings shows that time in the rows;
 without it (the default), identical configs produce byte-identical output
 no matter the parallelism. A sweep that ends in an error or an interrupt
@@ -30,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import marshal
 import os
@@ -39,7 +39,7 @@ import time
 from collections import namedtuple
 from itertools import compress, count, repeat
 from operator import not_
-from typing import BinaryIO, Iterator, NoReturn, TextIO
+from typing import BinaryIO, Callable, Iterator, NoReturn, TextIO
 
 from . import __version__
 from .identity import (
@@ -154,12 +154,13 @@ def run_sweep(config: SweepConfig, out: TextIO) -> list[str]:
     more workers than cells or than the CPUs this process may run on,
     whatever parallelism asks for, and is serial where os.fork is missing
     or while another thread runs. Its workers are forked children that
-    check and render their own cells (_forked_cells), and the output does
-    not depend on the worker count.
+    check and render their own cells (_forked), and the output does not
+    depend on the worker count.
     """
     head, _, sep, tail = _FORMATS[config.fmt]
     out.write(head)
     js = range(config.j_min, config.j_max + 1)
+    task = functools.partial(_sweep_task, config)
     # A fork while another thread runs could copy a lock that thread holds
     # (a table's, say) into a worker, locked for good.
     forkable = hasattr(os, "fork") and threading.active_count() == 1
@@ -169,7 +170,7 @@ def run_sweep(config: SweepConfig, out: TextIO) -> list[str]:
     # A generator either way, so that closing it ends a pooled sweep's
     # workers whichever way the loop ends.
     with contextlib.closing(
-        _forked_cells(config, workers) if workers > 1 else (_sweep_task(config, j) for j in js)
+        _forked(task, js, workers) if workers > 1 else (task(j) for j in js)
     ) as cells:
         for rows, failed in cells:
             out.write(separator)
@@ -187,18 +188,17 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _forked_cells(config: SweepConfig, workers: int) -> Iterator[tuple[str, list[str]]]:
-    """_sweep_task's result for each j of config, in order, from workers
-    forked children: worker w runs js[w::workers] and writes one marshal
-    value per cell to its own pipe, so the i-th cell is the next value on
-    pipe i % workers. A worker blocks while its pipe is full, so the parent
-    holds at most one cell and a worker one rendered cell. However the
-    generator ends, it closes every pipe, kills every worker (one that
-    has sent its last cell is exiting anyway) and waits on each one.
-    """
+def _forked(task: Callable[[int], object], js: range, workers: int) -> Iterator[object]:
+    """task(j) for each j in js, in order, from workers forked children.
+    A task returns a marshal value that is not a str: a str frame means
+    the worker failed (see _read_frame). Worker w runs js[w::workers] and
+    writes one value per j to its own pipe, blocking while it is full, so
+    the i-th result is the next value on pipe i % workers and the parent
+    holds at most one. However the generator ends, it closes every pipe,
+    kills every worker (one that has sent its last result is exiting
+    anyway) and waits on each one."""
     import signal
 
-    js = range(config.j_min, config.j_max + 1)
     readers: list[BinaryIO] = []
     pids: list[int] = []
     try:
@@ -208,7 +208,7 @@ def _forked_cells(config: SweepConfig, workers: int) -> Iterator[tuple[str, list
             with open(write_end, "wb") as pipe:
                 pid = os.fork()
                 if pid == 0:
-                    _work(config, js[w::workers], pipe, readers)
+                    _work(task, js[w::workers], pipe, readers)
                 pids.append(pid)
         for i, j in enumerate(js):
             yield _read_frame(readers[i % workers], j)
@@ -221,12 +221,12 @@ def _forked_cells(config: SweepConfig, workers: int) -> Iterator[tuple[str, list
             os.waitpid(pid, 0)
 
 
-def _work(config: SweepConfig, js: range, pipe: BinaryIO, readers: list[BinaryIO]) -> NoReturn:
-    """A forked worker's whole life: _sweep_task's (rows, FAIL lines) for
-    each j in js, one marshal value per cell on pipe, then os._exit, so it
-    never runs the parent's finally blocks or flushes the parent's buffers.
-    An exception ends the worker with one str value, its type and text.
-    Ctrl-C is left to the parent, which ends the workers."""
+def _work(task: Callable[[int], object], js: range, pipe: BinaryIO,
+          readers: list[BinaryIO]) -> NoReturn:
+    """A forked worker's whole life: task(j) for each j in js, one marshal
+    value per j on pipe, then os._exit, so it never runs the parent's
+    finally blocks or flushes the parent's buffers. An exception ends the
+    worker with one str value, its type and text. Ctrl-C is left to the parent."""
     import signal
 
     try:
@@ -235,7 +235,7 @@ def _work(config: SweepConfig, js: range, pipe: BinaryIO, readers: list[BinaryIO
             reader.close()
         for j in js:
             try:
-                marshal.dump(_sweep_task(config, j), pipe)
+                marshal.dump(task(j), pipe)
             except Exception as exc:
                 marshal.dump(f"{type(exc).__name__}: {exc}", pipe)
                 break
@@ -245,19 +245,19 @@ def _work(config: SweepConfig, js: range, pipe: BinaryIO, readers: list[BinaryIO
         os._exit(0)
 
 
-def _read_frame(reader: BinaryIO, j: int) -> tuple[str, list[str]]:
-    """Cell j's rows and FAIL lines, the next marshal value on reader (see
+def _read_frame(reader: BinaryIO, j: int) -> object:
+    """The worker's result for j, the next marshal value on reader (see
     _work). A str value, or the pipe's end before a whole value, is a
     RuntimeError naming j. Both ends are this interpreter, forked, and no
     outside input crosses the pipe, so marshal's caveats about untrusted
     data and about other Python versions do not apply."""
     try:
-        cell = marshal.load(reader)
+        result = marshal.load(reader)
     except EOFError:
         raise RuntimeError(f"worker for j={j} died") from None
-    if isinstance(cell, str):
-        raise RuntimeError(f"worker for j={j} failed: {cell}")
-    return cell
+    if isinstance(result, str):
+        raise RuntimeError(f"worker for j={j} failed: {result}")
+    return result
 
 
 # Per format: what a report holds before its first row, the row built from

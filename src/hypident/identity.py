@@ -19,9 +19,8 @@ evaluate 2^N L_j(N) and 2^N R_j(N).
 evaluates each route of the chosen mode once over the whole run and
 returns the cell as columns, a ``CellReport`` holding the first and the
 last route's values and one verdict per N; an unequal pair is a result,
-never an exception. ``check_range`` is a view over a cell, one checked
-``VerifyReport`` per point, and ``check_identity`` is ``check_range`` at a
-single point.
+never an exception. ``check_identity`` is ``check_cell`` at a single
+point, as one ``VerifyReport``.
 
 The j = 0 boundary is accepted as a harmless extension (both sides
 collapse to 2^N). N = 0 is rejected: there the hypergeometric side's
@@ -64,7 +63,6 @@ __all__ = [
     "binomial_falling_sum",
     "check_cell",
     "check_identity",
-    "check_range",
     "lhs_fast",
     "map_count",
     "map_summand",
@@ -205,8 +203,9 @@ def _check_mode(mode: str) -> None:
 
 def check_identity(point: IdentityPoint, mode: str = "fast") -> VerifyReport:
     """Evaluate both sides at ``point`` and report whether they agree:
-    ``check_range`` over the single N of the point."""
-    return check_range(point.j, point.N, point.N, mode)[0]
+    ``check_cell`` over the single N of the point."""
+    cell = check_cell(point.j, point.N, point.N, mode)
+    return VerifyReport(point, cell.lhs[0], cell.rhs[0], cell.equal[0])
 
 
 def check_cell(j: int, n_min: int, n_max: int, mode: str = "fast") -> CellReport:
@@ -239,18 +238,6 @@ def check_cell(j: int, n_min: int, n_max: int, mode: str = "fast") -> CellReport
         if values is not lhs:
             equal = list(map(and_, equal, map(eq, lhs, values)))
     return CellReport(j, n_min, lhs, routes[-1], equal)
-
-
-def check_range(
-    j: int, n_min: int, n_max: int, mode: str = "fast"
-) -> list[VerifyReport]:
-    """``check_cell`` as one ``VerifyReport`` per point, in N order, each
-    point a checked ``IdentityPoint``; [] for an empty run."""
-    cell = check_cell(j, n_min, n_max, mode)
-    return [
-        VerifyReport(IdentityPoint(N, j), lhs, rhs, equal)
-        for N, lhs, rhs, equal in zip(count(n_min), cell.lhs, cell.rhs, cell.equal)
-    ]
 
 
 def map_summand(g: int, l: int, j: int, nu: int) -> Fraction:

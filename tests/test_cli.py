@@ -102,7 +102,7 @@ def test_verify_out_file(tmp_path, capsys, monkeypatch, forks, fmt, parallelism)
     assert out == ""
     assert target.read_text(encoding="utf-8") == stdout
     assert len(forks) == (4 if parallelism == "2" else 0)
-    reports = [r for j in range(1, 4) for r in identity.check_range(j, 2, 4)]
+    reports = [r for j in range(1, 4) for r in reports_of(identity.check_cell(j, 2, 4))]
     assert stdout == report_document(reports, fmt)
 
 
@@ -192,7 +192,7 @@ def fail_lines(reports):
 
 
 def reports_of(cell):
-    """A cell's columns as one report per point, as check_range gives them."""
+    """A cell's columns as one report per point, as check_identity gives them."""
     return [VerifyReport(IdentityPoint(N, cell.j), lhs, rhs, equal)
             for N, lhs, rhs, equal in zip(count(cell.n_min), cell.lhs, cell.rhs, cell.equal)]
 
@@ -394,7 +394,7 @@ def test_verify_writes_each_cell_before_the_next(monkeypatch, capsys, forks, fmt
                          "--parallelism", str(parallelism))
     assert code == 0
     assert len(forks) == (2 if parallelism > 1 else 0)
-    reports = [r for j in range(2, 6) for r in identity.check_range(j, 1, 3)]
+    reports = [r for j in range(2, 6) for r in reports_of(identity.check_cell(j, 1, 3))]
     assert out.getvalue() == report_document(reports, fmt)
     # one per row, and one more for the CSV header
     marker = {"json": '"N": ', "csv": "\n", "plain": " N="}[fmt]
@@ -482,15 +482,15 @@ def rig_route(monkeypatch, route, j_bad, n_bad):
 @pytest.mark.parametrize("mode, route",
                          [(mode, route) for mode, routes in MODE_ROUTES.items() for route in routes])
 @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
-def test_sweep_cells_agree_with_check_range(monkeypatch, capsys, fmt, mode, route):
+def test_sweep_cells_agree_with_check_cell(monkeypatch, capsys, fmt, mode, route):
     """With one route wrong at one point, the rows and FAIL lines a sweep
-    builds from its cells' columns are check_range's reports, field by
-    field, and it exits 1; each report's lhs is the mode's first route and
-    its rhs the last, and it is equal where every route agrees."""
+    builds from its cells' columns are check_cell's, one report per point,
+    field by field, and it exits 1; each report's lhs is the mode's first
+    route and its rhs the last, and it is equal where every route agrees."""
     rig_route(monkeypatch, route, 3, 5)
     code, out, err = run_cli(capsys, "verify", "--j", "2..4", "--n", "3..7", "--mode", mode,
                              "--format", fmt)
-    reports = [r for j in range(2, 5) for r in identity.check_range(j, 3, 7, mode)]
+    reports = [r for j in range(2, 5) for r in reports_of(identity.check_cell(j, 3, 7, mode))]
     assert code == 1
     assert out == report_document(reports, fmt)
     assert [line for line in err.splitlines() if line.startswith("FAIL")] == fail_lines(reports)
@@ -723,6 +723,59 @@ def test_read_frame_names_a_worker_that_died_mid_cell():
     for size in range(len(data)):
         with pytest.raises(RuntimeError, match="^worker for j=7 died$"):
             cli._read_frame(io.BytesIO(data[:size]), 7)
+
+
+def toy_task(j):
+    return str(j), [f"x{j}"]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_forked_yields_task_results_in_j_order(forks, workers):
+    """Seven js on one to four workers, so the shares are unequal: the
+    results come back in j order whatever worker ran each."""
+    assert list(cli._forked(toy_task, range(5, 12), workers)) == [
+        (str(j), [f"x{j}"]) for j in range(5, 12)
+    ]
+    assert len(forks) == workers
+
+
+def failing_at_8(j):
+    if j == 8:
+        raise ValueError("no cell 8")
+    return toy_task(j)
+
+
+def dying_at_8(j):
+    if j == 8:
+        os._exit(9)
+    return toy_task(j)
+
+
+@pytest.mark.parametrize("task, error", [
+    (failing_at_8, "worker for j=8 failed: ValueError: no cell 8"),
+    (dying_at_8, "worker for j=8 died"),
+])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_forked_names_the_j_of_a_failed_or_dead_worker(forks, task, error, workers):
+    """A task that raises, or a worker that exits, at j = 8 ends the
+    results with one RuntimeError naming j = 8, after those of 5, 6 and 7;
+    every worker is reaped (the forks fixture)."""
+    results = cli._forked(task, range(5, 12), workers)
+    assert [next(results) for _ in range(3)] == [toy_task(j) for j in (5, 6, 7)]
+    with pytest.raises(RuntimeError, match=f"^{re.escape(error)}$"):
+        next(results)
+    assert len(forks) == workers
+
+
+def test_closing_forked_kills_and_reaps_every_worker(forks):
+    """Closed after its first result, _forked kills the workers, busy
+    with later js, and waits on each one (the forks fixture) at once."""
+    results = cli._forked(lambda j: time.sleep(60) if j > 5 else toy_task(j), range(5, 12), 3)
+    assert next(results) == toy_task(5)
+    start = time.perf_counter()
+    results.close()
+    assert time.perf_counter() - start < 5
+    assert len(forks) == 3
 
 
 @pytest.mark.parametrize("exc", [BrokenPipeError, KeyboardInterrupt])

@@ -19,7 +19,6 @@ from hypident.identity import (
     binomial_falling_sum,
     check_cell,
     check_identity,
-    check_range,
     lhs_fast,
     map_count,
     map_summand,
@@ -107,7 +106,7 @@ def test_direct_mode_names_the_first_non_integral_point(monkeypatch):
 
     monkeypatch.setattr(hypergeom, "_series", plus_1_over_7919)
     with pytest.raises(ArithmeticError, match=r"^lhs_direct\(N=3, j=2\) is not an integer: "):
-        check_range(2, 3, 7, "direct")
+        check_cell(2, 3, 7, "direct")
 
 
 def test_j0_extension_collapses_to_power_of_two():
@@ -193,16 +192,16 @@ def test_check_identity_direct():
 @pytest.mark.parametrize("mode", ["direct", "fast", "cross"])
 def test_repeated_checks_give_equal_reports(mode):
     """A report holds no clock reading: checking a point or a run again
-    gives equal reports, and so does a pickle round trip."""
+    gives equal reports or cells, and so does a pickle round trip."""
     assert VerifyReport._fields == ("point", "lhs", "rhs", "equal")
     point = IdentityPoint(9, 4)
     first, again = (check_identity(point, mode) for _ in range(2))
     assert first == again and hash(first) == hash(again)
     assert pickle.loads(pickle.dumps(first)) == first
-    run = check_range(4, 1, 12, mode)
-    assert run == check_range(4, 1, 12, mode)
-    assert pickle.loads(pickle.dumps(run)) == run
-    assert run[8] == first
+    cell = check_cell(4, 1, 12, mode)
+    assert cell == check_cell(4, 1, 12, mode)
+    assert pickle.loads(pickle.dumps(cell)) == cell
+    assert (point, cell.lhs[8], cell.rhs[8], cell.equal[8]) == first
 
 
 def test_check_identity_cross():
@@ -229,10 +228,10 @@ def test_check_identity_unknown_mode():
     (True, TypeError, "j must be an int, got bool"),
 ])
 @pytest.mark.parametrize("n_min, n_max", [(5, 4), (1, 3)], ids=["empty", "nonempty"])
-def test_check_range_checks_j_in_every_mode(mode, j, error, message, n_min, n_max):
+def test_check_cell_checks_j_in_every_mode(mode, j, error, message, n_min, n_max):
     """A bad j is the same error in every mode, even when the N run is empty."""
     with pytest.raises(error, match=f"^{message}$"):
-        check_range(j, n_min, n_max, mode)
+        check_cell(j, n_min, n_max, mode)
 
 
 @pytest.mark.parametrize("mode", ["direct", "fast", "cross"])
@@ -242,47 +241,49 @@ def test_check_range_checks_j_in_every_mode(mode, j, error, message, n_min, n_ma
     (1, 3.0, "N must be an int, got float"),
     (5, 4.0, "N must be an int, got float"),
 ])
-def test_check_range_checks_n_types_as_identity_point(mode, n_min, n_max, message):
+def test_check_cell_checks_n_types_as_identity_point(mode, n_min, n_max, message):
     """n_min and n_max get IdentityPoint's type check, after the j check,
     even when the run is empty."""
     with pytest.raises(TypeError, match=f"^{message}$"):
-        check_range(1, n_min, n_max, mode)
+        check_cell(1, n_min, n_max, mode)
     with pytest.raises(ValueError, match="^j = -1 must be >= 0$"):
-        check_range(-1, n_min, n_max, mode)
+        check_cell(-1, n_min, n_max, mode)
     if n_min is True:
         with pytest.raises(TypeError, match=f"^{message}$"):
             IdentityPoint(True, 1)
 
 
 @pytest.mark.parametrize("mode", ["direct", "fast", "cross"])
+def test_check_cell_empty_run(mode):
+    """An empty run of N is a CellReport with empty columns."""
+    for j, n_min, n_max in ((1, 5, 4), (0, 2, 1)):
+        cell = check_cell(j, n_min, n_max, mode)
+        assert type(cell) is CellReport and cell == (j, n_min, [], [], [])
+
+
+@pytest.mark.parametrize("mode", ["direct", "fast", "cross"])
 @pytest.mark.parametrize("j, n_min, n_max", [(0, 1, 6), (3, 1, 9), (5, 37, 45)])
-def test_check_range_reports_identity_points(mode, j, n_min, n_max):
-    """Each report's point is an IdentityPoint (N, j), at N = 1 and at an
-    offset n_min alike; a plain tuple would compare equal, so the type is
-    checked too."""
-    points = [report.point for report in check_range(j, n_min, n_max, mode)]
+def test_check_cell_columns_are_check_identity_per_point(mode, j, n_min, n_max):
+    """A cell holds one entry per N in each column, in N order, and each
+    entry is what check_identity reports at that point, from N = 1 and
+    from an offset alike."""
+    cell = check_cell(j, n_min, n_max, mode)
+    assert (cell.j, cell.n_min) == (j, n_min)
+    assert len(cell.lhs) == len(cell.rhs) == len(cell.equal) == n_max - n_min + 1
+    assert list(zip(cell.lhs, cell.rhs, cell.equal)) == [
+        check_identity(IdentityPoint(N, j), mode)[1:] for N in range(n_min, n_max + 1)
+    ]
+
+
+@pytest.mark.parametrize("mode", ["direct", "fast", "cross"])
+@pytest.mark.parametrize("j, n_min, n_max", [(0, 1, 6), (3, 1, 9), (5, 37, 45)])
+def test_check_identity_reports_identity_points(mode, j, n_min, n_max):
+    """Each report's point is the IdentityPoint (N, j) it checked, at N = 1
+    and at an offset alike; a plain tuple would compare equal, so the type
+    is checked too."""
+    points = [check_identity(IdentityPoint(N, j), mode).point for N in range(n_min, n_max + 1)]
     assert points == [IdentityPoint(N, j) for N in range(n_min, n_max + 1)]
     assert all(type(point) is IdentityPoint for point in points)
-
-
-@pytest.mark.parametrize("mode", ["direct", "fast", "cross"])
-def test_check_range_empty_run(mode):
-    assert check_range(1, 5, 4, mode) == []
-    assert check_range(0, 2, 1, mode) == []
-
-
-@pytest.mark.parametrize("mode", ["direct", "fast", "cross"])
-@pytest.mark.parametrize("j, n_min, n_max", [(0, 1, 6), (3, 1, 9), (5, 37, 45), (2, 5, 4)])
-def test_check_range_is_a_view_over_check_cell(mode, j, n_min, n_max):
-    """One report per column entry, in N order; an empty run has empty
-    columns and no report."""
-    cell = check_cell(j, n_min, n_max, mode)
-    assert type(cell) is CellReport and (cell.j, cell.n_min) == (j, n_min)
-    assert len(cell.lhs) == len(cell.rhs) == len(cell.equal) == max(0, n_max - n_min + 1)
-    assert check_range(j, n_min, n_max, mode) == [
-        VerifyReport(IdentityPoint(N, j), lhs, rhs, equal)
-        for N, lhs, rhs, equal in zip(range(n_min, n_max + 1), cell.lhs, cell.rhs, cell.equal)
-    ]
 
 
 def test_check_cell_shares_rhs_only_between_equal_rows(monkeypatch):
@@ -334,8 +335,9 @@ def test_every_mode_catches_one_wrong_route(monkeypatch, route):
 
         monkeypatch.setattr(identity, row, wrong)
     for mode, routes in MODE_ROUTES.items():
-        reports = [check_identity(IdentityPoint(5, 3), mode), *check_range(3, 1, 12, mode)]
-        assert [r.equal for r in reports] == [route not in routes] * 13, mode
+        at_point = check_identity(IdentityPoint(5, 3), mode).equal
+        over_run = check_cell(3, 1, 12, mode).equal
+        assert [at_point, *over_run] == [route not in routes] * 13, mode
 
 
 def test_report_equal_mirrors_values():
