@@ -23,6 +23,11 @@ _sweep_task times each cell, and --timings shows that time in the rows;
 without it (the default), identical configs produce byte-identical output
 no matter the parallelism. A sweep that ends in an error or an interrupt
 may leave a truncated report, and never leaves a worker running.
+
+The hypident script and python -m hypident run entrypoint, which ends the
+process with os._exit once its streams are flushed, skipping the
+interpreter's teardown. Embedding code calls main(argv), which returns the
+exit code, never entrypoint.
 """
 
 from __future__ import annotations
@@ -482,39 +487,40 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-def entrypoint() -> None:
-    if sys.stderr is None:
-        # fd 2 is closed: an error line has nowhere to go, and print would
-        # send it to stdout (file=None is stdout).
-        sys.exit(2)
-    if sys.stdout is None:
-        print("error: stdout is closed", file=sys.stderr)
-        sys.exit(2)
-    if not isinstance(sys.stdout.buffer, io.BufferedWriter):
-        # Under python -u, stdout writes straight to the raw file and drops
-        # the rest of a short write (a full disk, a reader gone); a
-        # BufferedWriter writes the rest, or raises.
-        buffered = io.BufferedWriter(sys.stdout.buffer)
-        sys.stdout = io.TextIOWrapper(buffered, sys.stdout.encoding, line_buffering=True)
+def entrypoint() -> NoReturn:
+    """The hypident script and python -m hypident: run main() and end the
+    process with os._exit once stdout and stderr are flushed, so no run
+    pays for the interpreter's teardown. On exit 2, what they still buffer
+    is dropped. Embedding code calls main(argv), which returns its code,
+    never this."""
+    code = 2
     try:
-        try:
-            code = main()
-        except SystemExit as exc:
-            # argparse exits by itself: 0 after --help or --version, 2 on a
-            # usage error, whose line may still sit in a broken stderr. It
-            # ignores a failed write, so the text of --help or --version
-            # may still sit in stdout's buffer: it fails here, not at exit.
-            code = exc.code
-            sys.stdout.flush()
+        if sys.stderr is None:
+            # fd 2 is closed: an error line has nowhere to go, and print would
+            # send it to stdout (file=None is stdout).
+            pass
+        elif sys.stdout is None:
+            print("error: stdout is closed", file=sys.stderr)
+        else:
+            if not isinstance(sys.stdout.buffer, io.BufferedWriter):
+                # Under python -u, stdout writes straight to the raw file and
+                # drops the rest of a short write (a full disk, a reader gone);
+                # a BufferedWriter writes the rest, or raises.
+                buffered = io.BufferedWriter(sys.stdout.buffer)
+                sys.stdout = io.TextIOWrapper(buffered, sys.stdout.encoding,
+                                              line_buffering=True)
+            try:
+                code = main()
+            except SystemExit as exc:
+                # argparse exits by itself: 0 after --help or --version, 2 on
+                # a usage error. It ignores a failed write, so the text of
+                # --help or --version may still sit in stdout's buffer.
+                code = exc.code
+            if code != 2:
+                sys.stdout.flush()
+                sys.stderr.flush()
     except OSError:
         # stdout or stderr cannot be written (its reader went away), so
         # main's own error line failed too.
         code = 2
-    if code == 2:
-        # What stdout or stderr still holds must not fail again at the
-        # interpreter's closing flush (see "Note on SIGPIPE" in the signal
-        # module's docs).
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.dup2(devnull, sys.stderr.fileno())
-    sys.exit(code)
+    os._exit(code)

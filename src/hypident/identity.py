@@ -359,15 +359,20 @@ def mapcount_spec_from_obj(obj: object, j: int) -> MapCountSpec:
     """Build a MapCountSpec from a decoded coefficient-file object.
 
     Expected shape: {"nu": int, "g": int, "a": [entries]} where each entry
-    is an exact rational as a string ("7", "-3/4") or a JSON integer. The
-    shape is checked here and the values by MapCountSpec; anything else is
-    a ValueError with a pointer at the offending key or entry.
+    is an exact rational as a string ("7", "-3/4") or a JSON integer, and
+    no other key. The shape is checked here and the values by MapCountSpec;
+    anything else is a ValueError with a pointer at the offending key or
+    entry.
     """
     if not isinstance(obj, dict):
         raise ValueError("coefficient file must contain a JSON object")
     missing = [key for key in ("nu", "g", "a") if key not in obj]
     if missing:
         raise ValueError(f"coefficient file is missing key(s): {', '.join(missing)}")
+    unknown = [key for key in obj if key not in ("nu", "g", "a")]
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise ValueError(f"coefficient file has unknown key(s): {names}")
     if not isinstance(obj["a"], list):
         raise ValueError("'a' must be an array of rational strings")
     return MapCountSpec(nu=obj["nu"], g=obj["g"], j=j, a=tuple(obj["a"]))

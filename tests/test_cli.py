@@ -1083,6 +1083,15 @@ def test_mapcount_length_mismatch(tmp_path, capsys):
     assert "3g" in err
 
 
+def test_mapcount_unknown_key(tmp_path, capsys):
+    """A key other than nu, g and a is an error naming it, so a stray "j"
+    is never read as a setting that --j overrides."""
+    path = write_coeffs(tmp_path, '{"nu": 2, "g": 1, "a": ["1", "0", "0"], "j": 1}')
+    code, out, err = run_cli(capsys, "mapcount", path, "--j", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: coefficient file has unknown key(s): 'j'\n"
+
+
 def test_mapcount_malformed_file(tmp_path, capsys):
     path = write_coeffs(tmp_path, "{broken")
     code, _, err = run_cli(capsys, "mapcount", path, "--j", "1")
@@ -1348,6 +1357,141 @@ def test_version_or_help_to_a_broken_stdout_exits_2_and_writes_nothing(argv, unb
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (2, b"")
+
+
+# entrypoint ends the process with os._exit, so the interpreter's teardown,
+# which used to finalise a file or pipe left open (a ResourceWarning), no
+# longer runs. This launcher checks, just before the real os._exit of the
+# main process, that only fds 0, 1 and 2 are open and that nothing left
+# over warns when gc.collect() finalises it. Under -W error::ResourceWarning
+# a warning in a finaliser goes to sys.unraisablehook, which the launcher
+# records from the start. A leak exits 99 with one "leak:" line; else the
+# check writes "exit checked" last on stderr.
+LEAK_CHECKED = """
+import gc, os, sys
+unraisable = []
+sys.unraisablehook = unraisable.append
+real_exit, pid = os._exit, os.getpid()
+
+def is_open(fd):
+    try:
+        os.fstat(fd)
+    except OSError:  # listdir's own fd, closed by now
+        return False
+    return True
+
+def checked_exit(code):
+    if os.getpid() == pid:  # a forked worker's pipe is its own to close
+        fds = sorted(fd for fd in map(int, os.listdir("/proc/self/fd")) if is_open(fd))
+        gc.collect()
+        if fds != [0, 1, 2] or unraisable:
+            warned = [str(hook.exc_value) for hook in unraisable]
+            os.write(2, f"leak: fds {fds}, warnings {warned}\\n".encode())
+            code = 99
+        else:
+            os.write(2, b"exit checked\\n")
+    real_exit(code)
+
+os._exit = checked_exit
+{prelude}
+from hypident.cli import entrypoint
+entrypoint()
+"""
+
+
+def run_leak_checked(argv, prelude=""):
+    return subprocess.run(
+        [sys.executable, "-W", "error::ResourceWarning", "-c",
+         LEAK_CHECKED.replace("{prelude}", prelude), *argv],
+        capture_output=True, env=child_env())
+
+
+needs_proc_fds = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                                    reason="lists open fds in /proc/self/fd")
+
+
+@needs_proc_fds
+@pytest.mark.parametrize("argv, code", [
+    (("verify", "--j", "1..3", "--n", "1..5", "--format", "json", "--parallelism", "1"), 0),
+    (("verify", "--j", "1..3", "--n", "1..5", "--format", "json", "--parallelism", "2"), 0),
+    (("verify", "--j", "1..3", "--n", "1..5", "--parallelism", "1", "--out", "{out}"), 0),
+    (("verify", "--j", "1..3", "--n", "1..5", "--parallelism", "2", "--out", "{out}"), 0),
+    (("table", "R", "--jmax", "4"), 0),
+    (("eval", "both", "7", "3"), 0),
+    (("mapcount", "{coeffs}", "--j", "2"), 0),
+    (("--version",), 0),
+    (("verify", "--format", "xml"), 2),
+])
+def test_a_process_exits_with_no_file_open_and_nothing_to_finalise(tmp_path, argv, code):
+    coeffs = write_coeffs(tmp_path, '{"nu": 2, "g": 1, "a": ["1", "0", "0"]}')
+    argv = [arg.format(coeffs=coeffs, out=tmp_path / "report") for arg in argv]
+    proc = run_leak_checked(argv)
+    assert proc.stderr.endswith(b"exit checked\n") and b"leak:" not in proc.stderr
+    assert proc.returncode == code, proc.stderr
+
+
+@needs_proc_fds
+@pytest.mark.parametrize("prelude, found", [
+    ("held = open(os.devnull)", b"leak: fds [0, 1, 2, 3], warnings []"),
+    ("open(os.devnull)", b"unclosed file"),
+    # still open at exit, or finalised by a collection during the run
+    ("cycle = [open(os.devnull)]; cycle.append(cycle); del cycle", b"leak: "),
+], ids=["held", "dropped", "in-a-cycle"])
+def test_the_leak_check_finds_a_file_left_open(prelude, found):
+    proc = run_leak_checked(["eval", "both", "7", "3"], prelude)
+    assert proc.returncode == 99
+    assert found in proc.stderr
+
+
+# rigged is cli._sweep_cell raising at j = 4, as a failed integrality check
+# would; in-process and in a fresh process alike.
+RIGGED_SWEEP_CELL = """
+from hypident import cli
+check = cli._sweep_cell
+
+def rigged(cell):
+    if cell[0] == 4:
+        raise ArithmeticError("rigged at j=4")
+    return check(cell)
+"""
+
+
+@pytest.mark.parametrize("k", ["1", "2"])
+def test_an_internal_error_writes_the_truncated_report_before_exit_3(monkeypatch, capsys,
+                                                                      forks, k):
+    """The rows written before the error still sit in stdout's buffer (they
+    fit in it) when entrypoint ends the process; its flush writes them, so
+    a fresh process prints the bytes of main in-process."""
+    argv = ["verify", "--j", "1..6", "--n", "1..5", "--format", "json", "--parallelism", k]
+    launcher = RIGGED_SWEEP_CELL + "cli._sweep_cell = rigged\ncli.entrypoint()\n"
+    proc = subprocess.run([sys.executable, "-c", launcher, *argv], capture_output=True,
+                          text=True, env=child_env())
+    namespace = {}
+    exec(RIGGED_SWEEP_CELL, namespace)
+    monkeypatch.setattr(cli, "_sweep_cell", namespace["rigged"])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == proc.returncode == 3
+    assert out.startswith('[\n  {\n    "N": 1,\n    "j": 1,') and 0 < len(out) < 8192
+    assert proc.stdout == out
+    assert proc.stderr == err and err.count("internal error:") == err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (("--version",), 0, f"hypident {hypident.__version__}\n", ""),
+    (("verify", "--help"), 0, "usage: hypident verify [-h]", ""),
+    (("verify", "--format", "xml"), 2, "",
+     "hypident verify: error: argument --format: invalid choice: 'xml'"),
+])
+def test_version_help_and_usage_errors_in_a_fresh_process(argv, code, out, err):
+    proc = subprocess.run([sys.executable, "-m", "hypident", *argv], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == code
+    assert proc.stdout.startswith(out) and bool(proc.stdout) == bool(out)
+    if err:
+        assert proc.stderr.startswith("usage: hypident verify")
+        assert proc.stderr.splitlines()[-1].startswith(err)
+    else:
+        assert proc.stderr == ""
 
 
 # -- what a process imports -------------------------------------------------------

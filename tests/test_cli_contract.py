@@ -284,8 +284,8 @@ def weights(draw, kinds):
 
 
 FAULTS = [None] * 3 + ["weight"] * 6 + ["long weight", "deep weight"] + [
-    "nu", "g", "count", "missing key", "a not an array", "not an object", "truncated",
-    "bad byte", "re-encoded"]
+    "nu", "g", "count", "missing key", "unknown key", "a not an array", "not an object",
+    "truncated", "bad byte", "re-encoded"]
 # Values of nu and g that the loader rejects: below the least one, of
 # another type, or (for g) not a third of the weights' number.
 BAD_FIELDS = {
@@ -314,12 +314,13 @@ def coefficient_files(draw):
         members[f'"{fault}"'] = draw(st.sampled_from(BAD_FIELDS[fault]))
     elif fault == "missing key":
         del members[draw(st.sampled_from(['"nu"', '"g"', '"a"']))]
+    elif fault == "unknown key":
+        # Any other key is rejected, whatever its name and value.
+        key = draw(st.text(st.characters(blacklist_categories=()), max_size=4).filter(
+            lambda key: key not in ("nu", "g", "a")))
+        members[json_string(draw, key)] = draw(SHALLOW | st.integers().map(str))
     elif fault == "a not an array":
         members['"a"'] = draw(st.sampled_from(['"1"', "{}", "3", "null"]))
-    if draw(st.booleans()):
-        # Other keys are ignored, whatever their names and values.
-        members[json_string(draw, draw(st.text(st.characters(blacklist_categories=()),
-                                                max_size=4)))] = draw(SHALLOW)
     order = draw(st.permutations(sorted(members)))
     text = "{" + ", ".join(f"{key}: {members[key]}" for key in order) + "}"
     if fault == "not an object":

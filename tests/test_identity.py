@@ -552,7 +552,9 @@ def test_spec_from_file(tmp_path):
     ('{"nu": 2, "g": 1, "a": ["1", "0", "1_000"]}', ValueError,
      "a[2]: digit separators are not accepted"),
     ('{"nu": 2, "g": 1}', ValueError, "coefficient file is missing key(s): a"),
-], ids=["length", "separator", "missing-key"])
+    ('{"nu": 2, "g": 1, "a": ["1", "0", "0"], "x": 1, "j": 5}', ValueError,
+     "coefficient file has unknown key(s): 'x', 'j'"),
+], ids=["length", "separator", "missing-key", "unknown-keys"])
 def test_spec_from_file_names_the_file(tmp_path, text, exc_type, message):
     """A value error from the file's contents is prefixed with the path and
     keeps its class."""
