@@ -15,10 +15,11 @@ lines go to stderr, so JSON/CSV report streams stay machine-clean.
 run_sweep alone writes a verify report, laid out by _FORMATS: rows ordered
 by (j, N) and written one j cell at a time as the sweep goes. A cell is
 checked as columns (identity.check_cell: lhs values, rhs values, verdicts)
-and rendered straight from them. With --parallelism K above 1 (default
-1), the cells are checked and rendered by up to K forked worker processes
-that send back their rows over pipes: each cell crosses as one marshal
-value, and no pool module is imported.
+and rendered from them in one pass that prints each value once: an rhs
+equal to its lhs reuses lhs's text, as in eval both's line. With
+--parallelism K above 1 (default 1), the cells are checked and rendered by
+up to K forked worker processes that send back their rows over pipes: each
+cell crosses as one marshal value, and no pool module is imported.
 _sweep_task times each cell, and --timings shows that time in the rows;
 without it (the default), identical configs produce byte-identical output
 no matter the parallelism. A sweep that ends in an error or an interrupt
@@ -42,7 +43,7 @@ import sys
 import threading
 import time
 from collections import namedtuple
-from itertools import compress, count, repeat
+from itertools import compress, count
 from operator import not_
 from typing import BinaryIO, Callable, Iterator, NoReturn, TextIO
 
@@ -91,11 +92,13 @@ BRUTE_FORCE_WEIGHT = 1000
 # 8 + bit_length(nu). The value carries (2nu(nu-1)C(2nu-1, nu-1))^j: j
 # factors of at most 2nu + 2 bit_length(nu) bits, printed in time quadratic
 # in their bits. b counts two factors more, which covers math.comb building
-# C(2nu-1, nu-1) in time quadratic in nu. So a spec's cost is
-# 3g(j+1)(8 + bit_length(nu)) + (b // 2^8)^2, b = (j+2)(2nu + 2 bit_length(nu)),
-# both parts in units of about 0.1 us. The bound is 3 * 2^18 terms at the
-# weight 10 of nu <= 3; a spec at it takes one to three seconds
-# (measurements in README).
+# C(2nu-1, nu-1) in time quadratic in nu. The sum's denominator divides the
+# product of the weights' distinct denominators, of at most d bits (one
+# fewer per denominator), and adding and printing take time quadratic in
+# it. So a spec's cost is 3g(j+1)(8 + bit_length(nu)) + (b // 2^8)^2 +
+# (d // 2^6)^2, b = (j+2)(2nu + 2 bit_length(nu)), all parts in units of
+# about 0.1 us. The bound is 3 * 2^18 terms at the weight 10 of nu <= 3; a
+# spec at it takes one to two seconds (measurements in README).
 MAX_MAPCOUNT_COST = 30 * 2**18
 
 __all__ = ["SweepConfig", "entrypoint", "main", "run_sweep"]
@@ -287,18 +290,16 @@ _FORMATS = {
 
 def _render_reports(cell: CellReport, fmt: str, micros: int) -> str:
     """One cell's rows in fmt, each with micros, joined by the separator of
-    _FORMATS[fmt], without its head and tail, built by one map over the
+    _FORMATS[fmt], without its head and tail, built in one pass over the
     cell's columns. Each value is printed once: a row's rhs reuses lhs's
     decimal string when the two ints are equal, whatever the verdict."""
     _, row, sep, _ = _FORMATS[fmt]
-    lhs = list(map(str, cell.lhs))
-    rhs = lhs if cell.rhs == cell.lhs else [
-        text if a == b else str(b) for text, a, b in zip(lhs, cell.lhs, cell.rhs)
-    ]
-    return sep.join(map(
-        row, count(cell.n_min), repeat(str(cell.j)), lhs, rhs,
-        map(("false", "true").__getitem__, cell.equal), repeat(str(micros)),
-    ))
+    j, micros = str(cell.j), str(micros)
+    return sep.join([
+        row(N, j, text := str(lhs), text if lhs == rhs else str(rhs),
+            "true" if verdict else "false", micros)
+        for N, lhs, rhs, verdict in zip(count(cell.n_min), cell.lhs, cell.rhs, cell.equal)
+    ])
 
 
 def _open_out(path: str | None) -> contextlib.AbstractContextManager[TextIO]:
@@ -392,10 +393,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     point = IdentityPoint(_bounded("N", args.N, MAX_N), _bounded("j", args.j, MAX_J))
     if args.side == "both":
         report = check_identity(point, "fast")
-        print(
-            f"lhs={report.lhs} rhs={report.rhs} "
-            f"equal={'true' if report.equal else 'false'}"
-        )
+        lhs = str(report.lhs)
+        rhs = lhs if report.lhs == report.rhs else str(report.rhs)
+        print(f"lhs={lhs} rhs={rhs} equal={'true' if report.equal else 'false'}")
     elif args.side == "lhs":
         print(lhs_fast(point.N, point.j))
     else:
@@ -407,7 +407,8 @@ def cmd_mapcount(args: argparse.Namespace) -> int:
     spec = mapcount_spec_from_file(args.coeff_file, _bounded("--j", args.j, MAX_J))
     nu_bits = spec.nu.bit_length()
     bits = (spec.j + 2) * (2 * spec.nu + 2 * nu_bits)
-    cost = 3 * spec.g * (spec.j + 1) * (8 + nu_bits) + (bits >> 8) ** 2
+    den_bits = sum(q.bit_length() - 1 for q in {w.denominator for w in spec.a})
+    cost = 3 * spec.g * (spec.j + 1) * (8 + nu_bits) + (bits >> 8) ** 2 + (den_bits >> 6) ** 2
     _bounded("map-count cost", cost, MAX_MAPCOUNT_COST)
     print(map_count(spec))
     return 0

@@ -11,6 +11,8 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
+from fractions import Fraction
 from itertools import count
 from pathlib import Path
 
@@ -22,10 +24,12 @@ import hypident
 from hypident import cli, hypergeom, identity
 from hypident.factorial_basis import FallingPoly, poly_eval
 from hypident.identity import (
+    MODES,
     CellReport,
     IdentityPoint,
     MapCountSpec,
     VerifyReport,
+    check_cell,
     check_identity,
 )
 from oracles import report_document
@@ -363,6 +367,28 @@ def test_cells_with_framing_give_the_whole_document(cells, fmt, micros):
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+
+
+@pytest.fixture(scope="module")
+def long_cells():
+    """The 3000-point cell j = 1, N = 1..3000 in each mode: in fast mode rhs
+    is lhs, the same list; in the others, a list of equal ints."""
+    return {mode: check_cell(1, 1, 3000, mode) for mode in MODES}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_render_memory_stays_near_its_text(long_cells, fmt, mode):
+    """Rendering a cell holds its rows and then their joined text, each
+    value printed once, and little else: the peak traced memory stays under
+    2.3 times the length of the text it returns."""
+    tracemalloc.start()
+    try:
+        text = cli._render_reports(long_cells[mode], fmt, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.3 * len(text)
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
@@ -884,6 +910,33 @@ def test_eval_both(capsys):
     assert out == "lhs=44 rhs=44 equal=true\n"
 
 
+def stdout_of(*argv):
+    """(exit code, stdout) of cli.main(argv), stderr dropped, outside
+    pytest's capture, so that a hypothesis property can call it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+@given(st.integers(1, 5000), st.integers(0, 60))
+def test_eval_both_prints_the_plain_verify_row(N, j):
+    """eval both's line is the plain verify row of its point without the
+    row's "j=J N=N " prefix."""
+    assert stdout_of("verify", "--j", str(j), "--n", str(N)) == (
+        0, f"j={j} N={N} " + stdout_of("eval", "both", str(N), str(j))[1])
+
+
+@pytest.mark.parametrize("lhs, rhs", [(5, 7), (10**5000, 10**5000 + 1), (-1, 1)],
+                         ids=["small", "past-4300-digits", "opposite"])
+def test_eval_both_prints_unequal_values(monkeypatch, capsys, lhs, rhs):
+    """A report whose sides differ prints each value and equal=false."""
+    monkeypatch.setattr(cli, "check_identity",
+                        lambda point, mode: VerifyReport(point, lhs, rhs, False))
+    assert run_cli(capsys, "eval", "both", "4", "2") == (
+        0, f"lhs={lhs} rhs={rhs} equal=false\n", "")
+
+
 def test_eval_single_sides(capsys):
     code, out, _ = run_cli(capsys, "eval", "rhs", "2", "1")
     assert (code, out) == (0, "16\n")
@@ -1123,32 +1176,58 @@ def test_mapcount_file_size_bound(tmp_path, capsys, monkeypatch):
     assert err == f"error: {above}: size is above the bound of {bound} bytes\n"
 
 
-@pytest.mark.parametrize("nu, g, j, inside", [
-    (3, 4, 300, True),          # the benchmark's coefficient file
-    (3, 32768, 7, True),        # 3 * 32768 * 8 terms of weight 10, the bound itself
-    (3, 32769, 7, False),
-    (3, 1023, 255, True),
-    (3, 1024, 255, False),      # 3 * 2^18 terms and a value of 2570 bits
-    (3, 2000, 300, False),
-    (1176, 1, 300, True),       # the largest nu at g = 1, j = 300
-    (1177, 1, 300, False),
-    (10**4, 1, 300, False),
-    (119662, 1, 1, True),       # the largest nu at g = 1, j = 1
-    (119663, 1, 1, False),
-    (10**100, 1, 1, False),
-])
-def test_mapcount_cost_bound(tmp_path, capsys, monkeypatch, nu, g, j, inside):
-    """A spec whose cost 3g(j+1)(8 + bit_length(nu)) + (b // 2^8)^2, with
-    b = (j+2)(2nu + 2 bit_length(nu)), is above MAX_MAPCOUNT_COST exits 2
-    with one error line before any series runs."""
+MAPCOUNT_COST_CASES = [
+    (3, 4, 300, 0, True),          # the benchmark's coefficient file
+    (3, 32768, 7, 0, True),        # 3 * 32768 * 8 terms of weight 10, the bound itself
+    (3, 32769, 7, 0, False),
+    (3, 1023, 255, 0, True),
+    (3, 1024, 255, 0, False),      # 3 * 2^18 terms and a value of 2570 bits
+    (3, 2000, 300, 0, False),
+    (1176, 1, 300, 0, True),       # the largest nu at g = 1, j = 300
+    (1177, 1, 300, 0, False),
+    (10**4, 1, 300, 0, False),
+    (119662, 1, 1, 0, True),       # the largest nu at g = 1, j = 1
+    (119663, 1, 1, 0, False),
+    (10**100, 1, 1, 0, False),
+    # a denominator of 179,516 bits, the most at g = 1, j = 1, and one more
+    (3, 1, 1, "1/1" + "0" * 54040, True),
+    (3, 1, 1, "1/1" + "0" * 54041, False),
+    # 3069 equal denominators count once: 64 bits, not 3069 * 64
+    (3, 1023, 255, f"1/{2**64}", True),
+    # 6000 distinct 30-digit denominators in 210 KB: 4 s of Fraction sums at j = 1
+    (3, 2000, 1, "1/1{i:029d}", False),
+]
+
+
+def cost_case_id(nu, g, j, weight, inside):
+    """nu-g-j-inside, with a nonzero weight (or a long one's length) before
+    inside."""
+    if weight == 0:
+        return f"{nu}-{g}-{j}-{inside}"
+    shown = weight if len(weight) <= 24 else f"{len(weight)}-chars"
+    return f"{nu}-{g}-{j}-{shown}-{inside}"
+
+
+@pytest.mark.parametrize("nu, g, j, weight, inside", MAPCOUNT_COST_CASES,
+                         ids=[cost_case_id(*case) for case in MAPCOUNT_COST_CASES])
+def test_mapcount_cost_bound(tmp_path, capsys, monkeypatch, nu, g, j, weight, inside):
+    """A spec whose cost 3g(j+1)(8 + bit_length(nu)) + (b // 2^8)^2 +
+    (d // 2^6)^2, with b = (j+2)(2nu + 2 bit_length(nu)) and d the bits of
+    the product of the weights' distinct denominators, one fewer per
+    denominator, is above MAX_MAPCOUNT_COST exits 2 with one error line
+    before any series runs. A str weight is formatted with its index i."""
     assert cli.MAX_MAPCOUNT_COST == 30 * 2**18
     counted = []
     monkeypatch.setattr(cli, "map_count", lambda spec: counted.append(spec) or 0)
-    doc = {"nu": nu, "g": g, "a": [0] * (3 * g)}
+    weights = [weight.format(i=i) if isinstance(weight, str) else weight
+               for i in range(3 * g)]
+    doc = {"nu": nu, "g": g, "a": weights}
     path = write_coeffs(tmp_path, json.dumps(doc, separators=(",", ":")))
     code, out, err = run_cli(capsys, "mapcount", path, "--j", str(j))
     bits = (j + 2) * (2 * nu + 2 * nu.bit_length())
-    cost = 3 * g * (j + 1) * (8 + nu.bit_length()) + (bits >> 8) ** 2
+    denominators = {Fraction(w).denominator for w in weights}
+    d = sum(q.bit_length() - 1 for q in denominators)
+    cost = 3 * g * (j + 1) * (8 + nu.bit_length()) + (bits >> 8) ** 2 + (d >> 6) ** 2
     assert (cost <= cli.MAX_MAPCOUNT_COST) == inside
     if inside:
         assert (code, out, err, len(counted)) == (0, "0\n", "", 1)
