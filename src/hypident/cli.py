@@ -38,6 +38,7 @@ import contextlib
 import functools
 import io
 import marshal
+import math
 import os
 import sys
 import threading
@@ -93,12 +94,12 @@ BRUTE_FORCE_WEIGHT = 1000
 # factors of at most 2nu + 2 bit_length(nu) bits, printed in time quadratic
 # in their bits. b counts two factors more, which covers math.comb building
 # C(2nu-1, nu-1) in time quadratic in nu. The sum's denominator divides the
-# product of the weights' distinct denominators, of at most d bits (one
-# fewer per denominator), and adding and printing take time quadratic in
-# it. So a spec's cost is 3g(j+1)(8 + bit_length(nu)) + (b // 2^8)^2 +
-# (d // 2^6)^2, b = (j+2)(2nu + 2 bit_length(nu)), all parts in units of
-# about 0.1 us. The bound is 3 * 2^18 terms at the weight 10 of nu <= 3; a
-# spec at it takes one to two seconds (measurements in README).
+# lcm of the weights' denominators, of d + 1 bits, and adding and printing
+# take time quadratic in it. So a spec's cost is
+# 3g(j+1)(8 + bit_length(nu)) + (b // 2^8)^2 + (d // 2^6)^2,
+# b = (j+2)(2nu + 2 bit_length(nu)), all parts in units of about 0.1 us.
+# The bound is 3 * 2^18 terms at the weight 10 of nu <= 3; a spec at it
+# takes one to two seconds (measurements in README).
 MAX_MAPCOUNT_COST = 30 * 2**18
 
 __all__ = ["SweepConfig", "entrypoint", "main", "run_sweep"]
@@ -407,7 +408,13 @@ def cmd_mapcount(args: argparse.Namespace) -> int:
     spec = mapcount_spec_from_file(args.coeff_file, _bounded("--j", args.j, MAX_J))
     nu_bits = spec.nu.bit_length()
     bits = (spec.j + 2) * (2 * spec.nu + 2 * nu_bits)
-    den_bits = sum(q.bit_length() - 1 for q in {w.denominator for w in spec.a})
+    # At cap bits the d term alone is above the bound, so the lcm stops growing
+    # there, and d is at most cap whatever order the denominators come in.
+    cap, lcm = (math.isqrt(MAX_MAPCOUNT_COST) + 1) << 6, 1
+    for q in {w.denominator for w in spec.a}:
+        if (lcm := math.lcm(lcm, q)).bit_length() > cap:
+            break
+    den_bits = min(lcm.bit_length() - 1, cap)
     cost = 3 * spec.g * (spec.j + 1) * (8 + nu_bits) + (bits >> 8) ** 2 + (den_bits >> 6) ** 2
     _bounded("map-count cost", cost, MAX_MAPCOUNT_COST)
     print(map_count(spec))
@@ -466,8 +473,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(sys, "set_int_max_str_digits"):
-        # Exact values pass CPython's default 4300-digit limit on str(int).
+    # Exact values pass CPython's default 4300-digit limit on str(int), so
+    # main lifts it and gives the caller's limit back however it returns.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
         sys.set_int_max_str_digits(0)
     try:
         code = args.func(args)
@@ -486,6 +495,9 @@ def main(argv: list[str] | None = None) -> int:
         # program, not a disagreement of the identity (exit 1).
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def entrypoint() -> NoReturn:

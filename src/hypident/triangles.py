@@ -35,10 +35,12 @@ level, each stepped from the last by an exact ratio. An R closed-form
 row is the C(., j)-weighted sum of Stirling rows 0..j, shifted left by
 j-i. Each closed form keeps only its last row, because its callers read
 one level at a time, entry by entry. ``l_poly_from_series`` sums Lah
-rows with weights stepped by exact ratios, and ``vanishing_sum`` steps
-its binomials the same way. Recurrence rows grow as Stirling rows do, in
-``factorial_basis._RecurrenceTable``: under a lock, and published whole,
-so concurrent readers see only whole rows.
+rows with weights stepped by exact ratios. ``vanishing_sum`` reads its
+level j built whole, as an L closed-form row is, but from its own
+binomials and no triangle's row: every i from one Taylor shift, of
+C(2j, j+2..2j), and only the last level is kept. Recurrence rows grow as
+Stirling rows do, in ``factorial_basis._RecurrenceTable``: under a lock,
+and published whole, so concurrent readers see only whole rows.
 """
 
 from __future__ import annotations
@@ -168,21 +170,28 @@ def l_entry_recurrence(i: int, j: int) -> int:
     return _L_REC.entry(i, j)
 
 
-# Callers read one level at a time, so only the last row is kept.
-@lru_cache(maxsize=1)
-def _l_closed_row(j: int) -> tuple[int, ...]:
-    # seq = C(2j, 2j-m) for m = 0..j-1, each binomial stepped from the last
-    # by its exact ratio: the vector C(2j, j+1..2j) reversed. One Taylor
-    # shift pass is its prefix sums, after which the last entry is final:
-    # pass i freezes S_{i+1}.
-    seq = list(accumulate(range(j - 1), lambda c, m: c * (2 * j - m) // (m + 1), initial=1))
+# The Taylor shift by 1 of (v_1, ..., v_n), given as seq = (v_n, ..., v_1):
+# S_m = sum_k v_k C(k-1, m) for m = 0..n-1, the coefficients of
+# sum_k v_k (1+y)^(k-1). Pass m takes the prefix sums of what is left of seq,
+# whose last entry is then final and is S_m: about n^2/2 additions in n
+# passes, each one ``itertools.accumulate``.
+def _taylor_shift(seq: list[int]) -> list[int]:
     sums = []
     while seq:
         seq = list(accumulate(seq))
         sums.append(seq.pop())
-    # j!/i! for i = j..1
-    scales = accumulate(range(j, 1, -1), mul, initial=1)
-    return (factorial(2 * j) // factorial(j), *map(mul, sums, reversed(list(scales))))
+    return sums
+
+
+# Callers read one level at a time, so only the last row is kept.
+@lru_cache(maxsize=1)
+def _l_closed_row(j: int) -> tuple[int, ...]:
+    # C(2j, 2j-m) for m = 0..j-1, each binomial stepped from the last by its
+    # exact ratio: the vector C(2j, j+1..2j) reversed, whose shift is S_1..S_j.
+    seq = list(accumulate(range(j - 1), lambda c, m: c * (2 * j - m) // (m + 1), initial=1))
+    # j!/i! for i = 1..j
+    scales = list(accumulate(range(j, 1, -1), mul, initial=1))[::-1]
+    return (factorial(2 * j) // factorial(j), *map(mul, _taylor_shift(seq), scales))
 
 
 # Callers read one level at a time, so only the last row is kept.
@@ -233,34 +242,37 @@ def vanishing_sum(i: int, j: int) -> int:
                                        - (j+1) C(k-2, i-3) ],
     where at i = 2 the k = i-1 term needs the convention C(-1,-1) = 1
     (and C(k-2,-1) = 0 for k >= 2); ``binomial`` zero-fills C(-1,-1), so
-    that one term is written out here. For i = 1 the bracket
-    degenerates under pure zero-fill, so the i = 1 reduction is used
-    instead: (j+1)! * [C(2j, j) - C(2j, j+1)] - (2j)!/j!.
+    that one term is written out. For i = 1 the bracket degenerates under
+    pure zero-fill, so the i = 1 reduction is used instead:
+    (j+1)! * [C(2j, j) - C(2j, j+1)] - (2j)!/j!.
 
-    Every term is added. Only C(2j, j+i-1) is computed in full; each
-    binomial of term k+1 comes from term k by an exact integer ratio.
+    Reads the cached level j, whose sums for every i are built at once
+    from two column sums over k (see ``_vanishing_row``), so a single call
+    costs O(j^2) additions. Every term is added.
 
     Always 0; returning the computed value (rather than asserting) is the
     point, since tests check the zero exactly.
     """
     if j < 1 or i < 1 or i > j:
         raise IndexOutOfTriangle(f"vanishing_sum({i}, {j}): need 1 <= i <= j")
-    if i == 1:
-        reduced = binomial(2 * j, j) - binomial(2 * j, j + 1)
-        return factorial(j + 1) * reduced - factorial(2 * j) // factorial(j)
-    # k = i-1: C(k-1, i-1) = 0, C(k-1, i-2) = 1 and C(k-2, i-3) = 1, which
-    # at i = 2 is C(-1,-1) = 1.
-    outer = binomial(2 * j, j + i - 1)
-    total = outer * (i - (j + 1))
-    # C(k-1, i-1), C(k-1, i-2) and C(k-2, i-3) at k = i.
-    b1, b2, b3 = 1, i - 1, i - 2
-    for k in range(i, j + 1):
-        outer = outer * (j - k + 1) // (j + k)
-        total += outer * (2 * (i - 1) * b1 + i * b2 - (j + 1) * b3)
-        b1 = b1 * k // (k - i + 1)
-        b2 = b2 * k // (k - i + 2)
-        b3 = b3 * (k - 1) // (k - i + 2)
-    return total
+    return _vanishing_row(j)[i - 1]
+
+
+# vanishing_sum(i, j) for i = 1..j. With c_k = C(2j, j+k), the sums
+# A_m = sum_k c_k C(k-1, m) and b_m = sum_k c_k C(k-2, m-1), where C(-1,-1) = 1
+# makes b_0 = c_1 (the term written out at i = 2), give the sum at i >= 2 as
+# 2(i-1) A_{i-1} + i A_{i-2} - (j+1) b_{i-2}. Past b_0, b is the Taylor shift
+# of c_2..c_j, and A_m = b_{m+1} + b_m by Pascal's rule: one shift per level.
+# Callers read one level at a time, so only the last row is kept.
+@lru_cache(maxsize=1)
+def _vanishing_row(j: int) -> tuple[int, ...]:
+    # c_j, ..., c_1, stepped from c_j = 1 by exact ratios.
+    seq = list(accumulate(range(j - 1), lambda c, m: c * (2 * j - m) // (m + 1), initial=1))
+    b = [seq.pop(), *_taylor_shift(seq)]
+    a = list(map(add, b[1:] + [0], b))
+    catalan = factorial(j + 1) * (binomial(2 * j, j) - binomial(2 * j, j + 1))
+    return (catalan - factorial(2 * j) // factorial(j), *(
+        2 * (i - 1) * a[i - 1] + i * a[i - 2] - (j + 1) * b[i - 2] for i in range(2, j + 1)))
 
 
 def triangle_row(kind: str, j: int) -> tuple[int, ...]:

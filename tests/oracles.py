@@ -10,7 +10,8 @@ expanding the product in the monomial basis, L-triangle entries come from the bi
 closed form summed entry by entry with ``math.comb``, R-triangle rows
 come from the Stirling-weighted sum with those two oracles, Lah
 numbers come from their definition with ``math.comb`` and ``factorial``,
-and a whole verify report is rendered in one piece, JSON by
+a Taylor shift by 1 is its double sum with ``math.comb``, and a whole
+verify report is rendered in one piece, JSON by
 ``json.dumps(rows, indent=2)``.
 """
 
@@ -143,6 +144,12 @@ def l_entry_by_binomial_sum(i: int, j: int) -> int:
         return factorial(2 * j) // factorial(j)
     inner = sum(comb(2 * j, j + k) * comb(k - 1, i - 1) for k in range(i, j + 1))
     return factorial(j) // factorial(i) * inner
+
+
+def taylor_shift_by_binomial_sum(v: list[int]) -> list[int]:
+    """S_m = sum_{k=1}^{n} v_k C(k-1, m) for m = 0..n-1, v = (v_1, ..., v_n):
+    the coefficients of sum_k v_k (1+y)^(k-1), summed term by term."""
+    return [sum(vk * comb(k - 1, m) for k, vk in enumerate(v, 1)) for m in range(len(v))]
 
 
 def report_document(reports, fmt: str, micros: int = 0) -> str:

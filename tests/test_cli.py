@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import marshal
+import math
 import os
 import re
 import subprocess
@@ -39,6 +40,19 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def no_digit_limit():
+    """Lift CPython's 4300-digit str(int) limit for the test's own
+    conversions of big values (main gives the limit back when it returns),
+    and restore it afterwards."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    yield
+    if limit:
+        sys.set_int_max_str_digits(limit)
 
 
 # -- verify -------------------------------------------------------------------
@@ -273,6 +287,7 @@ def test_fast_and_direct_sweeps_render_identically(capsys):
         assert fast[1] == direct[1]
 
 
+@pytest.mark.usefixtures("no_digit_limit")
 def test_render_writes_both_values_whatever_the_verdict(capsys, monkeypatch):
     big = 7**6000  # past CPython's 4300-digit str(int) limit
     pairs = {1: (6, 7), 2: (big, big + 1), 3: (big, big)}
@@ -929,6 +944,7 @@ def test_eval_both_prints_the_plain_verify_row(N, j):
 
 @pytest.mark.parametrize("lhs, rhs", [(5, 7), (10**5000, 10**5000 + 1), (-1, 1)],
                          ids=["small", "past-4300-digits", "opposite"])
+@pytest.mark.usefixtures("no_digit_limit")
 def test_eval_both_prints_unequal_values(monkeypatch, capsys, lhs, rhs):
     """A report whose sides differ prints each value and equal=false."""
     monkeypatch.setattr(cli, "check_identity",
@@ -944,6 +960,49 @@ def test_eval_single_sides(capsys):
     assert (code, out) == (0, "6\n")
 
 
+def _raises(exc):
+    def rigged(*args):
+        raise exc("rigged")
+    return rigged
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no str(int) digit limit")
+@pytest.mark.parametrize("caller_limit", [None, 5000], ids=["default", "5000"])
+def test_main_gives_back_the_callers_digit_limit(capsys, monkeypatch, caller_limit):
+    """main lifts the str(int) digit limit while it runs, so a value of
+    5001 digits prints, and the caller's limit is back after every exit."""
+    before = sys.get_int_max_str_digits()
+    big = 10**5000
+    unequal = CellReport(1, 1, [6], [7], [False])
+    runs = [
+        (0, "check_identity", lambda point, mode: VerifyReport(point, big, big, True),
+         ["eval", "both", "4", "2"]),
+        (0, None, None, ["eval", "both", "1", "1"]),
+        (1, "check_cell", lambda *cell: unequal, ["verify", "--j", "1", "--n", "1"]),
+        (2, None, None, ["eval", "both", "1", str(cli.MAX_J + 1)]),
+        (3, "check_identity", _raises(ArithmeticError), ["eval", "both", "1", "1"]),
+        (130, "check_identity", _raises(KeyboardInterrupt), ["eval", "both", "1", "1"]),
+    ]
+    try:
+        if caller_limit is not None:
+            sys.set_int_max_str_digits(caller_limit)
+        expected = sys.get_int_max_str_digits()
+        assert expected != 0
+        outs = []
+        for code, name, rigged, argv in runs:
+            with monkeypatch.context() as patch:
+                if name is not None:
+                    patch.setattr(cli, name, rigged)
+                got, out, _ = run_cli(capsys, *argv)
+            assert (got, sys.get_int_max_str_digits()) == (code, expected), argv
+            outs.append(out)
+        assert outs[0] == "lhs=1" + "0" * 5000 + " rhs=1" + "0" * 5000 + " equal=true\n"
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.usefixtures("no_digit_limit")
 def test_values_beyond_4300_digits_print(capsys):
     code, out, err = run_cli(capsys, "eval", "rhs", "15000", "0")
     assert (code, err) == (0, "")
@@ -1196,6 +1255,8 @@ MAPCOUNT_COST_CASES = [
     (3, 1023, 255, f"1/{2**64}", True),
     # 6000 distinct 30-digit denominators in 210 KB: 4 s of Fraction sums at j = 1
     (3, 2000, 1, "1/1{i:029d}", False),
+    # 1/k for k = 2..6001: an lcm of 8,640 bits, where the product has 63,834 bits
+    (3, 2000, 115, "1/{k}", True),
 ]
 
 
@@ -1210,23 +1271,34 @@ def cost_case_id(nu, g, j, weight, inside):
 
 @pytest.mark.parametrize("nu, g, j, weight, inside", MAPCOUNT_COST_CASES,
                          ids=[cost_case_id(*case) for case in MAPCOUNT_COST_CASES])
+@pytest.mark.usefixtures("no_digit_limit")
 def test_mapcount_cost_bound(tmp_path, capsys, monkeypatch, nu, g, j, weight, inside):
     """A spec whose cost 3g(j+1)(8 + bit_length(nu)) + (b // 2^8)^2 +
     (d // 2^6)^2, with b = (j+2)(2nu + 2 bit_length(nu)) and d the bits of
-    the product of the weights' distinct denominators, one fewer per
-    denominator, is above MAX_MAPCOUNT_COST exits 2 with one error line
-    before any series runs. A str weight is formatted with its index i."""
+    the lcm of the weights' denominators, one fewer, is above
+    MAX_MAPCOUNT_COST exits 2 with one error line before any series runs.
+    d is counted up to the first value whose term alone is above the
+    bound. A str weight is formatted with its index i and k = i + 2."""
     assert cli.MAX_MAPCOUNT_COST == 30 * 2**18
     counted = []
     monkeypatch.setattr(cli, "map_count", lambda spec: counted.append(spec) or 0)
-    weights = [weight.format(i=i) if isinstance(weight, str) else weight
+    weights = [weight.format(i=i, k=i + 2) if isinstance(weight, str) else weight
                for i in range(3 * g)]
     doc = {"nu": nu, "g": g, "a": weights}
     path = write_coeffs(tmp_path, json.dumps(doc, separators=(",", ":")))
     code, out, err = run_cli(capsys, "mapcount", path, "--j", str(j))
     bits = (j + 2) * (2 * nu + 2 * nu.bit_length())
-    denominators = {Fraction(w).denominator for w in weights}
-    d = sum(q.bit_length() - 1 for q in denominators)
+    cap = (math.isqrt(cli.MAX_MAPCOUNT_COST) + 1) * 64
+    assert ((cap >> 6) - 1) ** 2 <= cli.MAX_MAPCOUNT_COST < (cap >> 6) ** 2
+    # An lcm only grows as denominators join it, so once one past cap bits
+    # is reached, in any order, d is cap: the full lcm of 6000 30-digit
+    # denominators would take seconds.
+    lcm = 1
+    for q in sorted(Fraction(w).denominator for w in weights):
+        lcm = math.lcm(lcm, q)
+        if lcm.bit_length() > cap:
+            break
+    d = min(lcm.bit_length() - 1, cap)
     cost = 3 * g * (j + 1) * (8 + nu.bit_length()) + (bits >> 8) ** 2 + (d >> 6) ** 2
     assert (cost <= cli.MAX_MAPCOUNT_COST) == inside
     if inside:

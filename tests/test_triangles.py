@@ -1,8 +1,11 @@
 import json
+import re
 import threading
 import types
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hypident import factorial_basis, triangles
 from hypident.cli import MAX_J
@@ -27,7 +30,10 @@ from hypident.triangles import (
     vanishing_sum,
 )
 
-from oracles import c_entry_by_expansion, l_entry_by_binomial_sum, r_row_by_stirling_sum
+from oracles import (
+    c_entry_by_expansion, l_entry_by_binomial_sum, r_row_by_stirling_sum,
+    taylor_shift_by_binomial_sum,
+)
 
 
 def test_c_entry_values():
@@ -100,6 +106,23 @@ def test_closed_form_and_series_routes_read_no_other_route():
         "_l_closed_row", "_L_REC", "l_entry_closed", "l_entry_recurrence", "l_poly",
         "triangle_row",
     }
+
+
+def test_vanishing_sums_read_no_triangle_route():
+    """The vanishing sums are built from their own binomials: they read no
+    row of the L closed form, the L recurrence or the R recurrence."""
+    names = _names_read(triangles.vanishing_sum) | _names_read(triangles._vanishing_row)
+    assert not names & {
+        "_l_closed_row", "_r_closed_row", "_R", "_L_REC", "_C", "triangle_row",
+        "l_entry_closed", "l_entry_recurrence", "r_entry", "r_entry_closed",
+    }
+
+
+@given(st.lists(st.integers(-(10**40), 10**40), max_size=40))
+def test_taylor_shift_matches_binomial_sum(v):
+    """The shift helper, given v highest index first, gives
+    sum_k v_k C(k-1, m) for every m, negative entries included."""
+    assert triangles._taylor_shift(v[::-1]) == taylor_shift_by_binomial_sum(v)
 
 
 def test_l_entry_recurrence_values():
@@ -195,6 +218,30 @@ def test_vanishing_sum_is_zero_everywhere():
     for j in range(1, 21):
         for i in range(1, j + 1):
             assert vanishing_sum(i, j) == 0, (i, j)
+
+
+@pytest.mark.parametrize("i, j", [(0, 5), (3, 2), (1, 0), (0, 0), (-1, 3), (2, -1)])
+def test_bad_vanishing_index_builds_no_row(i, j):
+    """A bad (i, j) is rejected before any level is built or read."""
+    assert vanishing_sum(2, 4) == 0
+    before = triangles._vanishing_row.cache_info()
+    message = re.escape(f"vanishing_sum({i}, {j}): need 1 <= i <= j")
+    with pytest.raises(IndexOutOfTriangle, match=f"^{message}$"):
+        vanishing_sum(i, j)
+    assert triangles._vanishing_row.cache_info() == before
+
+
+def test_routes_agree_and_sums_vanish_up_to_the_cli_bound():
+    """The five routes give one row at level MAX_J, and every vanishing sum
+    with 1 <= i <= j <= MAX_J is 0 (the tests above stop at j = 60 and 20)."""
+    j = MAX_J
+    row = triangle_row("R", j)
+    assert row == triangle_row("L", j)
+    assert row == tuple(l_entry_recurrence(i, j) for i in range(j + 1))
+    assert row == tuple(r_entry_closed(i, j) for i in range(j + 1))
+    assert row == l_poly_from_series(j).coeffs
+    for j in range(1, MAX_J + 1):
+        assert [i for i in range(1, j + 1) if vanishing_sum(i, j) != 0] == [], j
 
 
 # -- exports ---------------------------------------------------------------
