@@ -16,7 +16,8 @@ run_sweep alone writes a verify report, laid out by _FORMATS: rows ordered
 by (j, N) and written one j cell at a time as the sweep goes. A cell is
 checked as columns (identity.check_cell: lhs values, rhs values, verdicts)
 and rendered from them in one pass that prints each value once: an rhs
-equal to its lhs reuses lhs's text, as in eval both's line. With
+equal to its lhs reuses lhs's text. eval both prints the plain row of its
+one-point cell by _render_reports, less the row's "j=J N=N " prefix. With
 --parallelism K above 1 (default 1), the cells are checked and rendered by
 up to K forked worker processes that send back their rows over pipes: each
 cell crosses as one marshal value, and no pool module is imported.
@@ -56,7 +57,6 @@ from .identity import (
     _check_int_fields,
     _check_mode,
     check_cell,
-    check_identity,
     lhs_fast,
     map_count,
     mapcount_spec_from_file,
@@ -82,10 +82,13 @@ MAX_J = 300
 # 1900 times printing's cost per bit for both routes together (measured at
 # j = 1, 40 and 300): the most at large j far from N = 1, the least at
 # small j from N = 1. Those modes add BRUTE_FORCE_WEIGHT * (N + 1) * b per
-# point, so that their largest grids take about as long as the largest
-# fast ones. One point at N = MAX_N,
-# j = MAX_J in fast mode, and the benchmark and CI grids in every mode, are
-# inside the bound (measurements in README).
+# point. That bounds their cost but does not match it to fast mode's: near
+# the bound, `verify --j 300 --n 30000 --mode direct` spent 2.65 to 4.6 s in
+# its sweep against 1.4 to 1.6 s for `--j 300 --n 1000000` in fast mode,
+# while `--j 1 --n 1..1000 --mode cross` took 0.02 to 0.04 s and `1..1030`
+# is above the bound. One point at N = MAX_N, j = MAX_J in fast mode, and
+# the benchmark and CI grids in every mode, are inside the bound
+# (measurements in README).
 MAX_GRID = 2**40
 BRUTE_FORCE_WEIGHT = 1000
 # A map count sums 3g 2F1 series of j+1 terms each, every weight included,
@@ -304,11 +307,8 @@ def _render_reports(cell: CellReport, fmt: str, micros: int) -> str:
 
 
 def _open_out(path: str | None) -> contextlib.AbstractContextManager[TextIO]:
-    """The report destination: stdout, or the file at path.
-
-    Callers open it before doing the work that fills it, so an unwritable
-    path fails at once instead of after a sweep.
-    """
+    """The report destination: stdout, or the file at path. Callers open
+    it before the work that fills it, so an unwritable path fails at once."""
     if path is None:
         return contextlib.nullcontext(sys.stdout)
     return open(path, "w", encoding="utf-8")
@@ -393,10 +393,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     point = IdentityPoint(_bounded("N", args.N, MAX_N), _bounded("j", args.j, MAX_J))
     if args.side == "both":
-        report = check_identity(point, "fast")
-        lhs = str(report.lhs)
-        rhs = lhs if report.lhs == report.rhs else str(report.rhs)
-        print(f"lhs={lhs} rhs={rhs} equal={'true' if report.equal else 'false'}")
+        row = _render_reports(_sweep_cell((point.j, point.N, point.N, "fast")), "plain", 0)
+        sys.stdout.write(row.removeprefix(f"j={point.j} N={point.N} "))
     elif args.side == "lhs":
         print(lhs_fast(point.N, point.j))
     else:

@@ -17,6 +17,12 @@ __all__ = [
 ]
 
 
+def _check_int(name: str, value: int) -> None:
+    """value must be an int; anything else, bools included, is a TypeError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k) with zero-fill for out-of-range indices.
 

@@ -32,6 +32,8 @@ from collections.abc import Callable, Iterable
 from itertools import accumulate
 from operator import mul
 
+from .exact_arith import _check_int
+
 __all__ = [
     "FallingPoly",
     "falling",
@@ -118,6 +120,8 @@ def stirling2(k: int, i: int) -> int:
     Counts partitions of a k-set into i nonempty blocks; 0 above the
     diagonal and for (i = 0, k >= 1), per the usual conventions.
     """
+    _check_int("k", k)
+    _check_int("i", i)
     if k < 0 or i < 0:
         raise ValueError(f"stirling2({k}, {i}): indices must be >= 0")
     return _STIRLING.row(k)[i] if i <= k else 0
@@ -189,6 +193,7 @@ def monomial_to_falling(k: int) -> FallingPoly:
     Coefficient of (x)_i is S(k, i), read as row k of the Stirling table;
     for k = 0 this is the constant 1.
     """
+    _check_int("k", k)
     if k < 0:
         raise ValueError(f"monomial_to_falling({k}): k must be >= 0")
     return FallingPoly(_STIRLING.row(k))
@@ -201,6 +206,7 @@ def rising_to_falling(k: int) -> FallingPoly:
     for 1 <= i <= k, read as row k of the Lah table; for k = 0 this is the
     constant 1.
     """
+    _check_int("k", k)
     if k < 0:
         raise ValueError(f"rising_to_falling({k}): k must be >= 0")
     return FallingPoly(_LAH.row(k))

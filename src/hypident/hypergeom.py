@@ -22,7 +22,7 @@ one N.
 
 from __future__ import annotations
 
-from .exact_arith import binomial, factorial
+from .exact_arith import _check_int, binomial, factorial
 
 __all__ = ["lhs_direct", "lhs_direct_run"]
 
@@ -47,12 +47,6 @@ def _series(a: int, b: int, c: int, z: int | Fraction, K: int) -> tuple[int, int
         num = num * ((a + k) * (b + k) * p) + t
         den = t
     return num, den
-
-
-def _check_int(name: str, value: int) -> None:
-    """value must be an int; anything else, bools included, is a TypeError."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
 def _check_point(N: int, j: int) -> None:

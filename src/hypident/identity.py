@@ -49,9 +49,9 @@ from collections.abc import Callable
 from itertools import accumulate, count, repeat
 from operator import add, and_, eq, lshift, mul
 
-from .exact_arith import binomial, factorial, pow2
+from .exact_arith import _check_int, binomial, factorial, pow2
 from .factorial_basis import FallingPoly, falling, poly_values
-from .hypergeom import _check_int, _check_point, _check_run, _series, lhs_direct_run
+from .hypergeom import _check_point, _check_run, _series, lhs_direct_run
 from .triangles import l_poly, r_poly
 
 __all__ = [

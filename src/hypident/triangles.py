@@ -50,7 +50,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import add, mul
 
-from .exact_arith import binomial, double_factorial_odd, factorial, pow2
+from .exact_arith import _check_int, binomial, double_factorial_odd, factorial, pow2
 from .factorial_basis import (
     FallingPoly, _RecurrenceTable, monomial_to_falling, rising_to_falling,
 )
@@ -81,6 +81,8 @@ class IndexOutOfTriangle(ValueError):
 
 
 def _check_index(i: int, j: int, kind: str) -> None:
+    _check_int("i", i)
+    _check_int("j", j)
     if j < 1 or i < 0 or i > j:
         raise IndexOutOfTriangle(f"{kind}({i}, {j}): need 0 <= i <= j and j >= 1")
 
@@ -253,6 +255,8 @@ def vanishing_sum(i: int, j: int) -> int:
     Always 0; returning the computed value (rather than asserting) is the
     point, since tests check the zero exactly.
     """
+    _check_int("i", i)
+    _check_int("j", j)
     if j < 1 or i < 1 or i > j:
         raise IndexOutOfTriangle(f"vanishing_sum({i}, {j}): need 1 <= i <= j")
     return _vanishing_row(j)[i - 1]

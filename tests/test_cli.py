@@ -42,19 +42,6 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.fixture
-def no_digit_limit():
-    """Lift CPython's 4300-digit str(int) limit for the test's own
-    conversions of big values (main gives the limit back when it returns),
-    and restore it afterwards."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit:
-        sys.set_int_max_str_digits(0)
-    yield
-    if limit:
-        sys.set_int_max_str_digits(limit)
-
-
 # -- verify -------------------------------------------------------------------
 
 def test_verify_single_point_json(capsys):
@@ -335,53 +322,41 @@ def cell_reports(draw, min_size=0):
 
 
 @given(cell_reports(), st.sampled_from(["json", "csv"]), st.integers(0, 10**9))
+@pytest.mark.usefixtures("no_digit_limit")
 def test_render_round_trips(cell, fmt, micros):
     """JSON and CSV reports parse back to the same N, j, lhs, rhs and
     verdict, whatever the verdict says, with the given micros on every row."""
     reports = reports_of(cell)
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        head, _, _, tail = cli._FORMATS[fmt]
-        out = head + cli._render_reports(cell, fmt, micros) + tail
-        if fmt == "json":
-            got = [
-                (row["N"], row["j"], int(row["lhs"]), int(row["rhs"]), row["equal"], row["micros"])
-                for row in json.loads(out)
-            ]
-        else:
-            header, *lines = out.splitlines()
-            assert header == "N,j,lhs,rhs,equal,micros"
-            got = []
-            for line in lines:
-                N, j, lhs, rhs, equal, row_micros = line.split(",")
-                verdict = {"true": True, "false": False}[equal]
-                got.append((int(N), int(j), int(lhs), int(rhs), verdict, int(row_micros)))
-        assert got == [(r.point.N, r.point.j, r.lhs, r.rhs, r.equal, micros) for r in reports]
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+    head, _, _, tail = cli._FORMATS[fmt]
+    out = head + cli._render_reports(cell, fmt, micros) + tail
+    if fmt == "json":
+        got = [
+            (row["N"], row["j"], int(row["lhs"]), int(row["rhs"]), row["equal"], row["micros"])
+            for row in json.loads(out)
+        ]
+    else:
+        header, *lines = out.splitlines()
+        assert header == "N,j,lhs,rhs,equal,micros"
+        got = []
+        for line in lines:
+            N, j, lhs, rhs, equal, row_micros = line.split(",")
+            verdict = {"true": True, "false": False}[equal]
+            got.append((int(N), int(j), int(lhs), int(rhs), verdict, int(row_micros)))
+    assert got == [(r.point.N, r.point.j, r.lhs, r.rhs, r.equal, micros) for r in reports]
 
 
 @given(st.lists(cell_reports(min_size=1), min_size=1, max_size=3),
        st.sampled_from(["json", "csv", "plain"]), st.integers(0, 10**9))
+@pytest.mark.usefixtures("no_digit_limit")
 def test_cells_with_framing_give_the_whole_document(cells, fmt, micros):
     """The framing around the cells that _render_reports writes, whatever
     the cell boundaries, gives the bytes of the report rendered in one
     piece (JSON by json.dumps(rows, indent=2))."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        head, _, sep, tail = cli._FORMATS[fmt]
-        streamed = head + sep.join(
-            cli._render_reports(cell, fmt, micros) for cell in cells) + tail
-        assert streamed == report_document(
-            [r for cell in cells for r in reports_of(cell)], fmt, micros)
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+    head, _, sep, tail = cli._FORMATS[fmt]
+    streamed = head + sep.join(
+        cli._render_reports(cell, fmt, micros) for cell in cells) + tail
+    assert streamed == report_document(
+        [r for cell in cells for r in reports_of(cell)], fmt, micros)
 
 
 @pytest.fixture(scope="module")
@@ -946,9 +921,9 @@ def test_eval_both_prints_the_plain_verify_row(N, j):
                          ids=["small", "past-4300-digits", "opposite"])
 @pytest.mark.usefixtures("no_digit_limit")
 def test_eval_both_prints_unequal_values(monkeypatch, capsys, lhs, rhs):
-    """A report whose sides differ prints each value and equal=false."""
-    monkeypatch.setattr(cli, "check_identity",
-                        lambda point, mode: VerifyReport(point, lhs, rhs, False))
+    """A one-point cell whose sides differ prints each value and equal=false."""
+    monkeypatch.setattr(cli, "_sweep_cell",
+                        lambda cell: CellReport(cell[0], cell[1], [lhs], [rhs], [False]))
     assert run_cli(capsys, "eval", "both", "4", "2") == (
         0, f"lhs={lhs} rhs={rhs} equal=false\n", "")
 
@@ -976,13 +951,13 @@ def test_main_gives_back_the_callers_digit_limit(capsys, monkeypatch, caller_lim
     big = 10**5000
     unequal = CellReport(1, 1, [6], [7], [False])
     runs = [
-        (0, "check_identity", lambda point, mode: VerifyReport(point, big, big, True),
+        (0, "_sweep_cell", lambda cell: CellReport(2, 4, [big], [big], [True]),
          ["eval", "both", "4", "2"]),
         (0, None, None, ["eval", "both", "1", "1"]),
         (1, "check_cell", lambda *cell: unequal, ["verify", "--j", "1", "--n", "1"]),
         (2, None, None, ["eval", "both", "1", str(cli.MAX_J + 1)]),
-        (3, "check_identity", _raises(ArithmeticError), ["eval", "both", "1", "1"]),
-        (130, "check_identity", _raises(KeyboardInterrupt), ["eval", "both", "1", "1"]),
+        (3, "_sweep_cell", _raises(ArithmeticError), ["eval", "both", "1", "1"]),
+        (130, "_sweep_cell", _raises(KeyboardInterrupt), ["eval", "both", "1", "1"]),
     ]
     try:
         if caller_limit is not None:
@@ -1029,7 +1004,7 @@ def test_n_above_bound_is_usage_error(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, target, error", [
-    (("eval", "both", "5", "{j}"), "check_identity", "j"),
+    (("eval", "both", "5", "{j}"), "_sweep_cell", "j"),
     (("eval", "lhs", "5", "{j}"), "lhs_fast", "j"),
     (("eval", "rhs", "5", "{j}"), "rhs_fast", "j"),
     (("verify", "--j", "1..{j}", "--n", "1..2"), "run_sweep", "j"),
@@ -1045,7 +1020,7 @@ def test_j_above_bound_is_usage_error(capsys, monkeypatch, argv, target, error):
     assert cli.MAX_J == 300
     started = []
     result = {
-        "check_identity": VerifyReport(IdentityPoint(5, 1), 0, 0, True),
+        "_sweep_cell": CellReport(cli.MAX_J, 5, [0], [0], [True]),
         "run_sweep": [],
         "mapcount_spec_from_file": MapCountSpec(2, 1, 1, (1, 0, 0)),
     }.get(target, "")

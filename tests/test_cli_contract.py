@@ -23,6 +23,7 @@ from datetime import timedelta
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -365,8 +366,10 @@ def one_weight(entry, taken):
 @example(one_weight("1.5", False), 3)
 @example(one_weight(nested(5000), False), 3)
 @example(one_weight('"\udfff"', False), 3)
+@example((b'{"a": [0, 0, 1], "g": 1, "nu": 1420}', True), 5)  # a count of 4302 digits
 @given(coefficient_files(), st.sampled_from(["in", "in", "in", "out"]).flatmap(
     lambda side: st.integers(1, MAX_J) if side == "in" else st.sampled_from([-1, 0, MAX_J + 1])))
+@pytest.mark.usefixtures("no_digit_limit")
 def test_mapcount_exits_0_with_a_rational_or_2_with_one_error_line(file, j):
     data, taken = file
     if not 1 <= j <= MAX_J:

@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 from hypident import factorial_basis, triangles
 from hypident.cli import MAX_J
 from hypident.exact_arith import double_factorial_odd, factorial, pow2
-from hypident.factorial_basis import _LahTable, _RecurrenceTable, _StirlingTable, poly_eval
+from hypident.factorial_basis import (
+    _LahTable, _RecurrenceTable, _StirlingTable, monomial_to_falling, poly_eval,
+    rising_to_falling, stirling2,
+)
 from hypident.hypergeom import lhs_direct
 from hypident.identity import rhs_direct
 from hypident.triangles import (
+    KINDS,
     IndexOutOfTriangle,
     Triangle,
     c_entry,
@@ -229,6 +233,44 @@ def test_bad_vanishing_index_builds_no_row(i, j):
     with pytest.raises(IndexOutOfTriangle, match=f"^{message}$"):
         vanishing_sum(i, j)
     assert triangles._vanishing_row.cache_info() == before
+
+
+def _table_state():
+    """What an index check must leave alone: every table's rows and every
+    row cache's counters."""
+    return (triangles._C.max_level, triangles._R.max_level, triangles._L_REC.max_level,
+            len(factorial_basis._STIRLING._rows), len(factorial_basis._LAH._rows),
+            triangles._l_closed_row.cache_info(), triangles._r_closed_row.cache_info(),
+            triangles._vanishing_row.cache_info())
+
+
+# (entry point, arguments it takes, position of the index made bad, its name)
+INDEX_CASES = [
+    *[(entry, (1, 2), slot, name)
+      for entry in (c_entry, r_entry, r_entry_closed, l_entry_closed, l_entry_recurrence,
+                    vanishing_sum)
+      for slot, name in enumerate("ij")],
+    *[(entry, (2,), 0, "j") for entry in (l_poly, r_poly, l_poly_from_series)],
+    *[(entry, (kind, 2), 1, "j")
+      for entry in (triangle_row, export_csv, export_json) for kind in KINDS],
+    *[(entry, (2,), 0, "k") for entry in (monomial_to_falling, rising_to_falling)],
+    *[(stirling2, (2, 1), slot, name) for slot, name in enumerate("ki")],
+]
+
+
+@pytest.mark.parametrize("bad", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize("entry, args, slot, name", INDEX_CASES, ids=[
+    f"{entry.__name__}{args if len(args) > 1 else ''}-{name}"
+    for entry, args, _, name in INDEX_CASES])
+def test_index_that_is_not_an_int_is_a_type_error_before_any_row(entry, args, slot, name, bad):
+    """A bool or a float index is a TypeError, as everywhere else in the
+    package, before any row is built or read: a bool is not read as 0 or
+    1, and no table grows toward a float."""
+    args = [*args[:slot], bad, *args[slot + 1:]]
+    before = _table_state()
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got {type(bad).__name__}$"):
+        entry(*args)
+    assert _table_state() == before
 
 
 def test_routes_agree_and_sums_vanish_up_to_the_cli_bound():
