@@ -5,7 +5,7 @@ Subcommands:
 
   verify    check the identity over a (j, N) grid; exit 0 iff every
             point verifies, 1 if any fails, 2 on usage/domain errors,
-            3 on an internal error, 130 when interrupted
+            3 on any other exception, whatever K; 130 when interrupted
   table     dump triangle rows as CSV or JSON
   eval      evaluate one side (or both) of the identity at a single point
   mapcount  evaluate the map-count formula from a JSON coefficient file
@@ -50,11 +50,11 @@ from operator import not_
 from typing import BinaryIO, Callable, Iterator, NoReturn, TextIO
 
 from . import __version__
+from .exact_arith import _check_int
 from .identity import (
     MODES,
     CellReport,
     IdentityPoint,
-    _check_int_fields,
     _check_mode,
     check_cell,
     lhs_fast,
@@ -122,7 +122,8 @@ class SweepConfig(
     def __new__(cls, *args, **kwargs) -> SweepConfig:
         self = super().__new__(cls, *args, **kwargs)
         j_min, j_max, n_min, n_max, mode, parallelism, fmt, timings = self
-        _check_int_fields(*zip(self._fields[:4], self), ("parallelism", parallelism))
+        for name in ("j_min", "j_max", "n_min", "n_max", "parallelism"):
+            _check_int(name, getattr(self, name))
         if j_min < 0 or j_min > j_max:
             raise ValueError(f"bad j range {j_min}..{j_max}")
         if n_min < 1 or n_min > n_max:
@@ -487,10 +488,14 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, RuntimeError) as exc:
-        # A failed integrality check, or a worker that failed or died (the
-        # sweep raises RuntimeError naming its j), is a fault of the
-        # program, not a disagreement of the identity (exit 1).
+    except Exception as exc:
+        # Any other exception is a fault of the program, never a disagreement
+        # of the identity (exit 1), whatever the parallelism: a failed
+        # integrality check (ArithmeticError), a worker that failed or died
+        # (the sweep raises RuntimeError naming its j), or a bug here, which
+        # is named TYPE: MESSAGE, as a failed worker names its exception.
+        if not isinstance(exc, (ArithmeticError, RuntimeError)):
+            exc = f"{type(exc).__name__}: {exc}"
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     finally:

@@ -35,6 +35,8 @@ def binomial(n: int, k: int) -> int:
     Raises ValueError for negative n with k >= 0: no generalized
     (Pochhammer) extension is provided.
     """
+    _check_int("n", n)
+    _check_int("k", k)
     if k < 0:
         return 0
     if n < 0:
@@ -46,11 +48,13 @@ def binomial(n: int, k: int) -> int:
 
 def factorial(n: int) -> int:
     """n! for n >= 0."""
+    _check_int("n", n)
     return math.factorial(n)
 
 
 def double_factorial_odd(j: int) -> int:
     """Odd double factorial (2j-1)!! = 1 * 3 * ... * (2j-1); 1 for j = 0."""
+    _check_int("j", j)
     if j < 0:
         raise ValueError(f"double_factorial_odd({j}): j must be >= 0")
     out = 1
@@ -61,6 +65,7 @@ def double_factorial_odd(j: int) -> int:
 
 def pow2(n: int) -> int:
     """2**n for n >= 0."""
+    _check_int("n", n)
     if n < 0:
         raise ValueError(f"pow2({n}): n must be >= 0")
     return 1 << n

@@ -48,6 +48,8 @@ __all__ = [
 
 def falling(a: int, n: int) -> int:
     """Falling factorial (a)_n = prod_{m=0}^{n-1} (a - m); 1 when n = 0."""
+    _check_int("a", a)
+    _check_int("n", n)
     if n < 0:
         raise ValueError(f"falling({a}, {n}): n must be >= 0")
     out = 1
@@ -58,6 +60,8 @@ def falling(a: int, n: int) -> int:
 
 def rising(a: int, n: int) -> int:
     """Rising factorial a^(n) = prod_{m=0}^{n-1} (a + m); 1 when n = 0."""
+    _check_int("a", a)
+    _check_int("n", n)
     if n < 0:
         raise ValueError(f"rising({a}, {n}): n must be >= 0")
     out = 1

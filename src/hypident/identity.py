@@ -278,23 +278,15 @@ def summand_equivalence(g: int, l: int, j: int) -> bool:
     return factorial(j) * summand * pow2(N) == rhs_direct(N, j)
 
 
-def _check_int_fields(*fields: tuple[str, object]) -> None:
-    """Each (name, value) must hold an int other than a bool; else a
-    ValueError naming the field."""
-    for name, value in fields:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name!r} must be an integer, got {value!r}")
-
-
 class MapCountSpec(namedtuple("MapCountSpec", "nu g j a")):
     """Inputs for one map count: half-valence nu, genus g, vertices j,
     and the 3g externally supplied weights a.
 
-    nu, g and j must be ints; each weight an int, a Fraction or a rational
-    string such as "-3/4", stored as a Fraction. Bools and floats are
-    rejected, so no inexact value reaches the count, as are strings with "_",
-    in exponent notation or with non-ASCII characters (Fraction reads them).
-    Every fault is a ValueError naming the offending field or weight.
+    nu, g and j must be ints (else a TypeError); each weight an int, a
+    Fraction or a rational string such as "-3/4", stored as a Fraction. Bools
+    and floats are rejected, so no inexact value reaches the count, as are
+    strings with "_", in exponent notation or with non-ASCII characters
+    (Fraction reads them). Any other fault is a ValueError naming it.
     """
 
     __slots__ = ()
@@ -302,7 +294,8 @@ class MapCountSpec(namedtuple("MapCountSpec", "nu g j a")):
     def __new__(cls, nu: int, g: int, j: int, a: tuple[Fraction, ...]) -> MapCountSpec:
         from fractions import Fraction
 
-        _check_int_fields(("nu", nu), ("g", g), ("j", j))
+        for name, value in (("nu", nu), ("g", g), ("j", j)):
+            _check_int(name, value)
         if not isinstance(a, (list, tuple)):
             raise ValueError(f"'a' must be a list or tuple of weights, got {type(a).__name__}")
         weights = []
@@ -360,9 +353,8 @@ def mapcount_spec_from_obj(obj: object, j: int) -> MapCountSpec:
 
     Expected shape: {"nu": int, "g": int, "a": [entries]} where each entry
     is an exact rational as a string ("7", "-3/4") or a JSON integer, and
-    no other key. The shape is checked here and the values by MapCountSpec;
-    anything else is a ValueError with a pointer at the offending key or
-    entry.
+    no other key. The shape is checked here, a ValueError with a pointer at
+    the offending key, and the values by MapCountSpec, with its exceptions.
     """
     if not isinstance(obj, dict):
         raise ValueError("coefficient file must contain a JSON object")
@@ -399,3 +391,5 @@ def mapcount_spec_from_file(path: str, j: int) -> MapCountSpec:
         raise ValueError(f"{path}: JSON nested too deeply") from None
     except ValueError as exc:  # the spec's own checks; keeps the class
         raise type(exc)(f"{path}: {exc}") from None
+    except TypeError as exc:  # a nu or g that is not an int: outside input, so a usage error
+        raise ValueError(f"{path}: {exc}") from None

@@ -595,11 +595,12 @@ def test_sweep_config_rejects_an_unknown_mode_or_format(monkeypatch, field, valu
 @pytest.mark.parametrize("field", ["j_min", "j_max", "n_min", "n_max", "parallelism"])
 def test_sweep_config_rejects_a_bool_or_non_int_field(monkeypatch, field, value):
     """A bool or float in an int field fails when the config is built,
-    naming the field, so a sweep writes nothing."""
+    naming the field, with the package's one int check, so a sweep writes
+    nothing."""
     monkeypatch.setattr(cli, "_sweep_cell", lambda cell: pytest.fail("swept"))
     fields = {"j_min": 1, "j_max": 3, "n_min": 1, "n_max": 5, "parallelism": 1}
     out = io.StringIO()
-    with pytest.raises(ValueError, match=f"^'{field}' must be an integer, got {value!r}$"):
+    with pytest.raises(TypeError, match=f"^{field} must be an int, got {type(value).__name__}$"):
         cli.run_sweep(cli.SweepConfig(**{**fields, field: value}, fmt="json"), out)
     assert out.getvalue() == ""
 
@@ -684,35 +685,50 @@ def test_a_sweep_without_fork_or_beside_a_thread_is_serial(monkeypatch, forks):
     assert swept(config) == serial
 
 
-def raise_arithmetic_error():
-    raise ArithmeticError("rigged")
+# An exception cell j = 3 raises, and its internal error line when the main
+# process checks the cell (K = 1, and eval) and when a worker does (K > 1).
+FAULTS = [
+    (ArithmeticError, "rigged", "worker for j=3 failed: ArithmeticError: rigged"),
+    (TypeError, "TypeError: rigged", "worker for j=3 failed: TypeError: rigged"),
+    (KeyError, "KeyError: 'rigged'", "worker for j=3 failed: KeyError: 'rigged'"),
+]
+VERIFY_AT = ("verify", "--j", "1..6", "--n", "1..4", "--mode", "cross", "--parallelism")
 
 
-@pytest.mark.parametrize("rig, error", [
-    (raise_arithmetic_error, "worker for j=3 failed: ArithmeticError: rigged"),
-    (lambda: os._exit(9), "worker for j=3 died"),
+@pytest.mark.parametrize("argv, fault, error", [
+    *(pytest.param(VERIFY_AT + ("1",), fault, here, id=f"1-{fault.__name__}")
+      for fault, here, _ in FAULTS),
+    *(pytest.param(("eval", "both", "2", "3"), fault, here, id=f"eval-{fault.__name__}")
+      for fault, here, _ in FAULTS),
+    *(pytest.param(VERIFY_AT + (k,), fault, there, id=f"{k}-{fault.__name__}")
+      for k in "23" for fault, _, there in FAULTS),
+    *(pytest.param(VERIFY_AT + (k,), None, "worker for j=3 died", id=f"{k}-died") for k in "23"),
 ])
-def test_a_failed_or_dead_worker_is_internal_error(monkeypatch, capsys, forks, rig, error):
-    """A worker whose cell raises, or that exits mid-cell, ends the sweep
-    with exit 3 and one line naming the cell's j. The other worker, still
-    busy with a later cell, is killed, and every worker is reaped (the
-    forks fixture)."""
+def test_a_failed_or_dead_worker_is_internal_error(monkeypatch, capsys, forks, argv, fault,
+                                                    error):
+    """A cell that raises, whatever the exception and whatever K, or a
+    worker that exits mid-cell, ends the command with exit 3 and one line,
+    never a traceback. A worker's line names the cell's j; the other
+    workers, still busy with later cells, are killed, and every worker is
+    reaped (the forks fixture)."""
     right = cli._sweep_cell
 
     def cell(c):
         if c[0] == 3:
-            rig()
+            if fault is None:
+                os._exit(9)
+            raise fault("rigged")
         if c[0] == 4:
             time.sleep(60)
         return right(c)
 
     monkeypatch.setattr(cli, "_sweep_cell", cell)
-    cpus(monkeypatch, 2)
+    k = int(argv[-1]) if argv[0] == "verify" else 1
+    cpus(monkeypatch, k)
     start = time.perf_counter()
-    code, _, err = run_cli(capsys, "verify", "--j", "1..6", "--n", "1..4", "--mode", "cross",
-                           "--parallelism", "2")
+    code, _, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 30
-    assert len(forks) == 2
+    assert len(forks) == (k if k > 1 else 0)
     assert code == 3
     assert err == f"internal error: {error}\n"
 
@@ -1569,37 +1585,41 @@ def test_the_leak_check_finds_a_file_left_open(prelude, found):
     assert found in proc.stderr
 
 
-# rigged is cli._sweep_cell raising at j = 4, as a failed integrality check
-# would; in-process and in a fresh process alike.
+# rigged is cli._sweep_cell raising {fault} at j = 4, as a failed
+# integrality check (ArithmeticError) or a bug (TypeError, say) would;
+# in-process and in a fresh process alike.
 RIGGED_SWEEP_CELL = """
 from hypident import cli
 check = cli._sweep_cell
 
 def rigged(cell):
     if cell[0] == 4:
-        raise ArithmeticError("rigged at j=4")
+        raise {fault}("rigged at j=4")
     return check(cell)
 """
 
 
+@pytest.mark.parametrize("fault", ["ArithmeticError", "TypeError"])
 @pytest.mark.parametrize("k", ["1", "2"])
 def test_an_internal_error_writes_the_truncated_report_before_exit_3(monkeypatch, capsys,
-                                                                      forks, k):
+                                                                      forks, k, fault):
     """The rows written before the error still sit in stdout's buffer (they
     fit in it) when entrypoint ends the process; its flush writes them, so
     a fresh process prints the bytes of main in-process."""
     argv = ["verify", "--j", "1..6", "--n", "1..5", "--format", "json", "--parallelism", k]
-    launcher = RIGGED_SWEEP_CELL + "cli._sweep_cell = rigged\ncli.entrypoint()\n"
+    rig = RIGGED_SWEEP_CELL.format(fault=fault)
+    launcher = rig + "cli._sweep_cell = rigged\ncli.entrypoint()\n"
     proc = subprocess.run([sys.executable, "-c", launcher, *argv], capture_output=True,
                           text=True, env=child_env())
     namespace = {}
-    exec(RIGGED_SWEEP_CELL, namespace)
+    exec(rig, namespace)
     monkeypatch.setattr(cli, "_sweep_cell", namespace["rigged"])
     code, out, err = run_cli(capsys, *argv)
     assert code == proc.returncode == 3
     assert out.startswith('[\n  {\n    "N": 1,\n    "j": 1,') and 0 < len(out) < 8192
     assert proc.stdout == out
     assert proc.stderr == err and err.count("internal error:") == err.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv, code, out, err", [

@@ -367,6 +367,8 @@ def one_weight(entry, taken):
 @example(one_weight(nested(5000), False), 3)
 @example(one_weight('"\udfff"', False), 3)
 @example((b'{"a": [0, 0, 1], "g": 1, "nu": 1420}', True), 5)  # a count of 4302 digits
+@example((b'{"nu": true, "g": 1, "a": [1, 1, 1]}', False), 3)  # MapCountSpec's TypeError
+@example((b'{"nu": 2, "g": 1.0, "a": [1, 1, 1]}', False), 3)
 @given(coefficient_files(), st.sampled_from(["in", "in", "in", "out"]).flatmap(
     lambda side: st.integers(1, MAX_J) if side == "in" else st.sampled_from([-1, 0, MAX_J + 1])))
 @pytest.mark.usefixtures("no_digit_limit")

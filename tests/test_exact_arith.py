@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypident.exact_arith import binomial, double_factorial_odd, factorial, pow2
+from hypident.factorial_basis import falling, rising
 
 
 @pytest.mark.parametrize(
@@ -95,6 +96,27 @@ def test_negative_arguments_rejected():
         double_factorial_odd(-2)
     with pytest.raises(ValueError):
         pow2(-1)
+
+
+@pytest.mark.parametrize("value, type_name", [(True, "bool"), (2.0, "float")])
+@pytest.mark.parametrize("helper, args, name", [
+    (falling, (None, 2), "a"),
+    (falling, (5, None), "n"),
+    (rising, (None, 2), "a"),
+    (rising, (5, None), "n"),
+    (binomial, (None, 1), "n"),
+    (binomial, (5, None), "k"),
+    (factorial, (None,), "n"),
+    (double_factorial_odd, (None,), "j"),
+    (pow2, (None,), "n"),
+], ids=lambda case: getattr(case, "__name__", None))
+def test_scalar_helpers_reject_a_bool_or_float(helper, args, name, value, type_name):
+    """Each scalar helper runs the package's one int check on every argument:
+    a bool is not read as 0 or 1, and a float fails with the package's
+    message, not range's or math's."""
+    args = tuple(value if arg is None else arg for arg in args)
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got {type_name}$"):
+        helper(*args)
 
 
 nonzero_ints = st.integers(min_value=-10**6, max_value=10**6).filter(lambda v: v != 0)

@@ -455,7 +455,7 @@ def test_map_count_spec_validation():
         MapCountSpec(2, 1, 1, (0.1, 0, 0))
     with pytest.raises(ValueError, match=r"a\[1\]: booleans are not rationals"):
         MapCountSpec(2, 1, 1, (0, True, 0))
-    with pytest.raises(ValueError, match="'nu' must be an integer, got 2.0"):
+    with pytest.raises(TypeError, match="^nu must be an int, got float$"):
         MapCountSpec(2.0, 1, 1, (1, 0, 0))
     spec = MapCountSpec(2, 1, 1, (Fraction(1, 2), "-3/4", 5))
     assert spec.a == (Fraction(1, 2), Fraction(-3, 4), Fraction(5))
@@ -516,21 +516,22 @@ def test_spec_from_obj_parses_rationals():
 
 
 @pytest.mark.parametrize(
-    "obj",
+    "obj, error",
     [
-        [],  # not an object
-        {"nu": 2, "g": 1},  # missing a
-        {"nu": "2", "g": 1, "a": ["0", "0", "0"]},
-        {"nu": 2, "g": True, "a": ["0", "0", "0"]},
-        {"nu": 2, "g": 1, "a": "000"},
-        {"nu": 2, "g": 1, "a": ["0", "x", "0"]},
-        {"nu": 2, "g": 1, "a": ["0", "1/0", "0"]},
-        {"nu": 2, "g": 1, "a": ["0", True, "0"]},
-        {"nu": 2, "g": 1, "a": ["0", 0.5, "0"]},
+        ([], ValueError),  # not an object
+        ({"nu": 2, "g": 1}, ValueError),  # missing a
+        # nu and g are MapCountSpec's ints: the package's one int check
+        ({"nu": "2", "g": 1, "a": ["0", "0", "0"]}, TypeError),
+        ({"nu": 2, "g": True, "a": ["0", "0", "0"]}, TypeError),
+        ({"nu": 2, "g": 1, "a": "000"}, ValueError),
+        ({"nu": 2, "g": 1, "a": ["0", "x", "0"]}, ValueError),
+        ({"nu": 2, "g": 1, "a": ["0", "1/0", "0"]}, ValueError),
+        ({"nu": 2, "g": 1, "a": ["0", True, "0"]}, ValueError),
+        ({"nu": 2, "g": 1, "a": ["0", 0.5, "0"]}, ValueError),
     ],
 )
-def test_spec_from_obj_rejects_malformed(obj):
-    with pytest.raises(ValueError):
+def test_spec_from_obj_rejects_malformed(obj, error):
+    with pytest.raises(error):
         mapcount_spec_from_obj(obj, j=1)
 
 

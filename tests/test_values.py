@@ -160,7 +160,7 @@ VALID_OBJECT = st.integers(1, 2).flatmap(lambda g: st.fixed_dictionaries({
 def _outcome(build):
     try:
         return "ok", build()
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         return type(exc), str(exc)
 
 
