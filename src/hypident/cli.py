@@ -7,7 +7,8 @@ Subcommands:
             point verifies, 1 if any fails, 2 on usage/domain errors,
             3 on any other exception, whatever K; 130 when interrupted
   table     dump triangle rows as CSV or JSON
-  eval      evaluate one side (or both) of the identity at a single point
+  eval      evaluate one side (or both) of the identity at a single point;
+            eval both checks it, and exits as verify does
   mapcount  evaluate the map-count formula from a JSON coefficient file
 
 Reports go to stdout (or --out FILE); the human summary and the FAIL
@@ -51,10 +52,10 @@ from typing import BinaryIO, Callable, Iterator, NoReturn, TextIO
 
 from . import __version__
 from .exact_arith import _check_int
+from .hypergeom import _check_run
 from .identity import (
     MODES,
     CellReport,
-    IdentityPoint,
     _check_mode,
     check_cell,
     lhs_fast,
@@ -115,7 +116,7 @@ class SweepConfig(
     """A verification sweep: inclusive j/N ranges, mode, worker count, and
     the report format and timings flag its cells are rendered with. Every
     field is checked here, so a bad config fails before a sweep writes
-    anything."""
+    anything; j_min, n_min and n_max as a point's run, by ``_check_run``."""
 
     __slots__ = ()
 
@@ -124,17 +125,18 @@ class SweepConfig(
         j_min, j_max, n_min, n_max, mode, parallelism, fmt, timings = self
         for name in ("j_min", "j_max", "n_min", "n_max", "parallelism"):
             _check_int(name, getattr(self, name))
-        if j_min < 0 or j_min > j_max:
+        _check_run(j_min, n_min, n_max)
+        if j_min > j_max:
             raise ValueError(f"bad j range {j_min}..{j_max}")
-        if n_min < 1 or n_min > n_max:
-            raise ValueError(f"bad N range {n_min}..{n_max} (N starts at 1)")
+        if n_min > n_max:
+            raise ValueError(f"bad N range {n_min}..{n_max}")
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         _check_mode(mode)
         if not isinstance(fmt, str) or fmt not in _FORMATS:
             raise ValueError(f"unknown format {fmt!r}; expected plain, json or csv")
         if not isinstance(timings, bool):
-            raise ValueError(f"'timings' must be a bool, got {timings!r}")
+            raise TypeError(f"timings must be a bool, got {type(timings).__name__}")
         return self
 
 
@@ -392,14 +394,12 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    point = IdentityPoint(_bounded("N", args.N, MAX_N), _bounded("j", args.j, MAX_J))
+    N, j = _bounded("N", args.N, MAX_N), _bounded("j", args.j, MAX_J)
     if args.side == "both":
-        row = _render_reports(_sweep_cell((point.j, point.N, point.N, "fast")), "plain", 0)
-        sys.stdout.write(row.removeprefix(f"j={point.j} N={point.N} "))
-    elif args.side == "lhs":
-        print(lhs_fast(point.N, point.j))
-    else:
-        print(rhs_fast(point.N, point.j))
+        cell = _sweep_cell((j, N, N, "fast"))
+        sys.stdout.write(_render_reports(cell, "plain", 0).removeprefix(f"j={j} N={N} "))
+        return 0 if cell.equal[0] else 1
+    print(lhs_fast(N, j) if args.side == "lhs" else rhs_fast(N, j))
     return 0
 
 

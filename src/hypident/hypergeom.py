@@ -18,6 +18,10 @@ cares about, j! * 2^N * C(N+j-1, j) * 2F1(-j, -2j; -N-j+1; -1), which is
 always an integer for positive N, over a run of N for one j: each N's pair
 is divided out exactly, with no Fraction. ``lhs_direct`` is that run at
 one N.
+
+``_check_run`` is the identity's one domain check, j >= 0 and then N >= 1,
+made by every route, ``IdentityPoint`` and ``cli.SweepConfig`` (a point
+is the run N..N).
 """
 
 from __future__ import annotations
@@ -49,37 +53,18 @@ def _series(a: int, b: int, c: int, z: int | Fraction, K: int) -> tuple[int, int
     return num, den
 
 
-def _check_point(N: int, j: int) -> None:
-    """The identity's point domain, shared by every route: N >= 1, j >= 0.
-
-    N and j must be ints; anything else, bools included, is a TypeError.
-    N is checked first, then j by ``_check_j``.
-    """
-    _check_int("N", N)
-    if N < 1:
-        raise ValueError(
-            f"N = {N} is outside the identity's domain (N >= 1); "
-            "no value is defined at N = 0"
-        )
-    _check_j(j)
-
-
-def _check_j(j: int) -> None:
-    """The j part of the point domain: an int >= 0."""
+def _check_run(j: int, n_min: int, n_max: int) -> None:
+    """The identity's domain for a run of N: j must be an int >= 0, then
+    both bounds ints (else a TypeError, bools included), and a non-empty
+    run (n_min <= n_max) must start at N >= 1. A point is the run N..N."""
     _check_int("j", j)
     if j < 0:
         raise ValueError(f"j = {j} must be >= 0")
-
-
-def _check_run(j: int, n_min: int, n_max: int) -> None:
-    """A run of N for one j: j as ``_check_j``, then both bounds must be
-    ints, and a non-empty run (n_min <= n_max) must start at N >= 1, with
-    the error ``_check_point`` gives at N = n_min."""
-    _check_j(j)
     _check_int("N", n_min)
     _check_int("N", n_max)
     if n_min < 1 and n_min <= n_max:
-        _check_point(n_min, j)
+        raise ValueError(f"N = {n_min} is outside the identity's domain (N >= 1); "
+                         "no value is defined at N = 0")
 
 
 def lhs_direct_run(j: int, n_min: int, n_max: int) -> list[int]:
@@ -120,6 +105,5 @@ def lhs_direct_run(j: int, n_min: int, n_max: int) -> list[int]:
 
 def lhs_direct(N: int, j: int) -> int:
     """j! * 2^N * C(N+j-1, j) * 2F1(-j, -2j; -N-j+1; -1), as an integer:
-    ``lhs_direct_run`` at the single N."""
-    _check_point(N, j)
+    ``lhs_direct_run`` at the single N, which checks it."""
     return lhs_direct_run(j, N, N)[0]

@@ -51,7 +51,7 @@ from operator import add, and_, eq, lshift, mul
 
 from .exact_arith import _check_int, binomial, factorial, pow2
 from .factorial_basis import FallingPoly, falling, poly_values
-from .hypergeom import _check_point, _check_run, _series, lhs_direct_run
+from .hypergeom import _check_run, _series, lhs_direct_run
 from .triangles import l_poly, r_poly
 
 __all__ = [
@@ -88,12 +88,13 @@ class CoefficientLengthMismatch(ValueError):
 
 
 class IdentityPoint(namedtuple("IdentityPoint", "N j")):
-    """One (N, j) evaluation point. N >= 1; j >= 0 (j = 0 is the extension)."""
+    """One (N, j) evaluation point. N >= 1; j >= 0 (j = 0 is the extension),
+    checked as the run N..N by ``hypergeom._check_run``: j first, then N."""
 
     __slots__ = ()
 
     def __new__(cls, N: int, j: int) -> IdentityPoint:
-        _check_point(N, j)
+        _check_run(j, N, N)
         return super().__new__(cls, N, j)
 
 
@@ -153,7 +154,6 @@ def rhs_direct_run(j: int, n_min: int, n_max: int) -> list[int]:
 
 def rhs_direct(N: int, j: int) -> int:
     """The binomial sum side at one point: ``rhs_direct_run`` at the single N."""
-    _check_point(N, j)
     return rhs_direct_run(j, N, N)[0]
 
 
@@ -177,13 +177,13 @@ def _fast_values(
 
 def rhs_fast(N: int, j: int) -> int:
     """The binomial sum side via its falling-basis polynomial: 2^N R_j(N)."""
-    _check_point(N, j)
+    _check_run(j, N, N)
     return _fast_values(j, N, N, r_poly)[0][0]
 
 
 def lhs_fast(N: int, j: int) -> int:
     """The hypergeometric side via its falling-basis polynomial: 2^N L_j(N)."""
-    _check_point(N, j)
+    _check_run(j, N, N)
     return _fast_values(j, N, N, l_poly)[0][0]
 
 
@@ -218,10 +218,10 @@ def check_cell(j: int, n_min: int, n_max: int, mode: str = "fast") -> CellReport
     N >= 1 and are evaluated once; then rhs is lhs. lhs holds the first
     route's values and rhs the last's; equal[i] says whether every route
     agrees at N = n_min + i, and is reported, never raised. Nothing is
-    timed, so repeated checks give equal cells. j is checked first, the
-    same way in every mode, then the types of n_min and n_max as
-    ``IdentityPoint`` checks N, so an empty run of N (n_min > n_max) still
-    rejects a bad j or a non-int bound, and otherwise has empty columns.
+    timed, so repeated checks give equal cells. The run is checked by
+    ``_check_run``, as every route checks it: j first, then the types of
+    n_min and n_max, so an empty run of N (n_min > n_max) still rejects a
+    bad j or a non-int bound, and otherwise has empty columns.
     """
     _check_mode(mode)
     _check_run(j, n_min, n_max)

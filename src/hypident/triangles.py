@@ -88,7 +88,8 @@ def _check_index(i: int, j: int, kind: str) -> None:
 
 
 class Triangle(_RecurrenceTable):
-    """A ``_RecurrenceTable`` named by kind, read from level 1 up."""
+    """A ``_RecurrenceTable`` named by kind, read from level 1 up: ``entry``
+    checks its index, and ``triangle_row`` a row's level."""
 
     def __init__(
         self,
@@ -105,12 +106,7 @@ class Triangle(_RecurrenceTable):
 
     def entry(self, i: int, j: int) -> int:
         _check_index(i, j, self.kind)
-        return super().row(j)[i]
-
-    def row(self, j: int) -> tuple[int, ...]:
-        """Entries (0..j, j), index-ascending."""
-        _check_index(0, j, self.kind)
-        return super().row(j)
+        return self.row(j)[i]
 
 
 _C = Triangle("C", double_factorial_odd, lambda j, k: 2 * j + 1)
@@ -209,7 +205,7 @@ def _r_closed_row(j: int) -> tuple[int, ...]:
 
 def r_poly(j: int) -> FallingPoly:
     """The degree-j falling-basis polynomial with coefficients R(., j)."""
-    return FallingPoly(_R.row(j))
+    return FallingPoly(triangle_row("R", j))
 
 
 def l_poly(j: int) -> FallingPoly:

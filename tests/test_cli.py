@@ -607,11 +607,12 @@ def test_sweep_config_rejects_a_bool_or_non_int_field(monkeypatch, field, value)
 
 @pytest.mark.parametrize("value", ["no", 1, None])
 def test_sweep_config_rejects_a_non_bool_timings(monkeypatch, value):
-    """timings must be a bool, or the config fails naming the field: a
-    string such as "no" would otherwise turn timings on."""
+    """timings must be a bool, or the config fails naming the field with a
+    TypeError, as every type fault does: a string such as "no" would
+    otherwise turn timings on."""
     monkeypatch.setattr(cli, "_sweep_cell", lambda cell: pytest.fail("swept"))
     out = io.StringIO()
-    with pytest.raises(ValueError, match=f"^'timings' must be a bool, got {value!r}$"):
+    with pytest.raises(TypeError, match=f"^timings must be a bool, got {type(value).__name__}$"):
         cli.run_sweep(cli.SweepConfig(1, 1, 1, 1, timings=value), out)
     assert out.getvalue() == ""
 
@@ -908,6 +909,36 @@ def test_integer_arguments_take_a_sign(capsys, monkeypatch):
     assert seen == [2]
 
 
+PAST_LIMIT = "9" * 4301
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("eval", "both", PAST_LIMIT, "1"), f"argument N: invalid int value: {PAST_LIMIT!r}"),
+    (("verify", "--n", f"1..{PAST_LIMIT}"),
+     f"argument --n: expected INT or INT..INT, got '1..{PAST_LIMIT}'"),
+    (("table", "L", "--jmax", PAST_LIMIT), f"argument --jmax: invalid int value: {PAST_LIMIT!r}"),
+], ids=["eval", "verify", "table"])
+def test_an_argument_past_the_digit_limit_is_one_usage_error(capsys, monkeypatch, argv, error):
+    """int() reads at most CPython's 4300 digits, and main lifts that limit
+    only after parsing, so a longer argument is argparse's usage error, not
+    a traceback. Where int() has no such limit, it is the bound's error."""
+    monkeypatch.setattr(cli, "run_sweep", lambda config, out: pytest.fail("swept"))
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err and err.count("error: ") == 1
+    if 0 < limit <= 4300:
+        assert err.startswith("usage: ")
+        assert err.endswith(f"hypident {argv[0]}: error: {error}\n")
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "is above the bound of" in err
+
+
 # -- eval ----------------------------------------------------------------------
 
 def test_eval_both(capsys):
@@ -937,11 +968,12 @@ def test_eval_both_prints_the_plain_verify_row(N, j):
                          ids=["small", "past-4300-digits", "opposite"])
 @pytest.mark.usefixtures("no_digit_limit")
 def test_eval_both_prints_unequal_values(monkeypatch, capsys, lhs, rhs):
-    """A one-point cell whose sides differ prints each value and equal=false."""
+    """A one-point cell whose sides differ prints each value and equal=false,
+    and exits 1 as verify does, with nothing on stderr."""
     monkeypatch.setattr(cli, "_sweep_cell",
                         lambda cell: CellReport(cell[0], cell[1], [lhs], [rhs], [False]))
     assert run_cli(capsys, "eval", "both", "4", "2") == (
-        0, f"lhs={lhs} rhs={rhs} equal=false\n", "")
+        1, f"lhs={lhs} rhs={rhs} equal=false\n", "")
 
 
 def test_eval_single_sides(capsys):

@@ -7,7 +7,9 @@ argparse's usage error), and no other exception escapes. An integer
 argument is an optional sign and ASCII digits: one written with "_" or
 non-ASCII digits, which int() reads, is a usage error. Whatever bytes a
 coefficient file holds, ``mapcount`` prints one exact rational or exits 2
-with one ``error:`` line. The bounds are patched down so that examples
+with one ``error:`` line. A bad point (N, j) gets one error, the same
+from every route, check and command that takes it. The bounds are
+patched down so that examples
 near and past them stay quick, each within a deadline, and ``cli._cpus``
 reads 1 so that no example forks.
 """
@@ -28,7 +30,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypident import cli, identity
-from hypident.identity import MODES
+from hypident.hypergeom import lhs_direct
+from hypident.identity import (
+    MODES, IdentityPoint, check_cell, check_identity, lhs_fast, rhs_direct, rhs_fast,
+)
 from hypident.triangles import KINDS
 
 MAX_N, MAX_J, MAX_GRID = 200, 12, 2**24
@@ -390,3 +395,58 @@ def test_mapcount_exits_0_with_a_rational_or_2_with_one_error_line(file, j):
         assert out == "" and re.fullmatch(r"error: [^\n]*\n", err), (data, err)
         bounds = ("error: map-count cost = ", f"error: {path}: size is above the bound")
         assert taken is not True or err.startswith(bounds), (data, j, err)
+
+
+# -- one error per bad point ---------------------------------------------------
+
+# Ints around the domain's edges (N = 0, 1; j = -1, 0) and the patched bounds,
+# bools, and floats, integral or not.
+POINT_FIELDS = st.one_of(st.integers(-2, 3), st.sampled_from([MAX_J, MAX_J + 1, MAX_N, MAX_N + 1]),
+                         st.booleans(), st.sampled_from([0.0, 1.0, 2.5, -1.0]))
+
+
+def outcome(call, *args):
+    """(class, message) of the error call(*args) raises, or None."""
+    try:
+        call(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@example(0, 3)
+@example(3, -1)
+@example(0, -1)
+@example(True, -1)
+@example(1.0, 2)
+@settings(deadline=timedelta(seconds=2))
+@given(POINT_FIELDS, POINT_FIELDS)
+def test_a_point_gets_one_error_from_every_route_check_and_command(N, j):
+    """Each route at (N, j), check_cell over the run N..N in every mode, and,
+    for ints, a sweep config over the one point, raise the same error, or
+    all succeed; a point that was built checks. For ints, eval both N j
+    and verify --j=J --n=N exit 2 with the same one error line, or both 0."""
+    calls = [(IdentityPoint, N, j), (lhs_direct, N, j), (rhs_direct, N, j),
+             (lhs_fast, N, j), (rhs_fast, N, j)]
+    calls += [(check_cell, j, N, N, mode) for mode in MODES]
+    ints = type(N) is int and type(j) is int
+    if ints:
+        calls.append((cli.SweepConfig, j, j, N, N))
+    outcomes = {outcome(*call) for call in calls}
+    assert len(outcomes) == 1, (N, j, outcomes)
+    (error,) = outcomes
+    if error is None:
+        point = IdentityPoint(N, j)
+        assert all(check_identity(point, mode).equal for mode in MODES)
+    if not ints:
+        return
+    eval_code, eval_out, eval_err = run(["eval", "both", str(N), str(j)])
+    verify_code, _, verify_err = run(["verify", f"--j={j}", f"--n={N}"])
+    if error is None and N <= MAX_N and j <= MAX_J:
+        assert (eval_code, verify_code, eval_err) == (0, 0, ""), (N, j, eval_err, verify_err)
+        assert eval_out.endswith(" equal=true\n")
+        return
+    assert (eval_code, eval_out, eval_err) == (2, "", verify_err), (N, j, eval_err, verify_err)
+    assert verify_code == 2 and re.fullmatch(r"error: [^\n]*\n", eval_err), (N, j, eval_err)
+    if N <= MAX_N and j <= MAX_J:
+        assert eval_err == f"error: {error[1]}\n", (N, j, eval_err)

@@ -82,9 +82,9 @@ def test_sweep_config_defaults_and_checks():
     assert config == SweepConfig(1, 3, 2, 5, "fast", 1, "plain", False)
     assert config == SweepConfig(1, 3, 2, 5, "fast", 1)
     for args, message in (
-        ((-1, 3, 1, 5), "bad j range -1..3"),
+        ((-1, 3, 1, 5), "j = -1 must be >= 0"),
         ((4, 3, 1, 5), "bad j range 4..3"),
-        ((1, 3, 0, 5), r"bad N range 0..5 \(N starts at 1\)"),
+        ((1, 3, 0, 5), r"N = 0 is outside the identity's domain \(N >= 1\)"),
         ((1, 3, 6, 5), "bad N range 6..5"),
         ((1, 3, 1, 5, "fast", 0), "parallelism must be >= 1"),
     ):
@@ -115,9 +115,9 @@ def test_cell_report_is_a_named_tuple_of_columns():
 
 def test_checks_run_again_on_unpickling(monkeypatch):
     seen = []
-    monkeypatch.setattr(identity, "_check_point", lambda N, j: seen.append((N, j)))
+    monkeypatch.setattr(identity, "_check_run", lambda *run: seen.append(run))
     assert pickle.loads(pickle.dumps(POINT)) == POINT
-    assert seen == [(3, 2)]
+    assert seen == [(2, 3, 3)]
 
 
 # -- FallingPoly -------------------------------------------------------------
