@@ -6,7 +6,8 @@ Subcommands:
   verify    check the identity over a (j, N) grid; exit 0 iff every
             point verifies, 1 if any fails, 2 on usage/domain errors,
             3 on any other exception, whatever K; 130 when interrupted
-  table     dump triangle rows as CSV or JSON
+  table     dump triangle rows as CSV or JSON, each row written as it
+            is built (triangles.table_pieces)
   eval      evaluate one side (or both) of the identity at a single point;
             eval both checks it, and exits as verify does
   mapcount  evaluate the map-count formula from a JSON coefficient file
@@ -63,15 +64,18 @@ from .identity import (
     mapcount_spec_from_file,
     rhs_fast,
 )
-from .triangles import KINDS, export_csv, export_json
+from .triangles import KINDS, table_pieces
 
 # Printing an exact value takes time quadratic in its digits (CPython's
 # str(int)); at N = 10^6 one value takes over a second, so a sweep over
 # many such N is limited by MAX_GRID.
 MAX_N = 1_000_000
-# The triangles keep every row up to the largest j asked for, so time and
-# memory grow roughly as j^3: `table L --jmax 300` takes about 0.6 s and
-# 63 MB, rows 1..500 about 2.6 s and 250 MB.
+# `table` writes each row as soon as it is built. The recurrence triangles
+# (C, R) keep every row up to the largest j asked for and the L closed form
+# only its last, so time grows roughly as j^3, and so does memory for C and
+# R: `table L --jmax 300` takes about 0.5 s and 15 MB, `table R --jmax 300`
+# 0.2 s and 22 MB; rows 1..500 about 2.2 s and 15 MB for L, 0.9 s and 50 MB
+# for R.
 MAX_J = 300
 # A sweep keeps one j cell's values at a time, and printing a value takes
 # time quadratic in its bits. So a grid's size is its number of points
@@ -387,9 +391,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.jmax < 1:
         raise ValueError(f"--jmax must be >= 1, got {args.jmax}")
     _bounded("--jmax", args.jmax, MAX_J)
-    export = export_json if args.format == "json" else export_csv
     with _open_out(args.out) as out:
-        out.write(export(args.kind, args.jmax))
+        out.writelines(table_pieces(args.kind, args.jmax, args.format))
     return 0
 
 

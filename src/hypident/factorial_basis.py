@@ -74,8 +74,9 @@ class _RecurrenceTable:
     """Lower-triangular rows of exact integers, grown on demand under a lock:
     row 0 is (1,), and row top+1 is next[0] = margin(top+1), then
     next[i] = weight(top, i) * prev[i] + prev[i-1] for 1 <= i <= top, then 1.
-    Rows are published whole, so concurrent readers see only whole rows.
-    Sibling subclasses: ``_StirlingTable``, ``_LahTable``, ``triangles.Triangle``."""
+    Rows are published whole, so concurrent readers see only whole rows, and
+    row k < 0 is a ValueError. Sibling subclasses: ``_StirlingTable``,
+    ``_LahTable``, ``triangles.Triangle``."""
 
     def __init__(
         self, margin: Callable[[int], int], weight: Callable[[int, int], int]
@@ -86,6 +87,8 @@ class _RecurrenceTable:
         self._lock = threading.Lock()
 
     def row(self, k: int) -> tuple[int, ...]:
+        if k < 0:
+            raise ValueError(f"row {k}: k must be >= 0")
         if k >= len(self._rows):
             self._grow_to(k)
         return self._rows[k]

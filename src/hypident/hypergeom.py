@@ -63,8 +63,8 @@ def _check_run(j: int, n_min: int, n_max: int) -> None:
     _check_int("N", n_min)
     _check_int("N", n_max)
     if n_min < 1 and n_min <= n_max:
-        raise ValueError(f"N = {n_min} is outside the identity's domain (N >= 1); "
-                         "no value is defined at N = 0")
+        raise ValueError(f"N = {n_min} is outside the identity's domain (N >= 1)"
+                         + "; no value is defined at N = 0" * (n_min == 0))
 
 
 def lhs_direct_run(j: int, n_min: int, n_max: int) -> list[int]:

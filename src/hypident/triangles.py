@@ -40,14 +40,16 @@ level j built whole, as an L closed-form row is, but from its own
 binomials and no triangle's row: every i from one Taylor shift, of
 C(2j, j+2..2j), and only the last level is kept. Recurrence rows grow as
 Stirling rows do, in ``factorial_basis._RecurrenceTable``: under a lock,
-and published whole, so concurrent readers see only whole rows.
+and published whole, so concurrent readers see only whole rows. A CSV or
+JSON dump, ``table_pieces``, gives each row's text as soon as the row is
+built; ``export_csv`` and ``export_json`` join it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import add, mul
 
 from .exact_arith import _check_int, binomial, double_factorial_odd, factorial, pow2
@@ -68,11 +70,12 @@ __all__ = [
     "r_entry",
     "r_entry_closed",
     "r_poly",
+    "table_pieces",
     "triangle_row",
     "vanishing_sum",
 ]
 
-# The kinds triangle_row and the exports accept, in the order `table` lists them.
+# The kinds triangle_row and the dumps accept, in the order `table` lists them.
 KINDS = ("C", "R", "L")
 
 
@@ -295,31 +298,37 @@ def _check_row(kind: str, j: int) -> None:
     _check_index(0, j, kind)
 
 
-def _export_rows(kind: str, j_max: int) -> list[tuple[int, ...]]:
-    """Rows 1..j_max, kind and j_max checked first as ``triangle_row`` checks."""
+# Per table format: what a dump holds before its first row (a template of
+# kind and j_max), a row's text, the separator between two rows, and what it
+# holds after its last row. JSON gives the bytes of json.dumps({"kind",
+# "max_level", "rows"}, indent=2) + "\n", written by hand: json.dumps with an
+# indent runs CPython's pure-Python encoder, and the entries, being digit
+# strings, need no escaping.
+_TABLE_FORMATS = {
+    "csv": ("", lambda row: ",".join(map(str, row)) + "\n", "", ""),
+    "json": ('{{\n  "kind": "{kind}",\n  "max_level": {j_max},\n  "rows": [\n',
+             lambda row: '    [\n      "' + '",\n      "'.join(map(str, row)) + '"\n    ]',
+             ",\n", "\n  ]\n}\n"),
+}
+
+
+def table_pieces(kind: str, j_max: int, fmt: str) -> Iterator[str]:
+    """Rows 1..j_max of a triangle dumped in fmt ("csv" or "json"), as text
+    pieces in order: the head, each row with the separator before it, as
+    soon as ``triangle_row`` gives the row, then the tail. kind and j_max
+    are checked, as ``triangle_row`` checks a row, before any piece."""
     _check_row(kind, j_max)
-    return [triangle_row(kind, j) for j in range(1, j_max + 1)]
+    head, row, sep, tail = _TABLE_FORMATS[fmt]
+    rows = (sep * (j > 1) + row(triangle_row(kind, j)) for j in range(1, j_max + 1))
+    return chain((head.format(kind=kind, j_max=j_max),), rows, (tail,))
 
 
 def export_csv(kind: str, j_max: int) -> str:
     """Rows 1..j_max as CSV: one line per level, exact decimal entries."""
-    lines = [",".join(str(v) for v in row) for row in _export_rows(kind, j_max)]
-    return "\n".join(lines) + "\n"
+    return "".join(table_pieces(kind, j_max, "csv"))
 
 
 def export_json(kind: str, j_max: int) -> str:
-    """Rows 1..j_max as a JSON object; entries are decimal digit strings.
-
-    The bytes are those of json.dumps({"kind", "max_level", "rows"},
-    indent=2) + "\n", written from a template: json.dumps with an indent
-    runs CPython's pure-Python encoder, and the entries, being digit
-    strings, need no escaping.
-    """
-    rows = ",\n".join(
-        '    [\n      "' + '",\n      "'.join(map(str, row)) + '"\n    ]'
-        for row in _export_rows(kind, j_max)
-    )
-    return (
-        f'{{\n  "kind": "{kind}",\n  "max_level": {j_max},\n'
-        f'  "rows": [\n{rows}\n  ]\n}}\n'
-    )
+    """Rows 1..j_max as the text of json.dumps({"kind", "max_level", "rows"},
+    indent=2) + "\n"; entries are decimal digit strings."""
+    return "".join(table_pieces(kind, j_max, "json"))

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -22,7 +23,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hypident
-from hypident import cli, hypergeom, identity
+from hypident import cli, hypergeom, identity, triangles
 from hypident.factorial_basis import FallingPoly, poly_eval
 from hypident.identity import (
     MODES,
@@ -1057,8 +1058,8 @@ def test_n_above_bound_is_usage_error(capsys, monkeypatch):
     (("eval", "rhs", "5", "{j}"), "rhs_fast", "j"),
     (("verify", "--j", "1..{j}", "--n", "1..2"), "run_sweep", "j"),
     (("verify", "--j", "{j}", "--n", "3"), "run_sweep", "j"),
-    (("table", "L", "--jmax", "{j}"), "export_csv", "--jmax"),
-    (("table", "C", "--jmax", "{j}", "--format", "json"), "export_json", "--jmax"),
+    (("table", "L", "--jmax", "{j}"), "table_pieces", "--jmax"),
+    (("table", "C", "--jmax", "{j}", "--format", "json"), "table_pieces", "--jmax"),
     (("mapcount", "unread.json", "--j", "{j}"), "mapcount_spec_from_file", "--j"),
 ])
 def test_j_above_bound_is_usage_error(capsys, monkeypatch, argv, target, error):
@@ -1153,6 +1154,16 @@ def test_eval_n0_domain_error(capsys):
     assert "N = 0" in err
 
 
+def test_a_negative_n_is_worded_by_its_n(capsys):
+    """Below N = 0 the domain error names that N and only the domain; the
+    clause about N = 0 belongs to N = 0 alone."""
+    line = "error: N = -3 is outside the identity's domain (N >= 1)\n"
+    assert run_cli(capsys, "eval", "both", "-3", "1") == (2, "", line)
+    assert run_cli(capsys, "verify", "--j", "1", "--n=-3..-1") == (2, "", line)
+    assert run_cli(capsys, "eval", "both", "0", "1") == (2, "", (
+        "error: N = 0 is outside the identity's domain (N >= 1); no value is defined at N = 0\n"))
+
+
 # -- table -----------------------------------------------------------------------
 
 def test_table_r_csv(capsys):
@@ -1183,6 +1194,37 @@ def test_table_bad_jmax(capsys):
     code, _, err = run_cli(capsys, "table", "R", "--jmax", "0")
     assert code == 2
     assert "error:" in err
+
+
+@given(st.sampled_from(triangles.KINDS), st.sampled_from(["csv", "json"]), st.integers(1, 40))
+def test_table_writes_the_export_bytes_to_stdout_and_to_a_file(kind, fmt, j_max):
+    """table streams its dump piece by piece; what it writes, to stdout or
+    to --out FILE, is the export of the same kind, format and level."""
+    text = (triangles.export_json if fmt == "json" else triangles.export_csv)(kind, j_max)
+    argv = ("table", kind, "--jmax", str(j_max), "--format", fmt)
+    assert stdout_of(*argv) == (0, text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table"
+        assert stdout_of(*argv, "--out", str(path)) == (0, "")
+        assert path.read_bytes() == text.encode()
+
+
+def test_table_writes_each_row_as_it_is_built(tmp_path, capsys, monkeypatch):
+    """A dump whose row 6 fails has already written rows 1..5 to its file,
+    and exits 3 with one internal error line."""
+    written = triangles.export_csv("L", 5)
+    row = triangles.triangle_row
+
+    def rigged(kind, j):
+        if j == 6:
+            raise ArithmeticError("rigged")
+        return row(kind, j)
+
+    monkeypatch.setattr(triangles, "triangle_row", rigged)
+    path = tmp_path / "table.csv"
+    assert run_cli(capsys, "table", "L", "--jmax", "10", "--out", str(path)) == (
+        3, "", "internal error: rigged\n")
+    assert path.read_bytes() == written.encode()
 
 
 # -- mapcount ----------------------------------------------------------------------

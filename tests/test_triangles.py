@@ -253,6 +253,7 @@ INDEX_CASES = [
     *[(entry, (2,), 0, "j") for entry in (l_poly, r_poly, l_poly_from_series)],
     *[(entry, (kind, 2), 1, "j")
       for entry in (triangle_row, export_csv, export_json) for kind in KINDS],
+    *[(triangles.table_pieces, (kind, 2, fmt), 1, "j") for kind in KINDS for fmt in ("csv", "json")],
     *[(entry, (2,), 0, "k") for entry in (monomial_to_falling, rising_to_falling)],
     *[(stirling2, (2, 1), slot, name) for slot, name in enumerate("ki")],
 ]
@@ -309,6 +310,48 @@ def test_export_json_matches_json_dumps(kind, j_max):
     rows = [[str(v) for v in triangle_row(kind, j)] for j in range(1, j_max + 1)]
     doc = {"kind": kind, "max_level": j_max, "rows": rows}
     assert export_json(kind, j_max) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("fmt, export", [("csv", export_csv), ("json", export_json)])
+def test_table_pieces_are_head_rows_and_tail(kind, fmt, export):
+    """A dump's pieces are its head, one piece per row (its separator
+    first), then its tail; joined, they are the export."""
+    pieces = list(triangles.table_pieces(kind, 5, fmt))
+    assert len(pieces) == 1 + 5 + 1
+    assert "".join(pieces) == export(kind, 5)
+    for j, piece in enumerate(pieces[1:-1], start=1):
+        assert all(str(v) in piece for v in triangle_row(kind, j)), j
+
+
+def test_table_pieces_build_each_row_as_its_piece_is_taken(monkeypatch):
+    """No row is built before its piece is asked for, so a dump written
+    as it goes holds one row's text at a time."""
+    built = []
+    row = triangles.triangle_row
+    monkeypatch.setattr(triangles, "triangle_row", lambda kind, j: built.append(j) or row(kind, j))
+    pieces = triangles.table_pieces("L", 4, "json")
+    assert built == []
+    next(pieces)
+    assert built == []
+    next(pieces)
+    assert built == [1]
+    list(pieces)
+    assert built == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_pieces_reject_unknown_kind_and_bad_level_when_called(fmt, monkeypatch):
+    """table_pieces checks kind and j_max as the exports do, when it is
+    called and not at its first piece, so a bad dump fails before anything
+    is written."""
+    monkeypatch.setattr(triangles, "triangle_row", lambda kind, j: pytest.fail("row built"))
+    with pytest.raises(ValueError, match="^unknown triangle kind 'X'; expected C, R or L$"):
+        triangles.table_pieces("X", 3, fmt)
+    for kind in KINDS:
+        for j_max in (0, -3):
+            with pytest.raises(IndexOutOfTriangle, match=rf"^{kind}\(0, {j_max}\): "):
+                triangles.table_pieces(kind, j_max, fmt)
 
 
 @pytest.mark.parametrize("export", [export_csv, export_json])
@@ -389,6 +432,20 @@ def test_concurrent_growth_is_consistent(fresh_table, serial, read):
     assert sorted(results) == list(range(8))
     for tid, values in results.items():
         assert values == read(serial, 80 + tid)
+
+
+@pytest.mark.parametrize("table", [
+    Triangle("R", lambda j: 2**j, lambda j, i: 2), factorial_basis._STIRLING,
+], ids=["Triangle", "_STIRLING"])
+def test_a_negative_level_is_a_value_error_not_a_row_from_the_end(table):
+    """row(k) for k < 0 raises a ValueError naming k, however far the table
+    has grown, and leaves the table as it was."""
+    table.row(3)
+    rows = list(table._rows)
+    for k in (-1, -2, -len(rows)):
+        with pytest.raises(ValueError, match=f"^row {k}: k must be >= 0$"):
+            table.row(k)
+    assert table._rows == rows
 
 
 def test_recurrence_tables_are_siblings():
