@@ -352,6 +352,12 @@ def _bounded(name: str, value: int, bound: int) -> int:
     return value
 
 
+def _level(name: str, value: int) -> int:
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return _bounded(name, value, MAX_J)
+
+
 def _points(config: SweepConfig) -> int:
     return (config.j_max - config.j_min + 1) * (config.n_max - config.n_min + 1)
 
@@ -388,11 +394,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    if args.jmax < 1:
-        raise ValueError(f"--jmax must be >= 1, got {args.jmax}")
-    _bounded("--jmax", args.jmax, MAX_J)
+    jmax = _level("--jmax", args.jmax)
     with _open_out(args.out) as out:
-        out.writelines(table_pieces(args.kind, args.jmax, args.format))
+        out.writelines(table_pieces(args.kind, jmax, args.format))
     return 0
 
 
@@ -407,7 +411,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_mapcount(args: argparse.Namespace) -> int:
-    spec = mapcount_spec_from_file(args.coeff_file, _bounded("--j", args.j, MAX_J))
+    spec = mapcount_spec_from_file(args.coeff_file, _level("--j", args.j))
     nu_bits = spec.nu.bit_length()
     bits = (spec.j + 2) * (2 * spec.nu + 2 * nu_bits)
     # At cap bits the d term alone is above the bound, so the lcm stops growing

@@ -33,7 +33,8 @@ def binomial(n: int, k: int) -> int:
     the term out itself.
 
     Raises ValueError for negative n with k >= 0: no generalized
-    (Pochhammer) extension is provided.
+    (Pochhammer) extension is provided. k > n >= 0 is ``math.comb``'s own
+    zero.
     """
     _check_int("n", n)
     _check_int("k", k)
@@ -41,8 +42,6 @@ def binomial(n: int, k: int) -> int:
         return 0
     if n < 0:
         raise ValueError(f"binomial({n}, {k}): negative n is not supported")
-    if k > n:
-        return 0
     return math.comb(n, k)
 
 

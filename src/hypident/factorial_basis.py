@@ -198,11 +198,9 @@ def monomial_to_falling(k: int) -> FallingPoly:
     """The monomial x^k expressed in the falling basis.
 
     Coefficient of (x)_i is S(k, i), read as row k of the Stirling table;
-    for k = 0 this is the constant 1.
+    for k = 0 this is the constant 1. k must be an int; the table rejects k < 0.
     """
     _check_int("k", k)
-    if k < 0:
-        raise ValueError(f"monomial_to_falling({k}): k must be >= 0")
     return FallingPoly(_STIRLING.row(k))
 
 
@@ -211,9 +209,7 @@ def rising_to_falling(k: int) -> FallingPoly:
 
     Coefficient of (x)_i is the Lah number L(k, i) = C(k-1, i-1) * k!/i!
     for 1 <= i <= k, read as row k of the Lah table; for k = 0 this is the
-    constant 1.
+    constant 1. k must be an int; the table rejects k < 0.
     """
     _check_int("k", k)
-    if k < 0:
-        raise ValueError(f"rising_to_falling({k}): k must be >= 0")
     return FallingPoly(_LAH.row(k))

@@ -20,8 +20,8 @@ is divided out exactly, with no Fraction. ``lhs_direct`` is that run at
 one N.
 
 ``_check_run`` is the identity's one domain check, j >= 0 and then N >= 1,
-made by every route, ``IdentityPoint`` and ``cli.SweepConfig`` (a point
-is the run N..N).
+made by each run (this module's and ``identity``'s), ``IdentityPoint`` and
+``cli.SweepConfig``; a point is the run N..N.
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ def _series(a: int, b: int, c: int, z: int | Fraction, K: int) -> tuple[int, int
 
 
 def _check_run(j: int, n_min: int, n_max: int) -> None:
-    """The identity's domain for a run of N: j must be an int >= 0, then
-    both bounds ints (else a TypeError, bools included), and a non-empty
-    run (n_min <= n_max) must start at N >= 1. A point is the run N..N."""
+    """The identity's domain, checked first by each run: j an int >= 0,
+    then both bounds ints (else a TypeError, bools included), and a
+    non-empty run (n_min <= n_max) from N >= 1. A point is the run N..N."""
     _check_int("j", j)
     if j < 0:
         raise ValueError(f"j = {j} must be >= 0")

@@ -14,7 +14,8 @@ which builds the products P(l) once, sums every term of the binomial sum
 at the run's first N and walks Pascal's rule from there to every further
 N, additions only; ``lhs_direct`` and ``rhs_direct`` are these runs at
 one N. The fast routes, ``_fast_values`` behind ``lhs_fast``/``rhs_fast``,
-evaluate 2^N L_j(N) and 2^N R_j(N).
+evaluate 2^N L_j(N) and 2^N R_j(N). Each of these three runs checks its
+j and N with ``hypergeom._check_run``; what reads a run checks neither.
 ``check_cell`` is the one checker: for one j over a run of N it
 evaluates each route of the chosen mode once over the whole run and
 returns the cell as columns, a ``CellReport`` holding the first and the
@@ -38,8 +39,10 @@ where the 3g weights a_l are supplied by the caller (typically from a JSON
 coefficient file; this package never fabricates them). ``map_summand``
 exposes one weightless term of that sum, and ``summand_equivalence``
 checks the nu = 2 statement that ties each term back to the identity with
-N = 2g-1+l. Only these map-count functions use ``fractions`` and
-``json``, so they import them, and checking the identity loads neither.
+N = 2g-1+l. One check, ``_check_map_domain``, serves ``map_summand`` and
+``MapCountSpec``, and ``map_count`` checks no term again. Only these
+map-count functions use ``fractions`` and ``json``, so they import them,
+and checking the identity loads neither.
 """
 
 from __future__ import annotations
@@ -161,8 +164,9 @@ def _fast_values(
     j: int, n_min: int, n_max: int, *routes: Callable[[int], FallingPoly]
 ) -> list[list[int]]:
     """Per row route, 2^N p(N) for N = n_min..n_max, p = route(j) (the
-    constant 1 at j = 0, where both sides are 2^N). A row equal to the
-    previous route's row shares its values instead of being evaluated again."""
+    constant 1 at j = 0, where both sides are 2^N), once ``_check_run``
+    passes. A row equal to the previous route's row shares its values."""
+    _check_run(j, n_min, n_max)
     values: list[list[int]] = []
     last = None
     for route in routes:
@@ -176,14 +180,12 @@ def _fast_values(
 
 
 def rhs_fast(N: int, j: int) -> int:
-    """The binomial sum side via its falling-basis polynomial: 2^N R_j(N)."""
-    _check_run(j, N, N)
+    """2^N R_j(N), the binomial sum side by its polynomial: ``_fast_values`` at N."""
     return _fast_values(j, N, N, r_poly)[0][0]
 
 
 def lhs_fast(N: int, j: int) -> int:
-    """The hypergeometric side via its falling-basis polynomial: 2^N L_j(N)."""
-    _check_run(j, N, N)
+    """2^N L_j(N), the hypergeometric side by its polynomial: ``_fast_values`` at N."""
     return _fast_values(j, N, N, l_poly)[0][0]
 
 
@@ -218,13 +220,12 @@ def check_cell(j: int, n_min: int, n_max: int, mode: str = "fast") -> CellReport
     N >= 1 and are evaluated once; then rhs is lhs. lhs holds the first
     route's values and rhs the last's; equal[i] says whether every route
     agrees at N = n_min + i, and is reported, never raised. Nothing is
-    timed, so repeated checks give equal cells. The run is checked by
-    ``_check_run``, as every route checks it: j first, then the types of
-    n_min and n_max, so an empty run of N (n_min > n_max) still rejects a
-    bad j or a non-int bound, and otherwise has empty columns.
+    timed, so repeated checks give equal cells. The mode is checked first,
+    then the run, by the first route's ``_check_run``: j first, then the
+    types of n_min and n_max, so an empty run of N (n_min > n_max) still
+    rejects a bad j or a non-int bound, and otherwise has empty columns.
     """
     _check_mode(mode)
-    _check_run(j, n_min, n_max)
     routes = []
     if mode != "fast":
         routes.append(lhs_direct_run(j, n_min, n_max))
@@ -240,38 +241,49 @@ def check_cell(j: int, n_min: int, n_max: int, mode: str = "fast") -> CellReport
     return CellReport(j, n_min, lhs, routes[-1], equal)
 
 
-def map_summand(g: int, l: int, j: int, nu: int) -> Fraction:
-    """One weightless term of the map-count sum.
-
-    C(2g-2+l+j, j) * 2F1(-j, -nu*j; 2-2g-l-j; 1/(1-nu)), exact. g, l, j
-    and nu must be ints (bools are not), or it is a TypeError. The series
-    terminates at K = j, and for g >= 1 and l >= 0 its denominator
-    parameter is c = 2-2g-l-j <= -j = -K, so c+k != 0 for every k < K, as
-    ``_series`` needs: the series is one ``_series`` pair over which a
-    single Fraction is built.
-    """
-    from fractions import Fraction
-
+def _check_map_domain(g: int, l: int, j: int, nu: int) -> None:
+    """The map count's one domain check: g, l, j and nu must be ints (not
+    bools), else a TypeError, and then g >= 1, 0 <= l <= 3g-1, j >= 1 and
+    nu >= 2, else a ValueError, each in that order."""
     for name, value in (("g", g), ("l", l), ("j", j), ("nu", nu)):
         _check_int(name, value)
     if g < 1:
-        raise ValueError(f"map_summand: g = {g} must be >= 1")
+        raise ValueError(f"g = {g} must be >= 1")
     if not 0 <= l <= 3 * g - 1:
-        raise ValueError(f"map_summand: l = {l} must satisfy 0 <= l <= 3g-1 = {3 * g - 1}")
+        raise ValueError(f"l = {l} must satisfy 0 <= l <= 3g-1 = {3 * g - 1}")
     if j < 1:
-        raise ValueError(f"map_summand: j = {j} must be >= 1")
+        raise ValueError(f"j = {j} must be >= 1")
     if nu < 2:
-        raise ValueError(f"map_summand: nu = {nu} must be >= 2")
-    num, den = _series(-j, -nu * j, 2 - 2 * g - l - j, Fraction(1, 1 - nu), j)
-    return Fraction(binomial(2 * g - 2 + l + j, j) * num, den)
+        raise ValueError(f"nu = {nu} must be >= 2")
+
+
+def _summand(g: int, l: int, j: int, nu: int, z: Fraction) -> tuple[int, int]:
+    """``map_summand`` unchecked, as a pair (num, den), with z = 1/(1-nu)."""
+    num, den = _series(-j, -nu * j, 2 - 2 * g - l - j, z, j)
+    return binomial(2 * g - 2 + l + j, j) * num, den
+
+
+def map_summand(g: int, l: int, j: int, nu: int) -> Fraction:
+    """One weightless term of the map-count sum.
+
+    C(2g-2+l+j, j) * 2F1(-j, -nu*j; 2-2g-l-j; 1/(1-nu)), exact. The
+    arguments are checked by ``_check_map_domain``, with the messages a
+    ``MapCountSpec`` gives. The series terminates at K = j, and for g >= 1
+    and l >= 0 its denominator parameter is c = 2-2g-l-j <= -j = -K, so
+    c+k != 0 for every k < K, as ``_series`` needs: the series is one
+    ``_series`` pair over which a single Fraction is built.
+    """
+    from fractions import Fraction
+
+    _check_map_domain(g, l, j, nu)
+    return Fraction(*_summand(g, l, j, nu, Fraction(1, 1 - nu)))
 
 
 def summand_equivalence(g: int, l: int, j: int) -> bool:
     """Does the nu = 2 summand match its hypergeometric-free form?
 
     With N = 2g-1+l, the claim is j! * map_summand(g,l,j,2) * 2^N equal to
-    the binomial sum side at (N, j). ``map_summand`` checks g, l and j
-    first, with its own messages.
+    the binomial sum side at (N, j). ``map_summand`` checks g, l and j first.
     """
     summand = map_summand(g, l, j, 2)
     N = 2 * g - 1 + l
@@ -282,11 +294,12 @@ class MapCountSpec(namedtuple("MapCountSpec", "nu g j a")):
     """Inputs for one map count: half-valence nu, genus g, vertices j,
     and the 3g externally supplied weights a.
 
-    nu, g and j must be ints (else a TypeError); each weight an int, a
-    Fraction or a rational string such as "-3/4", stored as a Fraction. Bools
-    and floats are rejected, so no inexact value reaches the count, as are
-    strings with "_", in exponent notation or with non-ASCII characters
-    (Fraction reads them). Any other fault is a ValueError naming it.
+    g, j and nu are checked first, by ``map_summand``'s check. Each weight
+    must be an int, a Fraction or a rational string such as "-3/4", stored
+    as a Fraction. Bools and floats are rejected, so no inexact value
+    reaches the count, as are strings with "_", in exponent notation or
+    with non-ASCII characters (Fraction reads them). Any other fault is a
+    ValueError naming it.
     """
 
     __slots__ = ()
@@ -294,8 +307,7 @@ class MapCountSpec(namedtuple("MapCountSpec", "nu g j a")):
     def __new__(cls, nu: int, g: int, j: int, a: tuple[Fraction, ...]) -> MapCountSpec:
         from fractions import Fraction
 
-        for name, value in (("nu", nu), ("g", g), ("j", j)):
-            _check_int(name, value)
+        _check_map_domain(g, 0, j, nu)
         if not isinstance(a, (list, tuple)):
             raise ValueError(f"'a' must be a list or tuple of weights, got {type(a).__name__}")
         weights = []
@@ -316,12 +328,6 @@ class MapCountSpec(namedtuple("MapCountSpec", "nu g j a")):
                 weights.append(Fraction(entry))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"a[{idx}]: malformed rational {entry!r} ({exc})") from None
-        if nu < 2:
-            raise ValueError(f"nu = {nu} must be >= 2")
-        if g < 1:
-            raise ValueError(f"g = {g} must be >= 1")
-        if j < 1:
-            raise ValueError(f"j = {j} must be >= 1")
         if len(weights) != 3 * g:
             raise CoefficientLengthMismatch(
                 f"need 3g = {3 * g} coefficients, got {len(weights)}"
@@ -334,16 +340,15 @@ def map_count(spec: MapCountSpec) -> Fraction:
 
     Linear in the weight vector; returns a Fraction (an integer value only
     when the supplied weights are the true ones, which this package does
-    not assert).
+    not assert). A spec is checked when built, so no term is checked again.
     """
     from fractions import Fraction
 
-    prefactor = factorial(spec.j) * (
-        2 * spec.nu * (spec.nu - 1) * binomial(2 * spec.nu - 1, spec.nu - 1)
-    ) ** spec.j
+    nu, g, j, a = spec
+    prefactor = factorial(j) * (2 * nu * (nu - 1) * binomial(2 * nu - 1, nu - 1)) ** j
+    z = Fraction(1, 1 - nu)
     total = sum(
-        (w * map_summand(spec.g, l, spec.j, spec.nu) for l, w in enumerate(spec.a)),
-        start=Fraction(0),
+        (w * Fraction(*_summand(g, l, j, nu, z)) for l, w in enumerate(a)), start=Fraction(0)
     )
     return prefactor * total
 

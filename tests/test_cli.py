@@ -1253,6 +1253,19 @@ def test_mapcount_rational_output(tmp_path, capsys):
     assert (code, out) == (0, "36/7\n")
 
 
+@pytest.mark.parametrize("j", ["0", "-1"])
+def test_mapcount_j_below_one_is_a_usage_error(tmp_path, capsys, j):
+    """mapcount --j below 1 is a command-line fault, worded as table
+    --jmax's: exit 2 with one error line before the coefficient file is
+    read, so a good file and a missing one give the same line."""
+    good = write_coeffs(tmp_path, '{"nu": 2, "g": 1, "a": ["1", "0", "0"]}')
+    for path in (good, str(tmp_path / "missing.json")):
+        assert run_cli(capsys, "mapcount", path, "--j", j) == (
+            2, "", f"error: --j must be >= 1, got {j}\n")
+    assert run_cli(capsys, "table", "R", "--jmax", j) == (
+        2, "", f"error: --jmax must be >= 1, got {j}\n")
+
+
 def test_mapcount_length_mismatch(tmp_path, capsys):
     path = write_coeffs(tmp_path, '{"nu": 2, "g": 1, "a": ["1", "0"]}')
     code, _, err = run_cli(capsys, "mapcount", path, "--j", "1")

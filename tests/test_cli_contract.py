@@ -8,7 +8,8 @@ argument is an optional sign and ASCII digits: one written with "_" or
 non-ASCII digits, which int() reads, is a usage error. Whatever bytes a
 coefficient file holds, ``mapcount`` prints one exact rational or exits 2
 with one ``error:`` line. A bad point (N, j) gets one error, the same
-from every route, check and command that takes it. The bounds are
+from every route, check and command that takes it, and so does a bad
+map-count input (g, j, nu). The bounds are
 patched down so that examples
 near and past them stay quick, each within a deadline, and ``cli._cpus``
 reads 1 so that no example forks.
@@ -32,7 +33,8 @@ from hypothesis import strategies as st
 from hypident import cli, identity
 from hypident.hypergeom import lhs_direct
 from hypident.identity import (
-    MODES, IdentityPoint, check_cell, check_identity, lhs_fast, rhs_direct, rhs_fast,
+    MODES, IdentityPoint, MapCountSpec, check_cell, check_identity, lhs_fast, map_summand,
+    rhs_direct, rhs_fast,
 )
 from hypident.triangles import KINDS
 
@@ -450,3 +452,41 @@ def test_a_point_gets_one_error_from_every_route_check_and_command(N, j):
     assert verify_code == 2 and re.fullmatch(r"error: [^\n]*\n", eval_err), (N, j, eval_err)
     if N <= MAX_N and j <= MAX_J:
         assert eval_err == f"error: {error[1]}\n", (N, j, eval_err)
+
+
+# -- one error per bad map-count input -----------------------------------------
+
+# Ints around the domain's edges (g = 0, 1; j = 0, 1; nu = 1, 2), bools, and
+# floats, integral or not.
+MAP_FIELDS = st.one_of(st.integers(-1, 3), st.booleans(), st.sampled_from([0.0, 1.0, 2.0, 2.5]))
+
+
+@example(0, 1, 2)
+@example(1, 0, 2)
+@example(1, 1, 1)
+@example(0, 0, 1)
+@example(1.0, 1, True)
+@settings(deadline=timedelta(seconds=2))
+@given(MAP_FIELDS, MAP_FIELDS, MAP_FIELDS)
+def test_a_map_count_input_gets_one_error_from_the_summand_the_spec_and_mapcount(g, j, nu):
+    """map_summand(g, 0, j, nu) and a spec of g, j and nu raise the same
+    error, or both succeed. For ints, mapcount on that spec's file exits 2
+    with that error after the file's name, or with the --j error when
+    --j is below 1, before the file is read; or it prints the count 0."""
+    ints = all(type(value) is int for value in (g, j, nu))
+    weights = (0,) * (3 * g) if type(g) is int and g >= 1 else ()
+    error = outcome(map_summand, g, 0, j, nu)
+    assert outcome(MapCountSpec, nu, g, j, weights) == error, (g, j, nu)
+    if not ints:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "coeffs.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"nu": nu, "g": g, "a": list(weights)}, fh)
+        code, out, err = run(["mapcount", path, "--j", str(j)])
+    if j < 1:
+        assert (code, out, err) == (2, "", f"error: --j must be >= 1, got {j}\n")
+    elif error is not None:
+        assert (code, out, err) == (2, "", f"error: {path}: {error[1]}\n")
+    else:
+        assert (code, out, err) == (0, "0\n", "")

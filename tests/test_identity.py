@@ -428,6 +428,21 @@ def test_map_count_stub_values():
     assert map_count(MapCountSpec(2, 1, 2, (0, 1, 0))) == 2 * 144 * 17
 
 
+def test_map_count_checks_nothing_per_term(monkeypatch):
+    """A spec is checked when it is built; map_count reads its 3g terms
+    without checking g, l, j or nu again."""
+    specs = [MapCountSpec(2, 1, 2, (0, 1, 0)),
+             MapCountSpec(3, 2, 4, tuple(Fraction(l - 2, l + 1) for l in range(6)))]
+    expected = [map_count(spec) for spec in specs]
+    assert expected[0] == 2 * 144 * 17
+
+    def rigged(name, value):
+        raise AssertionError(f"{name} = {value!r} checked again")
+
+    monkeypatch.setattr(identity, "_check_int", rigged)
+    assert [map_count(spec) for spec in specs] == expected
+
+
 def test_map_count_linear_in_weights():
     rng = random.Random(20240811)
 
