@@ -52,14 +52,11 @@ def factorial(n: int) -> int:
 
 
 def double_factorial_odd(j: int) -> int:
-    """Odd double factorial (2j-1)!! = 1 * 3 * ... * (2j-1); 1 for j = 0."""
+    """Odd double factorial (2j-1)!! = 1 * 3 * ... * (2j-1), by ``math.prod``; 1 for j = 0."""
     _check_int("j", j)
     if j < 0:
         raise ValueError(f"double_factorial_odd({j}): j must be >= 0")
-    out = 1
-    for m in range(1, j + 1):
-        out *= 2 * m - 1
-    return out
+    return math.prod(range(1, 2 * j, 2))
 
 
 def pow2(n: int) -> int:

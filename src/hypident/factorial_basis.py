@@ -26,6 +26,7 @@ When walking up from 0 would cost more than twice the run itself,
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import namedtuple
 from collections.abc import Callable, Iterable
@@ -47,27 +48,21 @@ __all__ = [
 
 
 def falling(a: int, n: int) -> int:
-    """Falling factorial (a)_n = prod_{m=0}^{n-1} (a - m); 1 when n = 0."""
+    """Falling factorial (a)_n = prod_{m=0}^{n-1} (a - m), by ``math.prod``; 1 when n = 0."""
     _check_int("a", a)
     _check_int("n", n)
-    if n < 0:
+    if n < 0:  # else the empty range's product would be 1
         raise ValueError(f"falling({a}, {n}): n must be >= 0")
-    out = 1
-    for m in range(n):
-        out *= a - m
-    return out
+    return math.prod(range(a, a - n, -1))
 
 
 def rising(a: int, n: int) -> int:
-    """Rising factorial a^(n) = prod_{m=0}^{n-1} (a + m); 1 when n = 0."""
+    """Rising factorial a^(n) = prod_{m=0}^{n-1} (a + m), by ``math.prod``; 1 when n = 0."""
     _check_int("a", a)
     _check_int("n", n)
-    if n < 0:
+    if n < 0:  # else the empty range's product would be 1
         raise ValueError(f"rising({a}, {n}): n must be >= 0")
-    out = 1
-    for m in range(n):
-        out *= a + m
-    return out
+    return math.prod(range(a, a + n))
 
 
 class _RecurrenceTable:

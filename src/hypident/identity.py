@@ -47,6 +47,7 @@ and checking the identity loads neither.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from collections.abc import Callable
 from itertools import accumulate, count, repeat
@@ -120,27 +121,23 @@ def rhs_direct_run(j: int, n_min: int, n_max: int) -> list[int]:
     P(l) = prod_{i=0}^{j-1} 2(2i+1+l); [] for an empty run.
 
     P(0..n_max) is built once: P(l+2) = P(l)(l+2j+1)/(l+1) because the
-    product telescopes, so P(0) and P(1) are the only full products. The
-    sum is the binomial transform of P, so it is walked by Pascal's rule:
-    with a_N(l) = sum_m C(N,m) P(l+m), the value at N is a_N(0) and
-    a_{N+1}(l) = a_N(l) + a_N(l+1). The walk is seeded at n_min with every
-    term of a_{n_min}(l) for l = 0..n_max-n_min, C(n_min,m+1) stepped from
-    C(n_min,m) by its exact ratio (n_min-m)/(m+1). Then it goes one l at
-    a time, from l = n_max-n_min down to 0: a_N(l) for N = n_min..n_max-l
-    is the running sum of a_N(l+1), started at a_{n_min}(l), one
-    ``itertools.accumulate`` pass of additions, and l = 0 holds the
-    values. So one point costs its N+1 products, and a run from N = 1
-    costs additions only. This route reads no polynomial or triangle, so
-    it stays independent of ``rhs_fast``.
+    product telescopes, so P(0) and P(1), one ``math.prod`` each (1 at
+    j = 0), are the only full products. The sum is the binomial transform
+    of P, walked by Pascal's rule: with a_N(l) = sum_m C(N,m) P(l+m), the
+    value at N is a_N(0) and a_{N+1}(l) = a_N(l) + a_N(l+1). The walk is
+    seeded at n_min with every term of a_{n_min}(l) for l = 0..n_max-n_min,
+    C(n_min,m+1) stepped from C(n_min,m) by its exact ratio (n_min-m)/(m+1).
+    Then it goes one l at a time, from l = n_max-n_min down to 0: a_N(l)
+    for N = n_min..n_max-l is the running sum of a_N(l+1), started at
+    a_{n_min}(l), one ``itertools.accumulate`` pass of additions, and
+    l = 0 holds the values. So one point costs its N+1 products, and a run
+    from N = 1 costs additions only. This route reads no polynomial or
+    triangle, so it stays independent of ``rhs_fast``.
     """
     _check_run(j, n_min, n_max)
     if n_min > n_max:
         return []
-    p = p_next = 1
-    for i in range(j):
-        p *= 2 * (2 * i + 1)
-        p_next *= 2 * (2 * i + 2)
-    products = [p, p_next]
+    products = [math.prod(range(2, 4 * j, 4)), math.prod(range(4, 4 * j + 1, 4))]
     for l in range(n_max - 1):
         products.append(products[l] * (l + 2 * j + 1) // (l + 1))
     width = n_max - n_min + 1
@@ -214,12 +211,12 @@ def check_cell(j: int, n_min: int, n_max: int, mode: str = "fast") -> CellReport
     """Check the identity at (N, j) for N = n_min..n_max, as one cell.
 
     mode "direct" compares the two brute-force routes, "fast" the two
-    polynomial routes (L_j from its closed form and R_j from its
-    recurrence, each evaluated over the whole run by ``poly_values``), and
-    "cross" all four. Equal rows are one polynomial, so they agree at every
-    N >= 1 and are evaluated once; then rhs is lhs. lhs holds the first
-    route's values and rhs the last's; equal[i] says whether every route
-    agrees at N = n_min + i, and is reported, never raised. Nothing is
+    polynomial routes (L_j from its closed form and R_j from its recurrence,
+    each evaluated over the whole run by ``poly_values``), and "cross" all
+    four. Equal rows are one polynomial, so they agree at every N >= 1 and
+    share one list, compared with the first route's once. lhs holds the
+    first route's values and rhs the last's; equal[i] says whether every
+    route agrees at N = n_min + i, and is reported, never raised. Nothing is
     timed, so repeated checks give equal cells. The mode is checked first,
     then the run, by the first route's ``_check_run``: j first, then the
     types of n_min and n_max, so an empty run of N (n_min > n_max) still
@@ -233,12 +230,11 @@ def check_cell(j: int, n_min: int, n_max: int, mode: str = "fast") -> CellReport
         routes += _fast_values(j, n_min, n_max, l_poly, r_poly)
     if mode != "fast":
         routes.append(rhs_direct_run(j, n_min, n_max))
-    lhs = routes[0]
-    equal = [True] * len(lhs)
-    for values in routes[1:]:
-        if values is not lhs:
-            equal = list(map(and_, equal, map(eq, lhs, values)))
-    return CellReport(j, n_min, lhs, routes[-1], equal)
+    equal = [True] * len(routes[0])
+    for previous, values in zip(routes, routes[1:]):
+        if values is not previous:
+            equal = list(map(and_, equal, map(eq, routes[0], values)))
+    return CellReport(j, n_min, routes[0], routes[-1], equal)
 
 
 def _check_map_domain(g: int, l: int, j: int, nu: int) -> None:
@@ -356,11 +352,12 @@ def map_count(spec: MapCountSpec) -> Fraction:
 def mapcount_spec_from_obj(obj: object, j: int) -> MapCountSpec:
     """Build a MapCountSpec from a decoded coefficient-file object.
 
-    Expected shape: {"nu": int, "g": int, "a": [entries]} where each entry
-    is an exact rational as a string ("7", "-3/4") or a JSON integer, and
-    no other key. The shape is checked here, a ValueError with a pointer at
-    the offending key, and the values by MapCountSpec, with its exceptions.
+    Expected shape: {"nu": int, "g": int, "a": [entries]}, each entry a
+    rational string ("7", "-3/4") or a JSON integer, and no other key. j is
+    checked first, as MapCountSpec checks it; then the shape, a ValueError
+    naming the key; then the values, by MapCountSpec, with its exceptions.
     """
+    _check_map_domain(1, 0, j, 2)  # j alone: g = 1, l = 0 and nu = 2 are in range
     if not isinstance(obj, dict):
         raise ValueError("coefficient file must contain a JSON object")
     missing = [key for key in ("nu", "g", "a") if key not in obj]
@@ -378,12 +375,13 @@ def mapcount_spec_from_obj(obj: object, j: int) -> MapCountSpec:
 def mapcount_spec_from_file(path: str, j: int) -> MapCountSpec:
     """Load and validate a JSON coefficient file (see mapcount_spec_from_obj).
 
-    A file above MAX_COEFF_FILE_BYTES is a ValueError before anything is
-    parsed; at most that many bytes (plus one) are read, so a device or
-    pipe that never ends is rejected too. Every ValueError names the file.
+    j is checked before the file is opened. A file above MAX_COEFF_FILE_BYTES
+    is a ValueError before it is parsed: at most that many bytes plus one are
+    read, so an endless pipe fails too. Any later ValueError names the file.
     """
     import json
 
+    _check_map_domain(1, 0, j, 2)
     with open(path, "rb") as fh:
         data = fh.read(MAX_COEFF_FILE_BYTES + 1)
     if len(data) > MAX_COEFF_FILE_BYTES:

@@ -1,18 +1,18 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here deliberately avoids the package's own computation paths:
-rising/falling factorials are bare products, the hypergeometric sum is
-direct Pochhammer summation (no ratio recurrence), both sides of the
-identity are their definitions with ``math.comb`` (the left one over that
-sum), Stirling/Bell numbers come from enumerating actual set partitions or
-from their explicit alternating sum, C-triangle entries come from
-expanding the product in the monomial basis, L-triangle entries come from the binomial
-closed form summed entry by entry with ``math.comb``, R-triangle rows
-come from the Stirling-weighted sum with those two oracles, Lah
-numbers come from their definition with ``math.comb`` and ``factorial``,
-a Taylor shift by 1 is its double sum with ``math.comb``, and a whole
-verify report is rendered in one piece, JSON by
-``json.dumps(rows, indent=2)``.
+rising/falling factorials and the odd double factorial are bare products,
+the hypergeometric sum is direct Pochhammer summation (no ratio
+recurrence), both sides of the identity are their definitions with
+``math.comb`` (the left one over that sum), Stirling/Bell numbers come
+from enumerating actual set partitions or from their explicit alternating
+sum, C-triangle entries come from expanding the product in the monomial
+basis, L-triangle entries come from the binomial closed form summed entry
+by entry with ``math.comb``, R-triangle rows come from the
+Stirling-weighted sum with those two oracles, Lah numbers come from their
+definition with ``math.comb`` and ``factorial``, a Taylor shift by 1 is
+its double sum with ``math.comb``, and a whole verify report is rendered
+in one piece, JSON by ``json.dumps(rows, indent=2)``.
 """
 
 from __future__ import annotations
@@ -34,6 +34,14 @@ def rising_product(a: int, n: int) -> int:
     out = 1
     for m in range(n):
         out *= a + m
+    return out
+
+
+def odd_product(j: int) -> int:
+    """(2j-1)!! = 1 * 3 * ... * (2j-1), one factor at a time."""
+    out = 1
+    for m in range(1, j + 1):
+        out *= 2 * m - 1
     return out
 
 

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hypident.exact_arith import binomial, double_factorial_odd, factorial, pow2
 from hypident.factorial_basis import falling, rising
 
+from oracles import odd_product
+
 
 @pytest.mark.parametrize(
     "n, k, expected",
@@ -63,11 +65,8 @@ def test_double_factorial_odd_values():
 
 
 def test_double_factorial_odd_matches_direct_product():
-    for j in range(25):
-        prod = 1
-        for m in range(1, j + 1):
-            prod *= 2 * m - 1
-        assert double_factorial_odd(j) == prod
+    for j in range(61):
+        assert double_factorial_odd(j) == odd_product(j), j
 
 
 def test_double_factorial_links_to_factorial():

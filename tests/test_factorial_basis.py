@@ -19,6 +19,7 @@ from oracles import (
     bell_by_enumeration,
     falling_product,
     lah_by_definition,
+    rising_product,
     stirling2_by_enumeration,
     stirling2_by_formula,
 )
@@ -35,6 +36,13 @@ def test_rising_values():
     assert rising(-1, 3) == 0
     for a in (-4, 0, 7, 123):
         assert rising(a, 0) == 1
+
+
+@given(a=st.integers(-70, 70), n=st.integers(0, 60))
+def test_falling_and_rising_match_their_oracles(a, n):
+    """Negative a, n = 0 (the empty product) and ranges through zero."""
+    assert falling(a, n) == falling_product(a, n)
+    assert rising(a, n) == rising_product(a, n)
 
 
 def test_falling_shift_identity():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hypident import hypergeom, identity
+from hypident import cli, hypergeom, identity
 from hypident.exact_arith import binomial, factorial, pow2
 from hypident.factorial_basis import FallingPoly, falling
 from hypident.hypergeom import lhs_direct, lhs_direct_run
@@ -31,6 +31,14 @@ from hypident.identity import (
 )
 
 from oracles import lhs_by_definition, rhs_by_definition
+
+
+def test_rhs_direct_run_seed_products_at_every_admitted_j():
+    """N = 1 and N = 2 read the seed products P(0) and P(1) and one step of
+    the telescoping recurrence, checked against every product in full at
+    each j the CLI accepts, j = 0 included."""
+    for j in range(cli.MAX_J + 1):
+        assert rhs_direct_run(j, 1, 2) == [rhs_by_definition(1, j), rhs_by_definition(2, j)], j
 
 
 def test_rhs_direct_values():
@@ -560,6 +568,31 @@ def test_spec_from_file(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ValueError):
         mapcount_spec_from_file(str(bad), j=1)
+
+
+@pytest.mark.parametrize("j, exc_type, message", [
+    (0, ValueError, "j = 0 must be >= 1"),
+    (-3, ValueError, "j = -3 must be >= 1"),
+    (1.5, TypeError, "j must be an int, got float"),
+    (True, TypeError, "j must be an int, got bool"),
+])
+@pytest.mark.parametrize("name", ["ok.json", "missing.json", "bad.json"])
+def test_loaders_check_the_callers_j_first(tmp_path, name, j, exc_type, message):
+    """A bad j is the caller's fault, not the file's: both loaders raise
+    MapCountSpec's class and message for it before the file is opened or
+    the object is read, with no path prefix, whatever the file holds."""
+    (tmp_path / "ok.json").write_text('{"nu": 2, "g": 1, "a": ["1", "0", "0"]}', encoding="utf-8")
+    (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
+    with pytest.raises(exc_type) as info:
+        MapCountSpec(2, 1, j, (1, 0, 0))
+    assert str(info.value) == message
+    with pytest.raises(exc_type) as info:
+        mapcount_spec_from_file(str(tmp_path / name), j)
+    assert type(info.value) is exc_type and str(info.value) == message
+    for obj in ({"nu": 2, "g": 1, "a": ["1", "0", "0"]}, {"nu": None, "g": 0}, []):
+        with pytest.raises(exc_type) as info:
+            mapcount_spec_from_obj(obj, j)
+        assert type(info.value) is exc_type and str(info.value) == message
 
 
 @pytest.mark.parametrize("text, exc_type, message", [

@@ -167,8 +167,11 @@ def _outcome(build):
 @given(obj=st.one_of(VALID_OBJECT, ANY_OBJECT), j=st.integers(-1, 4))
 def test_spec_from_obj_agrees_with_map_count_spec(obj, j):
     """The loader accepts exactly what MapCountSpec accepts and fails with
-    the same exception and message."""
-    direct = _outcome(lambda: MapCountSpec(obj["nu"], obj["g"], j, tuple(obj["a"])))
+    the same exception and message, except that the caller's j is checked
+    first: a bad j fails as MapCountSpec fails for that j alone."""
+    direct = _outcome(lambda: MapCountSpec(2, 1, j, (0, 0, 0)))
+    if direct[0] == "ok":
+        direct = _outcome(lambda: MapCountSpec(obj["nu"], obj["g"], j, tuple(obj["a"])))
     assert _outcome(lambda: mapcount_spec_from_obj(obj, j)) == direct
     if direct[0] == "ok":
         spec = direct[1]
