@@ -6,32 +6,17 @@ Subcommands:
   verify    check the identity over a (j, N) grid; exit 0 iff every
             point verifies, 1 if any fails, 2 on usage/domain errors,
             3 on any other exception, whatever K; 130 when interrupted
-  table     dump triangle rows as CSV or JSON, each row written as it
-            is built (triangles.table_pieces)
+  table     dump triangle rows as CSV or JSON (triangles.table_pieces)
   eval      evaluate one side (or both) of the identity at a single point;
             eval both checks it, and exits as verify does
   mapcount  evaluate the map-count formula from a JSON coefficient file
 
 Reports go to stdout (or --out FILE); the human summary and the FAIL
 lines go to stderr, so JSON/CSV report streams stay machine-clean.
-run_sweep alone writes a verify report, laid out by _FORMATS: rows ordered
-by (j, N) and written one j cell at a time as the sweep goes. A cell is
-checked as columns (identity.check_cell: lhs values, rhs values, verdicts)
-and rendered from them in one pass that prints each value once: an rhs
-equal to its lhs reuses lhs's text. eval both prints the plain row of its
-one-point cell by _render_reports, less the row's "j=J N=N " prefix. With
---parallelism K above 1 (default 1), the cells are checked and rendered by
-up to K forked worker processes that send back their rows over pipes: each
-cell crosses as one marshal value, and no pool module is imported.
-_sweep_task times each cell, and --timings shows that time in the rows;
-without it (the default), identical configs produce byte-identical output
-no matter the parallelism. A sweep that ends in an error or an interrupt
-may leave a truncated report, and never leaves a worker running.
-
-The hypident script and python -m hypident run entrypoint, which ends the
-process with os._exit once its streams are flushed, skipping the
-interpreter's teardown. Embedding code calls main(argv), which returns the
-exit code, never entrypoint.
+Without --timings (the default), identical configs produce byte-identical
+output whatever --parallelism K asks for. A sweep that ends in an error or
+an interrupt may leave a truncated report, and never leaves a worker
+running.
 """
 
 from __future__ import annotations
@@ -40,16 +25,14 @@ import argparse
 import contextlib
 import functools
 import io
-import marshal
 import math
 import os
 import sys
-import threading
 import time
 from collections import namedtuple
 from itertools import compress, count
 from operator import not_
-from typing import BinaryIO, Callable, Iterator, NoReturn, TextIO
+from typing import Iterator, NoReturn, TextIO
 
 from . import __version__
 from .exact_arith import _check_int
@@ -64,7 +47,9 @@ from .identity import (
     mapcount_spec_from_file,
     rhs_fast,
 )
+from .render import FORMATS, _render_reports, report
 from .triangles import KINDS, table_pieces
+from .workers import run_tasks
 
 # Printing an exact value takes time quadratic in its digits (CPython's
 # str(int)); at N = 10^6 one value takes over a second, so a sweep over
@@ -137,7 +122,7 @@ class SweepConfig(
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         _check_mode(mode)
-        if not isinstance(fmt, str) or fmt not in _FORMATS:
+        if fmt not in FORMATS:
             raise ValueError(f"unknown format {fmt!r}; expected plain, json or csv")
         if not isinstance(timings, bool):
             raise TypeError(f"timings must be a bool, got {type(timings).__name__}")
@@ -163,154 +148,22 @@ def _sweep_task(config: SweepConfig, j: int) -> tuple[str, list[str]]:
 
 
 def run_sweep(config: SweepConfig, out: TextIO) -> list[str]:
-    """Run the grid, one cell per j value, and write its whole report to
-    out: the head of _FORMATS[config.fmt], each cell's rows (ordered by N)
-    in j order as soon as the cell is checked, joined by the format's
-    separator, then the tail. Return the FAIL line of every failing point,
-    in (j, N) order.
+    """Run the grid, one cell per j by workers.run_tasks, and write its
+    report to out by render.report, each cell's rows (ordered by N) in j
+    order as soon as the cell is checked. Return the FAIL line of every
+    failing point, in (j, N) order; keep no cell's values after its rows."""
+    failures: list[str] = []
 
-    The sweep keeps no cell's values after writing its rows. It never has
-    more workers than cells or than the CPUs this process may run on,
-    whatever parallelism asks for, and is serial where os.fork is missing
-    or while another thread runs. Its workers are forked children that
-    check and render their own cells (_forked), and the output does not
-    depend on the worker count.
-    """
-    head, _, sep, tail = _FORMATS[config.fmt]
-    out.write(head)
+    def rows(cells: Iterator[tuple[str, list[str]]]) -> Iterator[str]:
+        for text, failed in cells:
+            failures.extend(failed)
+            yield text
+
     js = range(config.j_min, config.j_max + 1)
     task = functools.partial(_sweep_task, config)
-    # A fork while another thread runs could copy a lock that thread holds
-    # (a table's, say) into a worker, locked for good.
-    forkable = hasattr(os, "fork") and threading.active_count() == 1
-    workers = min(config.parallelism, len(js), _cpus()) if forkable else 1
-    failures: list[str] = []
-    separator = ""
-    # A generator either way, so that closing it ends a pooled sweep's
-    # workers whichever way the loop ends.
-    with contextlib.closing(
-        _forked(task, js, workers) if workers > 1 else (task(j) for j in js)
-    ) as cells:
-        for rows, failed in cells:
-            out.write(separator)
-            out.write(rows)
-            separator = sep
-            failures += failed
-    out.write(tail)
+    with contextlib.closing(run_tasks(task, js, config.parallelism)) as cells:
+        out.writelines(report(config.fmt, rows(cells)))
     return failures
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _forked(task: Callable[[int], object], js: range, workers: int) -> Iterator[object]:
-    """task(j) for each j in js, in order, from workers forked children.
-    A task returns a marshal value that is not a str: a str frame means
-    the worker failed (see _read_frame). Worker w runs js[w::workers] and
-    writes one value per j to its own pipe, blocking while it is full, so
-    the i-th result is the next value on pipe i % workers and the parent
-    holds at most one. However the generator ends, it closes every pipe,
-    kills every worker (one that has sent its last result is exiting
-    anyway) and waits on each one."""
-    import signal
-
-    readers: list[BinaryIO] = []
-    pids: list[int] = []
-    try:
-        for w in range(workers):
-            read_end, write_end = os.pipe()
-            readers.append(open(read_end, "rb"))
-            with open(write_end, "wb") as pipe:
-                pid = os.fork()
-                if pid == 0:
-                    _work(task, js[w::workers], pipe, readers)
-                pids.append(pid)
-        for i, j in enumerate(js):
-            yield _read_frame(readers[i % workers], j)
-    finally:
-        for reader in readers:
-            reader.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        for pid in pids:
-            os.waitpid(pid, 0)
-
-
-def _work(task: Callable[[int], object], js: range, pipe: BinaryIO,
-          readers: list[BinaryIO]) -> NoReturn:
-    """A forked worker's whole life: task(j) for each j in js, one marshal
-    value per j on pipe, then os._exit, so it never runs the parent's
-    finally blocks or flushes the parent's buffers. An exception ends the
-    worker with one str value, its type and text. Ctrl-C is left to the parent."""
-    import signal
-
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        for reader in readers:
-            reader.close()
-        for j in js:
-            try:
-                marshal.dump(task(j), pipe)
-            except Exception as exc:
-                marshal.dump(f"{type(exc).__name__}: {exc}", pipe)
-                break
-            finally:
-                pipe.flush()
-    finally:
-        os._exit(0)
-
-
-def _read_frame(reader: BinaryIO, j: int) -> object:
-    """The worker's result for j, the next marshal value on reader (see
-    _work). A str value, or the pipe's end before a whole value, is a
-    RuntimeError naming j. Both ends are this interpreter, forked, and no
-    outside input crosses the pipe, so marshal's caveats about untrusted
-    data and about other Python versions do not apply."""
-    try:
-        result = marshal.load(reader)
-    except EOFError:
-        raise RuntimeError(f"worker for j={j} died") from None
-    if isinstance(result, str):
-        raise RuntimeError(f"worker for j={j} failed: {result}")
-    return result
-
-
-# Per format: what a report holds before its first row, the row built from
-# (N, j, lhs, rhs, verdict, micros), the separator between two rows, which
-# is also the one between two cells, and what it holds after its last row.
-# These give the bytes of json.dumps(rows, indent=2) + "\n" for JSON, and of
-# a header line and one line per row for CSV and plain. A sweep has at
-# least one cell, and every cell at least one row. JSON rows are built by
-# hand, not by json.dumps, whose indented output runs CPython's pure-Python
-# encoder; every field is an int, a bool or a decimal digit string, so no
-# escaping is needed.
-_FORMATS = {
-    "plain": ("", lambda N, j, lhs, rhs, verdict, micros:
-              f"j={j} N={N} lhs={lhs} rhs={rhs} equal={verdict}\n", "", ""),
-    "json": ("[\n", lambda N, j, lhs, rhs, verdict, micros: (
-        f'  {{\n    "N": {N},\n    "j": {j},\n    "lhs": "{lhs}",\n    "rhs": "{rhs}",\n'
-        f'    "equal": {verdict},\n    "micros": {micros}\n  }}'), ",\n", "\n]\n"),
-    "csv": ("N,j,lhs,rhs,equal,micros\n", lambda N, j, lhs, rhs, verdict, micros:
-            f"{N},{j},{lhs},{rhs},{verdict},{micros}\n", "", ""),
-}
-
-
-def _render_reports(cell: CellReport, fmt: str, micros: int) -> str:
-    """One cell's rows in fmt, each with micros, joined by the separator of
-    _FORMATS[fmt], without its head and tail, built in one pass over the
-    cell's columns. Each value is printed once: a row's rhs reuses lhs's
-    decimal string when the two ints are equal, whatever the verdict."""
-    _, row, sep, _ = _FORMATS[fmt]
-    j, micros = str(cell.j), str(micros)
-    return sep.join([
-        row(N, j, text := str(lhs), text if lhs == rhs else str(rhs),
-            "true" if verdict else "false", micros)
-        for N, lhs, rhs, verdict in zip(count(cell.n_min), cell.lhs, cell.rhs, cell.equal)
-    ])
 
 
 def _open_out(path: str | None) -> contextlib.AbstractContextManager[TextIO]:
@@ -443,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"inclusive N range (default 1..50; 1 <= N <= {MAX_N})")
     p_verify.add_argument("--mode", choices=MODES, default="fast",
                           help="comparison mode (default fast; cross checks all four routes)")
-    p_verify.add_argument("--format", choices=tuple(_FORMATS), default="plain",
+    p_verify.add_argument("--format", choices=FORMATS, default="plain",
                           help="report format (default plain)")
     p_verify.add_argument("--out", metavar="FILE", default=None,
                           help="write reports to FILE instead of stdout")

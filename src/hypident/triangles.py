@@ -18,9 +18,8 @@ plus a two-term recurrence:
       The inner sums have the generating function
           sum_{i>=1} S_i y^(i-1) = sum_{k=1}^j C(2j, j+k) (1+y)^(k-1),
       so a closed-form row is built whole: one Taylor shift by 1 of the
-      vector C(2j, j+1..2j), about j^2/2 additions in j passes, each pass
-      the prefix sums of the reversed vector by ``itertools.accumulate``
-      and freezing one S_i; then a running product for the j!/i! factors.
+      vector C(2j, j+1..2j) (``_taylor_shift``), then a running product
+      for the j!/i! factors.
 
 R and L are provably the same table, but they are kept as separate objects
 with independent construction routes on purpose: their entry-by-entry
@@ -30,32 +29,24 @@ principal verification target, so collapsing them would test nothing.
 
 Every route builds a row whole. The recurrence routes build level by
 level and keep every row, so random access to (i, j) builds every row up
-to j. An L closed-form row is built on its own from the binomials of its
-level, each stepped from the last by an exact ratio. An R closed-form
-row is the C(., j)-weighted sum of Stirling rows 0..j, shifted left by
-j-i. Each closed form keeps only its last row, because its callers read
-one level at a time, entry by entry. ``l_poly_from_series`` sums Lah
-rows with weights stepped by exact ratios. ``vanishing_sum`` reads its
-level j built whole, as an L closed-form row is, but from its own
-binomials and no triangle's row: every i from one Taylor shift, of
-C(2j, j+2..2j), and only the last level is kept. Recurrence rows grow as
-Stirling rows do, in ``factorial_basis._RecurrenceTable``: under a lock,
-and published whole, so concurrent readers see only whole rows. A CSV or
-JSON dump, ``table_pieces``, gives each row's text as soon as the row is
-built; ``export_csv`` and ``export_json`` join it.
+to j; the closed forms, ``l_poly_from_series`` and ``vanishing_sum`` build
+the row of their level on their own. Recurrence rows grow as Stirling
+rows do, in ``factorial_basis._RecurrenceTable``: under a lock, and
+published whole, so concurrent readers see only whole rows.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import add, mul
 
 from .exact_arith import _check_int, binomial, double_factorial_odd, factorial, pow2
 from .factorial_basis import (
     FallingPoly, _RecurrenceTable, monomial_to_falling, rising_to_falling,
 )
+from .render import dump
 
 __all__ = [
     "IndexOutOfTriangle",
@@ -151,23 +142,14 @@ def r_entry_closed(i: int, j: int) -> int:
 
 
 def l_entry_closed(i: int, j: int) -> int:
-    """L(i, j) by the binomial closed form.
-
-    j!/i! * sum_{k=i}^{j} C(2j, j+k) C(k-1, i-1) for i >= 1; the i = 0
-    column is (2j)!/j!. Reads the cached row j, which is built whole from
-    the generating function of the inner sums (see the module docstring).
-    """
+    """L(i, j) by the binomial closed form of the module docstring, read
+    from the cached row j."""
     _check_index(i, j, "L")
     return _l_closed_row(j)[i]
 
 
 def l_entry_recurrence(i: int, j: int) -> int:
-    """L(i, j) by propagating the R recurrence from the L marginals.
-
-    Exists as a third, independent route: if the L marginals plus the
-    shared recurrence reproduce the closed form, the two tables are pinned
-    to each other entry by entry.
-    """
+    """L(i, j) by propagating the R recurrence from the L marginals."""
     return _L_REC.entry(i, j)
 
 
@@ -298,29 +280,13 @@ def _check_row(kind: str, j: int) -> None:
     _check_index(0, j, kind)
 
 
-# Per table format: what a dump holds before its first row (a template of
-# kind and j_max), a row's text, the separator between two rows, and what it
-# holds after its last row. JSON gives the bytes of json.dumps({"kind",
-# "max_level", "rows"}, indent=2) + "\n", written by hand: json.dumps with an
-# indent runs CPython's pure-Python encoder, and the entries, being digit
-# strings, need no escaping.
-_TABLE_FORMATS = {
-    "csv": ("", lambda row: ",".join(map(str, row)) + "\n", "", ""),
-    "json": ('{{\n  "kind": "{kind}",\n  "max_level": {j_max},\n  "rows": [\n',
-             lambda row: '    [\n      "' + '",\n      "'.join(map(str, row)) + '"\n    ]',
-             ",\n", "\n  ]\n}\n"),
-}
-
-
 def table_pieces(kind: str, j_max: int, fmt: str) -> Iterator[str]:
-    """Rows 1..j_max of a triangle dumped in fmt ("csv" or "json"), as text
-    pieces in order: the head, each row with the separator before it, as
-    soon as ``triangle_row`` gives the row, then the tail. kind and j_max
-    are checked, as ``triangle_row`` checks a row, before any piece."""
+    """Rows 1..j_max of a triangle dumped in fmt ("csv" or "json") by
+    ``render.dump``, each row's piece as soon as ``triangle_row`` gives the
+    row. kind and j_max are checked, as ``triangle_row`` checks a row,
+    before any piece."""
     _check_row(kind, j_max)
-    head, row, sep, tail = _TABLE_FORMATS[fmt]
-    rows = (sep * (j > 1) + row(triangle_row(kind, j)) for j in range(1, j_max + 1))
-    return chain((head.format(kind=kind, j_max=j_max),), rows, (tail,))
+    return dump(kind, j_max, fmt, (triangle_row(kind, j) for j in range(1, j_max + 1)))
 
 
 def export_csv(kind: str, j_max: int) -> str:
@@ -329,6 +295,5 @@ def export_csv(kind: str, j_max: int) -> str:
 
 
 def export_json(kind: str, j_max: int) -> str:
-    """Rows 1..j_max as the text of json.dumps({"kind", "max_level", "rows"},
-    indent=2) + "\n"; entries are decimal digit strings."""
+    """Rows 1..j_max as JSON, entries as decimal digit strings."""
     return "".join(table_pieces(kind, j_max, "json"))

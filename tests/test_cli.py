@@ -23,7 +23,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hypident
-from hypident import cli, hypergeom, identity, triangles
+from hypident import cli, hypergeom, identity, render, triangles
+# as runner: test_forked_* name their worker count workers
+from hypident import workers as runner
 from hypident.factorial_basis import FallingPoly, poly_eval
 from hypident.identity import (
     MODES,
@@ -328,8 +330,8 @@ def test_render_round_trips(cell, fmt, micros):
     """JSON and CSV reports parse back to the same N, j, lhs, rhs and
     verdict, whatever the verdict says, with the given micros on every row."""
     reports = reports_of(cell)
-    head, _, _, tail = cli._FORMATS[fmt]
-    out = head + cli._render_reports(cell, fmt, micros) + tail
+    head, _, sep, tail = render._FORMATS[fmt]
+    out = "".join(render.pieces(head, sep, tail, [render._render_reports(cell, fmt, micros)]))
     if fmt == "json":
         got = [
             (row["N"], row["j"], int(row["lhs"]), int(row["rhs"]), row["equal"], row["micros"])
@@ -347,17 +349,26 @@ def test_render_round_trips(cell, fmt, micros):
 
 
 @given(st.lists(cell_reports(min_size=1), min_size=1, max_size=3),
-       st.sampled_from(["json", "csv", "plain"]), st.integers(0, 10**9))
+       st.sampled_from(["json", "csv", "plain"]), st.integers(0, 10**9),
+       st.lists(st.lists(exact_values, min_size=1, max_size=4), min_size=1, max_size=3),
+       st.sampled_from(triangles.KINDS))
 @pytest.mark.usefixtures("no_digit_limit")
-def test_cells_with_framing_give_the_whole_document(cells, fmt, micros):
-    """The framing around the cells that _render_reports writes, whatever
-    the cell boundaries, gives the bytes of the report rendered in one
-    piece (JSON by json.dumps(rows, indent=2))."""
-    head, _, sep, tail = cli._FORMATS[fmt]
-    streamed = head + sep.join(
-        cli._render_reports(cell, fmt, micros) for cell in cells) + tail
+def test_cells_with_framing_give_the_whole_document(cells, fmt, micros, rows, kind):
+    """The one join, render.pieces, writes the framing around the cells
+    that _render_reports writes, whatever the cell boundaries, and gives
+    the bytes of the report rendered in one piece (JSON by
+    json.dumps(rows, indent=2)); around table rows in JSON, it gives the
+    bytes of json.dumps of the dump's object."""
+    head, _, sep, tail = render._FORMATS[fmt]
+    streamed = "".join(render.pieces(head, sep, tail, [
+        render._render_reports(cell, fmt, micros) for cell in cells]))
     assert streamed == report_document(
         [r for cell in cells for r in reports_of(cell)], fmt, micros)
+    head, row, sep, tail = render._TABLE_FORMATS["json"]
+    dumped = "".join(render.pieces(head.format(kind=kind, j_max=len(rows)), sep, tail,
+                                   map(row, rows)))
+    doc = {"kind": kind, "max_level": len(rows), "rows": [list(map(str, r)) for r in rows]}
+    assert dumped == json.dumps(doc, indent=2) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -393,7 +404,7 @@ def test_verify_writes_each_cell_before_the_next(monkeypatch, capsys, forks, fmt
     monkeypatch.setattr(cli, "_open_out", lambda path: contextlib.nullcontext(out))
     cpus(monkeypatch, 2)
     written = []
-    right_cell, right_frame = cli._sweep_cell, cli._read_frame
+    right_cell, right_frame = cli._sweep_cell, runner._read_frame
 
     def cell(c):
         written.append((c[0], out.getvalue()))
@@ -406,7 +417,7 @@ def test_verify_writes_each_cell_before_the_next(monkeypatch, capsys, forks, fmt
     # A worker's cells run in its own process, so the pooled sweep is seen
     # where the parent reads each frame.
     monkeypatch.setattr(cli, "_sweep_cell", cell)
-    monkeypatch.setattr(cli, "_read_frame", frame)
+    monkeypatch.setattr(runner, "_read_frame", frame)
     code, _, _ = run_cli(capsys, "verify", "--j", "2..5", "--n", "1..3", "--format", fmt,
                          "--parallelism", str(parallelism))
     assert code == 0
@@ -620,9 +631,9 @@ def test_sweep_config_rejects_a_non_bool_timings(monkeypatch, value):
 
 def cpus(monkeypatch, count):
     """Let a sweep see count CPUs, whichever way it counts them."""
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(count)),
+    monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: set(range(count)),
                         raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: count)
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: count)
 
 
 @pytest.fixture
@@ -638,7 +649,7 @@ def forks(monkeypatch):
             started.append(pid)
         return pid
 
-    monkeypatch.setattr(cli.os, "fork", counted)
+    monkeypatch.setattr(runner.os, "fork", counted)
     yield started
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -654,16 +665,16 @@ def test_pool_is_capped_at_cpu_count(monkeypatch, forks):
     assert pooled[1] == serial[1]
     assert len(forks) == 3
     # without an affinity set, os.cpu_count() is the count, and None is 1
-    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    monkeypatch.delattr(runner.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: None)
     assert swept(config) == serial
     assert len(forks) == 3
 
 
 def test_pool_is_capped_at_the_affinity_set(monkeypatch, forks):
     """A process allowed on one CPU of two runs its sweep serially."""
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
     config = cli.SweepConfig(1, 4, 1, 3, parallelism=2)
     assert swept(config) == swept(config._replace(parallelism=1))
     assert forks == []
@@ -683,7 +694,7 @@ def test_a_sweep_without_fork_or_beside_a_thread_is_serial(monkeypatch, forks):
         waiting.join(60)
     assert not waiting.is_alive()
     assert forks == []
-    monkeypatch.delattr(cli.os, "fork")
+    monkeypatch.delattr(runner.os, "fork")
     assert swept(config) == serial
 
 
@@ -741,13 +752,13 @@ def test_read_frame_reads_one_cell_per_value():
     cells = [cli._sweep_task(cli.SweepConfig(7, 7, 1, 2, fmt="json"), 7),
              ("j=8 N=1 lhs=1 rhs=2 equal=false\n", ["FAIL j=8 N=1 lhs=1 rhs=2", "FAIL x"])]
     reader = io.BytesIO(b"".join(map(marshal.dumps, cells)))
-    assert [cli._read_frame(reader, j) for j in (7, 8)] == cells
+    assert [runner._read_frame(reader, j) for j in (7, 8)] == cells
     assert reader.read() == b""
 
 
 def test_read_frame_names_a_failed_worker():
     with pytest.raises(RuntimeError, match="^worker for j=7 failed: ValueError: x$"):
-        cli._read_frame(io.BytesIO(marshal.dumps("ValueError: x")), 7)
+        runner._read_frame(io.BytesIO(marshal.dumps("ValueError: x")), 7)
 
 
 def test_read_frame_names_a_worker_that_died_mid_cell():
@@ -756,7 +767,7 @@ def test_read_frame_names_a_worker_that_died_mid_cell():
     data = marshal.dumps(("j=7 N=1 lhs=1 rhs=2 equal=false\n", ["FAIL j=7 N=1 lhs=1 rhs=2"]))
     for size in range(len(data)):
         with pytest.raises(RuntimeError, match="^worker for j=7 died$"):
-            cli._read_frame(io.BytesIO(data[:size]), 7)
+            runner._read_frame(io.BytesIO(data[:size]), 7)
 
 
 def toy_task(j):
@@ -767,7 +778,7 @@ def toy_task(j):
 def test_forked_yields_task_results_in_j_order(forks, workers):
     """Seven js on one to four workers, so the shares are unequal: the
     results come back in j order whatever worker ran each."""
-    assert list(cli._forked(toy_task, range(5, 12), workers)) == [
+    assert list(runner._forked(toy_task, range(5, 12), workers)) == [
         (str(j), [f"x{j}"]) for j in range(5, 12)
     ]
     assert len(forks) == workers
@@ -794,7 +805,7 @@ def test_forked_names_the_j_of_a_failed_or_dead_worker(forks, task, error, worke
     """A task that raises, or a worker that exits, at j = 8 ends the
     results with one RuntimeError naming j = 8, after those of 5, 6 and 7;
     every worker is reaped (the forks fixture)."""
-    results = cli._forked(task, range(5, 12), workers)
+    results = runner._forked(task, range(5, 12), workers)
     assert [next(results) for _ in range(3)] == [toy_task(j) for j in (5, 6, 7)]
     with pytest.raises(RuntimeError, match=f"^{re.escape(error)}$"):
         next(results)
@@ -804,7 +815,7 @@ def test_forked_names_the_j_of_a_failed_or_dead_worker(forks, task, error, worke
 def test_closing_forked_kills_and_reaps_every_worker(forks):
     """Closed after its first result, _forked kills the workers, busy
     with later js, and waits on each one (the forks fixture) at once."""
-    results = cli._forked(lambda j: time.sleep(60) if j > 5 else toy_task(j), range(5, 12), 3)
+    results = runner._forked(lambda j: time.sleep(60) if j > 5 else toy_task(j), range(5, 12), 3)
     assert next(results) == toy_task(5)
     start = time.perf_counter()
     results.close()
@@ -1775,6 +1786,8 @@ def test_import_hypident_imports_no_dataclasses():
     assert "hypident.identity" in modules
     assert pool_or_dataclasses(modules) == []
     assert "typing" not in modules
+    # the library writes its documents, but never loads the fork runner
+    assert "hypident.render" in modules and not {"hypident.workers", "hypident.cli"} & modules
 
 
 def test_a_pooled_sweep_imports_no_pool():
@@ -1782,7 +1795,7 @@ def test_a_pooled_sweep_imports_no_pool():
     multiprocessing; only its forked workers import signal."""
     modules = imported_modules("-m", "hypident", "verify", "--j", "1..2", "--n", "1..3",
                                "--parallelism", "2")
-    assert ("signal" in modules) == (cli._cpus() > 1 and hasattr(os, "fork"))
+    assert ("signal" in modules) == (runner._cpus() > 1 and hasattr(os, "fork"))
     assert pool_or_dataclasses(modules) == []
 
 

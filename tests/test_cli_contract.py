@@ -11,7 +11,7 @@ with one ``error:`` line. A bad point (N, j) gets one error, the same
 from every route, check and command that takes it, and so does a bad
 map-count input (g, j, nu). The bounds are
 patched down so that examples
-near and past them stay quick, each within a deadline, and ``cli._cpus``
+near and past them stay quick, each within a deadline, and ``workers._cpus``
 reads 1 so that no example forks.
 """
 
@@ -30,7 +30,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypident import cli, identity
+from hypident import cli, identity, workers
 from hypident.hypergeom import lhs_direct
 from hypident.identity import (
     MODES, IdentityPoint, MapCountSpec, check_cell, check_identity, lhs_fast, map_summand,
@@ -135,7 +135,7 @@ def run(argv):
             mock.patch.object(cli, "MAX_GRID", MAX_GRID), \
             mock.patch.object(cli, "MAX_MAPCOUNT_COST", MAX_MAPCOUNT_COST), \
             mock.patch.object(identity, "MAX_COEFF_FILE_BYTES", MAX_COEFF_FILE_BYTES), \
-            mock.patch.object(cli, "_cpus", lambda: 1), \
+            mock.patch.object(workers, "_cpus", lambda: 1), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
