@@ -47,7 +47,7 @@ from .identity import (
     mapcount_spec_from_file,
     rhs_fast,
 )
-from .render import FORMATS, _render_reports, report
+from .render import FORMATS, TABLE_FORMATS, _render_reports, report
 from .triangles import KINDS, table_pieces
 from .workers import run_tasks
 
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("kind", choices=KINDS, help="which triangle")
     p_table.add_argument("--jmax", type=_int, required=True,
                          help=f"top level to dump (1 <= jmax <= {MAX_J})")
-    p_table.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_table.add_argument("--format", choices=TABLE_FORMATS, default="csv")
     p_table.add_argument("--out", metavar="FILE", default=None)
     p_table.set_defaults(func=cmd_table)
 

@@ -40,9 +40,11 @@ coefficient file; this package never fabricates them). ``map_summand``
 exposes one weightless term of that sum, and ``summand_equivalence``
 checks the nu = 2 statement that ties each term back to the identity with
 N = 2g-1+l. One check, ``_check_map_domain``, serves ``map_summand`` and
-``MapCountSpec``, and ``map_count`` checks no term again. Only these
-map-count functions use ``fractions`` and ``json``, so they import them,
-and checking the identity loads neither.
+``MapCountSpec``, and ``map_count`` checks no term again. The one loader
+of a coefficient file, ``mapcount_spec_from_file``, checks the caller's j
+and the file's shape, and ``MapCountSpec`` the rest. Only these map-count
+functions use ``fractions`` and ``json``, so they import them, and
+checking the identity loads neither.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from .triangles import l_poly, r_poly
 
 __all__ = [
     "CellReport",
-    "CoefficientLengthMismatch",
     "IdentityPoint",
     "MapCountSpec",
     "VerifyReport",
@@ -71,7 +72,6 @@ __all__ = [
     "map_count",
     "map_summand",
     "mapcount_spec_from_file",
-    "mapcount_spec_from_obj",
     "rhs_direct",
     "rhs_direct_run",
     "rhs_fast",
@@ -85,10 +85,6 @@ MODES = ("direct", "fast", "cross")
 # The bound holds a weight's digits to the file's bytes only because a
 # weight in exponent notation ("1e1000000") is rejected before it is parsed.
 MAX_COEFF_FILE_BYTES = 2**18
-
-
-class CoefficientLengthMismatch(ValueError):
-    """Coefficient vector length differs from the required 3g."""
 
 
 class IdentityPoint(namedtuple("IdentityPoint", "N j")):
@@ -290,12 +286,13 @@ class MapCountSpec(namedtuple("MapCountSpec", "nu g j a")):
     """Inputs for one map count: half-valence nu, genus g, vertices j,
     and the 3g externally supplied weights a.
 
-    g, j and nu are checked first, by ``map_summand``'s check. Each weight
-    must be an int, a Fraction or a rational string such as "-3/4", stored
-    as a Fraction. Bools and floats are rejected, so no inexact value
-    reaches the count, as are strings with "_", in exponent notation or
-    with non-ASCII characters (Fraction reads them). Any other fault is a
-    ValueError naming it.
+    g, j and nu are checked first, by ``map_summand``'s check; then a, a
+    list or tuple (a string is not split), each weight, and their number.
+    A weight is an int, a Fraction or a rational string such as "-3/4",
+    stored as a Fraction. Bools and floats are rejected, so no inexact
+    value reaches the count, as are strings with "_", in exponent notation
+    or with non-ASCII characters (Fraction reads them). Any other fault is
+    a ValueError naming it.
     """
 
     __slots__ = ()
@@ -325,9 +322,7 @@ class MapCountSpec(namedtuple("MapCountSpec", "nu g j a")):
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"a[{idx}]: malformed rational {entry!r} ({exc})") from None
         if len(weights) != 3 * g:
-            raise CoefficientLengthMismatch(
-                f"need 3g = {3 * g} coefficients, got {len(weights)}"
-            )
+            raise ValueError(f"need 3g = {3 * g} coefficients, got {len(weights)}")
         return super().__new__(cls, nu, g, j, tuple(weights))
 
 
@@ -349,50 +344,37 @@ def map_count(spec: MapCountSpec) -> Fraction:
     return prefactor * total
 
 
-def mapcount_spec_from_obj(obj: object, j: int) -> MapCountSpec:
-    """Build a MapCountSpec from a decoded coefficient-file object.
-
-    Expected shape: {"nu": int, "g": int, "a": [entries]}, each entry a
-    rational string ("7", "-3/4") or a JSON integer, and no other key. j is
-    checked first, as MapCountSpec checks it; then the shape, a ValueError
-    naming the key; then the values, by MapCountSpec, with its exceptions.
-    """
-    _check_map_domain(1, 0, j, 2)  # j alone: g = 1, l = 0 and nu = 2 are in range
-    if not isinstance(obj, dict):
-        raise ValueError("coefficient file must contain a JSON object")
-    missing = [key for key in ("nu", "g", "a") if key not in obj]
-    if missing:
-        raise ValueError(f"coefficient file is missing key(s): {', '.join(missing)}")
-    unknown = [key for key in obj if key not in ("nu", "g", "a")]
-    if unknown:
-        names = ", ".join(map(repr, unknown))
-        raise ValueError(f"coefficient file has unknown key(s): {names}")
-    if not isinstance(obj["a"], list):
-        raise ValueError("'a' must be an array of rational strings")
-    return MapCountSpec(nu=obj["nu"], g=obj["g"], j=j, a=tuple(obj["a"]))
-
-
 def mapcount_spec_from_file(path: str, j: int) -> MapCountSpec:
-    """Load and validate a JSON coefficient file (see mapcount_spec_from_obj).
-
-    j is checked before the file is opened. A file above MAX_COEFF_FILE_BYTES
-    is a ValueError before it is parsed: at most that many bytes plus one are
-    read, so an endless pipe fails too. Any later ValueError names the file.
+    """Load and validate a JSON coefficient file {"nu": int, "g": int,
+    "a": [entries]}, no other key, each entry a rational string ("7",
+    "-3/4") or a JSON integer. j is checked first, before the file is
+    opened, as MapCountSpec checks it. A file above MAX_COEFF_FILE_BYTES is
+    a ValueError before it is parsed: at most that many bytes plus one are
+    read, so an endless pipe fails too. Then come the shape and the values,
+    by MapCountSpec; each fault of the file is a ValueError naming the file.
     """
     import json
 
-    _check_map_domain(1, 0, j, 2)
+    _check_map_domain(1, 0, j, 2)  # j alone: g = 1, l = 0 and nu = 2 are in range
     with open(path, "rb") as fh:
         data = fh.read(MAX_COEFF_FILE_BYTES + 1)
     if len(data) > MAX_COEFF_FILE_BYTES:
         raise ValueError(f"{path}: size is above the bound of {MAX_COEFF_FILE_BYTES} bytes")
     try:
-        return mapcount_spec_from_obj(json.loads(data.decode("utf-8")), j)
+        obj = json.loads(data.decode("utf-8"))
+        if not isinstance(obj, dict):
+            raise ValueError("coefficient file must contain a JSON object")
+        missing = [key for key in ("nu", "g", "a") if key not in obj]
+        if missing:
+            raise ValueError(f"coefficient file is missing key(s): {', '.join(missing)}")
+        unknown = [key for key in obj if key not in ("nu", "g", "a")]
+        if unknown:
+            names = ", ".join(map(repr, unknown))
+            raise ValueError(f"coefficient file has unknown key(s): {names}")
+        return MapCountSpec(nu=obj["nu"], g=obj["g"], j=j, a=obj["a"])
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
-    except ValueError as exc:  # the spec's own checks; keeps the class
-        raise type(exc)(f"{path}: {exc}") from None
-    except TypeError as exc:  # a nu or g that is not an int: outside input, so a usage error
+    except (ValueError, TypeError) as exc:  # outside input: a TypeError too is a usage error
         raise ValueError(f"{path}: {exc}") from None

@@ -40,6 +40,8 @@ _TABLE_FORMATS = {
              lambda row: '    [\n      "' + '",\n      "'.join(map(str, row)) + '"\n    ]',
              ",\n", "\n  ]\n}\n"),
 }
+# The dump formats, for the command line to offer.
+TABLE_FORMATS = tuple(_TABLE_FORMATS)
 
 
 def pieces(head: str, sep: str, tail: str, texts: Iterable[str]) -> Iterator[str]:

@@ -1,6 +1,9 @@
+import json
 import pickle
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -12,7 +15,6 @@ from hypident.factorial_basis import FallingPoly, falling
 from hypident.hypergeom import lhs_direct, lhs_direct_run
 from hypident.identity import (
     CellReport,
-    CoefficientLengthMismatch,
     IdentityPoint,
     MapCountSpec,
     VerifyReport,
@@ -23,7 +25,6 @@ from hypident.identity import (
     map_count,
     map_summand,
     mapcount_spec_from_file,
-    mapcount_spec_from_obj,
     rhs_direct,
     rhs_direct_run,
     rhs_fast,
@@ -466,8 +467,9 @@ def test_map_count_linear_in_weights():
 
 
 def test_map_count_spec_validation():
-    with pytest.raises(CoefficientLengthMismatch):
+    with pytest.raises(ValueError, match=r"^need 3g = 3 coefficients, got 2$") as info:
         MapCountSpec(2, 1, 1, (1, 0))
+    assert info.type is ValueError
     with pytest.raises(ValueError):
         MapCountSpec(1, 1, 1, (1, 0, 0))
     with pytest.raises(ValueError):
@@ -532,30 +534,40 @@ def test_spec_accepts_ascii_spaces():
 
 # -- coefficient files --------------------------------------------------------
 
-def test_spec_from_obj_parses_rationals():
-    spec = mapcount_spec_from_obj({"nu": 3, "g": 1, "a": ["1/2", "-3", 4]}, j=2)
+def test_spec_from_obj_parses_rationals(tmp_path):
+    path = tmp_path / "coeffs.json"
+    path.write_text('{"nu": 3, "g": 1, "a": ["1/2", "-3", 4]}', encoding="utf-8")
+    spec = mapcount_spec_from_file(str(path), j=2)
     assert spec.a == (Fraction(1, 2), Fraction(-3), Fraction(4))
     assert spec.nu == 3 and spec.g == 1 and spec.j == 2
 
 
 @pytest.mark.parametrize(
-    "obj, error",
+    "obj, message",
     [
-        ([], ValueError),  # not an object
-        ({"nu": 2, "g": 1}, ValueError),  # missing a
+        ([], "coefficient file must contain a JSON object"),
+        ({"nu": 2, "g": 1}, "coefficient file is missing key(s): a"),
         # nu and g are MapCountSpec's ints: the package's one int check
-        ({"nu": "2", "g": 1, "a": ["0", "0", "0"]}, TypeError),
-        ({"nu": 2, "g": True, "a": ["0", "0", "0"]}, TypeError),
-        ({"nu": 2, "g": 1, "a": "000"}, ValueError),
-        ({"nu": 2, "g": 1, "a": ["0", "x", "0"]}, ValueError),
-        ({"nu": 2, "g": 1, "a": ["0", "1/0", "0"]}, ValueError),
-        ({"nu": 2, "g": 1, "a": ["0", True, "0"]}, ValueError),
-        ({"nu": 2, "g": 1, "a": ["0", 0.5, "0"]}, ValueError),
+        ({"nu": "2", "g": 1, "a": ["0", "0", "0"]}, "nu must be an int, got str"),
+        ({"nu": 2, "g": True, "a": ["0", "0", "0"]}, "g must be an int, got bool"),
+        ({"nu": 2, "g": 1, "a": "000"}, "'a' must be a list or tuple of weights, got str"),
+        ({"nu": 2, "g": 1, "a": ["0", "x", "0"]},
+         "a[1]: malformed rational 'x' (Invalid literal for Fraction: 'x')"),
+        ({"nu": 2, "g": 1, "a": ["0", "1/0", "0"]},
+         "a[1]: malformed rational '1/0' (Fraction(1, 0))"),
+        ({"nu": 2, "g": 1, "a": ["0", True, "0"]}, "a[1]: booleans are not rationals"),
+        ({"nu": 2, "g": 1, "a": ["0", 0.5, "0"]},
+         "a[1]: expected a rational string or integer, got 0.5"),
     ],
 )
-def test_spec_from_obj_rejects_malformed(obj, error):
-    with pytest.raises(error):
-        mapcount_spec_from_obj(obj, j=1)
+def test_spec_from_obj_rejects_malformed(tmp_path, obj, message):
+    """Each fault of a decoded object is one ValueError naming the file and
+    the fault; a nu or g that is not an int is outside input too."""
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        mapcount_spec_from_file(str(path), j=1)
+    assert type(info.value) is ValueError and str(info.value) == f"{path}: {message}"
 
 
 def test_spec_from_file(tmp_path):
@@ -578,9 +590,9 @@ def test_spec_from_file(tmp_path):
 ])
 @pytest.mark.parametrize("name", ["ok.json", "missing.json", "bad.json"])
 def test_loaders_check_the_callers_j_first(tmp_path, name, j, exc_type, message):
-    """A bad j is the caller's fault, not the file's: both loaders raise
-    MapCountSpec's class and message for it before the file is opened or
-    the object is read, with no path prefix, whatever the file holds."""
+    """A bad j is the caller's fault, not the file's: the loader raises
+    MapCountSpec's class and message for it before the file is opened, with
+    no path prefix, whatever the file holds."""
     (tmp_path / "ok.json").write_text('{"nu": 2, "g": 1, "a": ["1", "0", "0"]}', encoding="utf-8")
     (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
     with pytest.raises(exc_type) as info:
@@ -589,27 +601,107 @@ def test_loaders_check_the_callers_j_first(tmp_path, name, j, exc_type, message)
     with pytest.raises(exc_type) as info:
         mapcount_spec_from_file(str(tmp_path / name), j)
     assert type(info.value) is exc_type and str(info.value) == message
-    for obj in ({"nu": 2, "g": 1, "a": ["1", "0", "0"]}, {"nu": None, "g": 0}, []):
-        with pytest.raises(exc_type) as info:
-            mapcount_spec_from_obj(obj, j)
-        assert type(info.value) is exc_type and str(info.value) == message
 
 
-@pytest.mark.parametrize("text, exc_type, message", [
-    ('{"nu": 2, "g": 1, "a": ["1", "0"]}', CoefficientLengthMismatch,
-     "need 3g = 3 coefficients, got 2"),
-    ('{"nu": 2, "g": 1, "a": ["1", "0", "1_000"]}', ValueError,
-     "a[2]: digit separators are not accepted"),
-    ('{"nu": 2, "g": 1}', ValueError, "coefficient file is missing key(s): a"),
-    ('{"nu": 2, "g": 1, "a": ["1", "0", "0"], "x": 1, "j": 5}', ValueError,
+@pytest.mark.parametrize("text, message", [
+    ('{"nu": 2, "g": 1, "a": ["1", "0"]}', "need 3g = 3 coefficients, got 2"),
+    ('{"nu": 2, "g": 1, "a": ["1", "0", "1_000"]}', "a[2]: digit separators are not accepted"),
+    ('{"nu": 2, "g": 1}', "coefficient file is missing key(s): a"),
+    ('{"nu": 2, "g": 1, "a": ["1", "0", "0"], "x": 1, "j": 5}',
      "coefficient file has unknown key(s): 'x', 'j'"),
 ], ids=["length", "separator", "missing-key", "unknown-keys"])
-def test_spec_from_file_names_the_file(tmp_path, text, exc_type, message):
-    """A value error from the file's contents is prefixed with the path and
-    keeps its class."""
+def test_spec_from_file_names_the_file(tmp_path, text, message):
+    """A fault of the file's contents is a ValueError prefixed with the path."""
     path = tmp_path / "coeffs.json"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError) as info:
         mapcount_spec_from_file(str(path), j=1)
-    assert type(info.value) is exc_type
+    assert type(info.value) is ValueError
     assert str(info.value) == f"{path}: {message}"
+
+
+def _first_fault(path, g, j, nu, a):
+    """README's order of a coefficient file's faults, as (class, message),
+    or None: the caller's j first, unprefixed; then the types of g and nu,
+    their ranges, a non-list a, the first malformed weight, and last the
+    number of weights, each a ValueError naming the file. a is a list of
+    (weight, fault) pairs, fault None for a good weight, or any other value."""
+    if type(j) is not int:
+        return TypeError, f"j must be an int, got {type(j).__name__}"
+    if j < 1:
+        return ValueError, f"j = {j} must be >= 1"
+    for name, value in (("g", g), ("nu", nu)):
+        if type(value) is not int:
+            return ValueError, f"{path}: {name} must be an int, got {type(value).__name__}"
+    if g < 1:
+        return ValueError, f"{path}: g = {g} must be >= 1"
+    if nu < 2:
+        return ValueError, f"{path}: nu = {nu} must be >= 2"
+    if not isinstance(a, list):
+        return ValueError, f"{path}: 'a' must be a list or tuple of weights, got {type(a).__name__}"
+    for idx, (_, fault) in enumerate(a):
+        if fault:
+            return ValueError, f"{path}: a[{idx}]: {fault}"
+    if len(a) != 3 * g:
+        return ValueError, f"{path}: need 3g = {3 * g} coefficients, got {len(a)}"
+    return None
+
+
+NOT_INTS = st.sampled_from(["1", 1.0, True, None, [1]])
+GOOD_WEIGHTS = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-3/4", "0.25"]))
+BAD_WEIGHTS = st.sampled_from([
+    (True, "booleans are not rationals"),
+    (0.5, "expected a rational string or integer, got 0.5"),
+    ("2e3", "exponent notation is not accepted; use p/q"),
+    ("1_0", "digit separators are not accepted"),
+    ("x", "malformed rational 'x' (Invalid literal for Fraction: 'x')"),
+])
+
+
+@given(
+    g=st.one_of(st.integers(-1, 2), NOT_INTS),
+    j=st.one_of(st.integers(-1, 2), st.sampled_from([1.5, True])),
+    nu=st.one_of(st.integers(0, 3), NOT_INTS),
+    a=st.one_of(
+        st.sampled_from(["000", "x", 5, {"0": 1}, None, True]),
+        st.lists(st.one_of(GOOD_WEIGHTS.map(lambda w: (w, None)), BAD_WEIGHTS), max_size=7),
+    ),
+)
+@example(g=1, j=1, nu=2, a="000")
+@example(g=1, j=1, nu=1, a="x")
+@example(g=1.0, j=1, nu=True, a=[("x", "malformed rational 'x' (...)")])
+@example(g=0, j=0, nu="1", a=5)
+@example(g=1, j=2, nu=3, a=[(1, None), ("1/2", None), (0, None)])
+def test_a_file_reports_its_first_fault_in_the_documented_order(g, j, nu, a):
+    """A file holding several faults at once fails on the one README's
+    order puts first, with that fault's class and message; a file with
+    none loads."""
+    weights = [w for w, _ in a] if isinstance(a, list) else a
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "coeffs.json"
+        path.write_text(json.dumps({"nu": nu, "g": g, "a": weights}), encoding="utf-8")
+        expected = _first_fault(path, g, j, nu, a)
+        if expected is None:
+            assert mapcount_spec_from_file(str(path), j) == MapCountSpec(nu, g, j, weights)
+            return
+        with pytest.raises(expected[0]) as info:
+            mapcount_spec_from_file(str(path), j)
+    assert type(info.value) is expected[0] and str(info.value) == expected[1]
+
+
+def test_a_good_file_checks_the_map_domain_twice(tmp_path, monkeypatch):
+    """The loader checks the caller's j once, and MapCountSpec checks g, j
+    and nu once: two calls of the one domain check, and no third."""
+    calls = []
+    check = identity._check_map_domain
+
+    def counted(*args):
+        calls.append(args)
+        check(*args)
+
+    monkeypatch.setattr(identity, "_check_map_domain", counted)
+    path = tmp_path / "coeffs.json"
+    path.write_text('{"nu": 3, "g": 2, "a": ["1", "0", "-1/2", "4", "0", "7"]}', encoding="utf-8")
+    spec = mapcount_spec_from_file(str(path), 5)
+    assert calls == [(1, 0, 5, 2), (2, 0, 5, 3)]
+    assert spec == (3, 2, 5, (1, 0, Fraction(-1, 2), 4, 0, 7))

@@ -5,7 +5,9 @@ validated on construction, compare by value, hash by their fields and
 cannot be changed once built.
 """
 
+import json
 import pickle
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from hypident.identity import (
     IdentityPoint,
     MapCountSpec,
     VerifyReport,
-    mapcount_spec_from_obj,
+    mapcount_spec_from_file,
 )
 
 POINT = IdentityPoint(3, 2)
@@ -166,13 +168,19 @@ def _outcome(build):
 
 @given(obj=st.one_of(VALID_OBJECT, ANY_OBJECT), j=st.integers(-1, 4))
 def test_spec_from_obj_agrees_with_map_count_spec(obj, j):
-    """The loader accepts exactly what MapCountSpec accepts and fails with
-    the same exception and message, except that the caller's j is checked
-    first: a bad j fails as MapCountSpec fails for that j alone."""
+    """The loader, given obj as a file, accepts exactly what MapCountSpec
+    accepts and fails with its message after the file's path, as a
+    ValueError, except that the caller's j is checked first: a bad j fails
+    as MapCountSpec fails for that j alone, with no prefix."""
     direct = _outcome(lambda: MapCountSpec(2, 1, j, (0, 0, 0)))
-    if direct[0] == "ok":
-        direct = _outcome(lambda: MapCountSpec(obj["nu"], obj["g"], j, tuple(obj["a"])))
-    assert _outcome(lambda: mapcount_spec_from_obj(obj, j)) == direct
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "coeffs.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        if direct[0] == "ok":
+            direct = _outcome(lambda: MapCountSpec(obj["nu"], obj["g"], j, obj["a"]))
+            if direct[0] != "ok":
+                direct = ValueError, f"{path}: {direct[1]}"
+        assert _outcome(lambda: mapcount_spec_from_file(str(path), j)) == direct
     if direct[0] == "ok":
         spec = direct[1]
         assert (spec.nu, spec.g, spec.j) == (obj["nu"], obj["g"], j)
