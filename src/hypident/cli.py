@@ -151,7 +151,8 @@ def run_sweep(config: SweepConfig, out: TextIO) -> list[str]:
     """Run the grid, one cell per j by workers.run_tasks, and write its
     report to out by render.report, each cell's rows (ordered by N) in j
     order as soon as the cell is checked. Return the FAIL line of every
-    failing point, in (j, N) order; keep no cell's values after its rows."""
+    failing point, in (j, N) order; keep no cell's values after its rows.
+    A cell that raises ends it with run_tasks' RuntimeError at every K."""
     failures: list[str] = []
 
     def rows(cells: Iterator[tuple[str, list[str]]]) -> Iterator[str]:
@@ -350,10 +351,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except Exception as exc:
         # Any other exception is a fault of the program, never a disagreement
-        # of the identity (exit 1), whatever the parallelism: a failed
-        # integrality check (ArithmeticError), a worker that failed or died
-        # (the sweep raises RuntimeError naming its j), or a bug here, which
-        # is named TYPE: MESSAGE, as a failed worker names its exception.
+        # of the identity (exit 1), whatever the parallelism: a sweep cell
+        # that raised or whose worker died (the sweep raises RuntimeError
+        # naming its j), a failed integrality check (ArithmeticError), or a
+        # bug here, which is named TYPE: MESSAGE, as a failed cell names its
+        # exception.
         if not isinstance(exc, (ArithmeticError, RuntimeError)):
             exc = f"{type(exc).__name__}: {exc}"
         print(f"internal error: {exc}", file=sys.stderr)

@@ -1,8 +1,7 @@
-"""Exact integer/rational scalars shared by every other module.
-
-All arithmetic in this package is exact: integers are Python's unbounded
-``int``, rationals are ``fractions.Fraction`` (always canonical: positive
-denominator, gcd-reduced, structural equality). No floats anywhere.
+"""Exact integer scalars shared by every other module: Python's own
+arithmetic behind one check, ``_check_int`` (an argument that is not an
+int, a bool included, is a TypeError). A helper checks a range itself only
+where Python would return a value instead of raising. No floats anywhere.
 """
 
 from __future__ import annotations
@@ -24,24 +23,10 @@ def _check_int(name: str, value: int) -> None:
 
 
 def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k) with zero-fill for out-of-range indices.
-
-    Returns the ordinary coefficient for n >= k >= 0 and 0 whenever k < 0
-    or k > n >= 0. The exceptional value C(-1, -1) = 1 is not honored
-    here: exactly one term of one telescoping sum needs that convention
-    (k = 1 at i = 2 in ``triangles.vanishing_sum``), and that sum writes
-    the term out itself.
-
-    Raises ValueError for negative n with k >= 0: no generalized
-    (Pochhammer) extension is provided. k > n >= 0 is ``math.comb``'s own
-    zero.
-    """
+    """Binomial coefficient C(n, k) by ``math.comb``: 0 for k > n >= 0, and
+    a ValueError naming the argument for a negative n or k."""
     _check_int("n", n)
     _check_int("k", k)
-    if k < 0:
-        return 0
-    if n < 0:
-        raise ValueError(f"binomial({n}, {k}): negative n is not supported")
     return math.comb(n, k)
 
 
@@ -52,7 +37,9 @@ def factorial(n: int) -> int:
 
 
 def double_factorial_odd(j: int) -> int:
-    """Odd double factorial (2j-1)!! = 1 * 3 * ... * (2j-1), by ``math.prod``; 1 for j = 0."""
+    """Odd double factorial (2j-1)!! = 1 * 3 * ... * (2j-1), by ``math.prod``;
+    1 for j = 0. j < 0 is checked here, because ``math.prod`` over the
+    empty range would return 1."""
     _check_int("j", j)
     if j < 0:
         raise ValueError(f"double_factorial_odd({j}): j must be >= 0")
@@ -60,8 +47,6 @@ def double_factorial_odd(j: int) -> int:
 
 
 def pow2(n: int) -> int:
-    """2**n for n >= 0."""
+    """2**n for n >= 0, as ``1 << n``, which raises ValueError for n < 0."""
     _check_int("n", n)
-    if n < 0:
-        raise ValueError(f"pow2({n}): n must be >= 0")
     return 1 << n

@@ -39,12 +39,12 @@ where the 3g weights a_l are supplied by the caller (typically from a JSON
 coefficient file; this package never fabricates them). ``map_summand``
 exposes one weightless term of that sum, and ``summand_equivalence``
 checks the nu = 2 statement that ties each term back to the identity with
-N = 2g-1+l. One check, ``_check_map_domain``, serves ``map_summand`` and
-``MapCountSpec``, and ``map_count`` checks no term again. The one loader
-of a coefficient file, ``mapcount_spec_from_file``, checks the caller's j
-and the file's shape, and ``MapCountSpec`` the rest. Only these map-count
-functions use ``fractions`` and ``json``, so they import them, and
-checking the identity loads neither.
+N = 2g-1+l. One check, ``_check_map_domain``, serves ``map_summand``,
+``summand_equivalence`` and ``MapCountSpec``, and ``map_count`` checks no
+term again. The one loader of a coefficient file,
+``mapcount_spec_from_file``, checks the caller's j and the file's shape, and
+``MapCountSpec`` the rest. Only these map-count functions use ``fractions``
+and ``json``, so they import them, and checking the identity loads neither.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ def _check_map_domain(g: int, l: int, j: int, nu: int) -> None:
         raise ValueError(f"nu = {nu} must be >= 2")
 
 
-def _summand(g: int, l: int, j: int, nu: int, z: Fraction) -> tuple[int, int]:
+def _summand(g: int, l: int, j: int, nu: int, z: int | Fraction) -> tuple[int, int]:
     """``map_summand`` unchecked, as a pair (num, den), with z = 1/(1-nu)."""
     num, den = _series(-j, -nu * j, 2 - 2 * g - l - j, z, j)
     return binomial(2 * g - 2 + l + j, j) * num, den
@@ -272,14 +272,14 @@ def map_summand(g: int, l: int, j: int, nu: int) -> Fraction:
 
 
 def summand_equivalence(g: int, l: int, j: int) -> bool:
-    """Does the nu = 2 summand match its hypergeometric-free form?
-
-    With N = 2g-1+l, the claim is j! * map_summand(g,l,j,2) * 2^N equal to
-    the binomial sum side at (N, j). ``map_summand`` checks g, l and j first.
-    """
-    summand = map_summand(g, l, j, 2)
+    """Does the nu = 2 summand match its hypergeometric-free form? With
+    N = 2g-1+l: is j! * map_summand(g,l,j,2) * 2^N the binomial sum side
+    at (N, j)? g, l and j are checked as ``map_summand`` checks them; at
+    nu = 2, z = 1/(1-nu) is the int -1, so the rest is integer arithmetic."""
+    _check_map_domain(g, l, j, 2)
+    num, den = _summand(g, l, j, 2, -1)
     N = 2 * g - 1 + l
-    return factorial(j) * summand * pow2(N) == rhs_direct(N, j)
+    return factorial(j) * num << N == rhs_direct(N, j) * den
 
 
 class MapCountSpec(namedtuple("MapCountSpec", "nu g j a")):

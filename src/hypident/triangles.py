@@ -224,8 +224,8 @@ def vanishing_sum(i: int, j: int) -> int:
                                        + i C(k-1, i-2)
                                        - (j+1) C(k-2, i-3) ],
     where at i = 2 the k = i-1 term needs the convention C(-1,-1) = 1
-    (and C(k-2,-1) = 0 for k >= 2); ``binomial`` zero-fills C(-1,-1), so
-    that one term is written out. For i = 1 the bracket degenerates under
+    (and C(k-2,-1) = 0 for k >= 2), which ``_vanishing_row`` writes out
+    as its b_0 = c_1 = C(2j, j+1). For i = 1 the bracket degenerates under
     pure zero-fill, so the i = 1 reduction is used instead:
     (j+1)! * [C(2j, j) - C(2j, j+1)] - (2j)!/j!.
 

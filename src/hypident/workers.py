@@ -9,9 +9,10 @@ runs js[w::W] and sends each result over its own pipe as one marshal
 value, blocking while the pipe is full, so the i-th result is the next
 value on pipe i % W. A str value names the exception that ended the
 worker, and a pipe that ends before a whole value means it died; either
-is a RuntimeError naming its j. Both ends are this interpreter, forked,
-so marshal's caveats about untrusted data and other Python versions do
-not apply. No pool module is imported, and signal only by a pooled run.
+is a RuntimeError naming its j. A task that raises here is reported as a
+worker's is. Both ends are this interpreter, forked, so marshal's
+caveats about untrusted data and other Python versions do not apply. No
+pool module is imported, and signal only by a pooled run.
 """
 
 from __future__ import annotations
@@ -25,12 +26,24 @@ from typing import BinaryIO, Callable, Iterator, NoReturn
 def run_tasks(task: Callable[[int], object], js: range, workers: int) -> Iterator[object]:
     """task(j) for each j in js, in order, from up to workers forked
     workers, or here. Either way a generator, so that closing it ends every
-    worker, whichever way its reader's loop ends."""
+    worker, whichever way its reader's loop ends, and a task that raises an
+    Exception ends it with one RuntimeError, "worker for j=J failed: TYPE:
+    MESSAGE"."""
     if hasattr(os, "fork") and threading.active_count() == 1:
         workers = min(workers, len(js), _cpus())
         if workers > 1:
             return _forked(task, js, workers)
-    return (task(j) for j in js)
+    return _serial(task, js)
+
+
+def _serial(task: Callable[[int], object], js: range) -> Iterator[object]:
+    """task(j) for each j in js, here."""
+    for j in js:
+        try:
+            result = task(j)
+        except Exception as exc:
+            raise RuntimeError(f"worker for j={j} failed: {type(exc).__name__}: {exc}") from exc
+        yield result
 
 
 def _cpus() -> int:

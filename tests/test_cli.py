@@ -139,7 +139,8 @@ def test_verify_non_integral_series_is_internal_error(capsys, monkeypatch):
                              "--mode", "direct")
     assert code == 3
     assert out == ""
-    assert err.startswith("internal error: lhs_direct(") and err.count("\n") == 1
+    assert err.startswith("internal error: worker for j=1 failed: ArithmeticError: lhs_direct(")
+    assert err.count("\n") == 1
 
 
 def test_verify_dead_worker_is_internal_error(capsys, monkeypatch):
@@ -698,32 +699,38 @@ def test_a_sweep_without_fork_or_beside_a_thread_is_serial(monkeypatch, forks):
     assert swept(config) == serial
 
 
-# An exception cell j = 3 raises, and its internal error line when the main
-# process checks the cell (K = 1, and eval) and when a worker does (K > 1).
+# An exception cell j = 3 raises, eval's exit code and stderr line when it
+# checks that cell, and verify's line at every K (exit 3). eval reads a
+# ValueError as a usage error; a sweep reports it as it reports any other.
 FAULTS = [
-    (ArithmeticError, "rigged", "worker for j=3 failed: ArithmeticError: rigged"),
-    (TypeError, "TypeError: rigged", "worker for j=3 failed: TypeError: rigged"),
-    (KeyError, "KeyError: 'rigged'", "worker for j=3 failed: KeyError: 'rigged'"),
+    (ValueError, 2, "error: rigged", "worker for j=3 failed: ValueError: rigged"),
+    (ArithmeticError, 3, "internal error: rigged",
+     "worker for j=3 failed: ArithmeticError: rigged"),
+    (TypeError, 3, "internal error: TypeError: rigged",
+     "worker for j=3 failed: TypeError: rigged"),
+    (KeyError, 3, "internal error: KeyError: 'rigged'",
+     "worker for j=3 failed: KeyError: 'rigged'"),
 ]
 VERIFY_AT = ("verify", "--j", "1..6", "--n", "1..4", "--mode", "cross", "--parallelism")
 
 
-@pytest.mark.parametrize("argv, fault, error", [
-    *(pytest.param(VERIFY_AT + ("1",), fault, here, id=f"1-{fault.__name__}")
-      for fault, here, _ in FAULTS),
-    *(pytest.param(("eval", "both", "2", "3"), fault, here, id=f"eval-{fault.__name__}")
-      for fault, here, _ in FAULTS),
-    *(pytest.param(VERIFY_AT + (k,), fault, there, id=f"{k}-{fault.__name__}")
-      for k in "23" for fault, _, there in FAULTS),
-    *(pytest.param(VERIFY_AT + (k,), None, "worker for j=3 died", id=f"{k}-died") for k in "23"),
+@pytest.mark.parametrize("argv, fault, status, error", [
+    *(pytest.param(("eval", "both", "2", "3"), fault, status, line, id=f"eval-{fault.__name__}")
+      for fault, status, line, _ in FAULTS),
+    *(pytest.param(VERIFY_AT + (k,), fault, 3, f"internal error: {there}",
+                   id=f"{k}-{fault.__name__}")
+      for k in "123" for fault, _, _, there in FAULTS),
+    *(pytest.param(VERIFY_AT + (k,), None, 3, "internal error: worker for j=3 died",
+                   id=f"{k}-died") for k in "23"),
 ])
 def test_a_failed_or_dead_worker_is_internal_error(monkeypatch, capsys, forks, argv, fault,
-                                                    error):
-    """A cell that raises, whatever the exception and whatever K, or a
-    worker that exits mid-cell, ends the command with exit 3 and one line,
-    never a traceback. A worker's line names the cell's j; the other
-    workers, still busy with later cells, are killed, and every worker is
-    reaped (the forks fixture)."""
+                                                    status, error):
+    """A sweep cell that raises, whatever the exception and whatever K, or
+    a worker that exits mid-cell, ends verify with exit 3 and one line,
+    the same at every K, never a traceback. The line names the cell's j;
+    the other workers, still busy with later cells, are killed, and every
+    worker is reaped (the forks fixture). eval checks its point here and
+    keeps main's lines."""
     right = cli._sweep_cell
 
     def cell(c):
@@ -742,8 +749,8 @@ def test_a_failed_or_dead_worker_is_internal_error(monkeypatch, capsys, forks, a
     code, _, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 30
     assert len(forks) == (k if k > 1 else 0)
-    assert code == 3
-    assert err == f"internal error: {error}\n"
+    assert code == status
+    assert err == f"{error}\n"
 
 
 def test_read_frame_reads_one_cell_per_value():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,23 +22,37 @@ def test_binomial_small_values(n, k, expected):
 def test_binomial_zero_fill_out_of_range():
     assert binomial(3, 5) == 0
     assert binomial(0, 1) == 0
-    assert binomial(7, -1) == 0
-    assert binomial(-1, -1) == 0  # k < 0 always zero-fills
+    # a negative k is math.comb's ValueError, as a negative n is
+    with pytest.raises(ValueError, match="^k must be a non-negative integer$"):
+        binomial(7, -1)
+    with pytest.raises(ValueError):
+        binomial(-1, -1)
 
 
 def test_binomial_negative_n_rejected():
     with pytest.raises(ValueError):
         binomial(-1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n must be a non-negative integer$"):
         binomial(-3, 2)
-    # ...but k < 0 zero-fill applies before the negative-n check
-    assert binomial(-3, -2) == 0
+    with pytest.raises(ValueError):
+        binomial(-3, -2)
 
 
 def test_pascal_recurrence():
     for n in range(1, 65):
-        for k in range(n + 1):
+        for k in range(1, n + 1):
             assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
+
+
+@given(n=st.integers(min_value=-200, max_value=200), k=st.integers(min_value=-200, max_value=200))
+def test_binomial_is_math_comb(n, k):
+    """C(n, k) is math.comb's for n, k >= 0, zero for k > n among them, and
+    a negative n or k is a ValueError, whichever of the two is negative."""
+    if n >= 0 and k >= 0:
+        assert binomial(n, k) == math.comb(n, k)
+    else:
+        with pytest.raises(ValueError):
+            binomial(n, k)
 
 
 def test_binomial_row_sums_are_powers_of_two():
