@@ -119,8 +119,7 @@ class SweepConfig(
             raise ValueError(f"bad j range {j_min}..{j_max}")
         if n_min > n_max:
             raise ValueError(f"bad N range {n_min}..{n_max}")
-        if parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
+        _check_int("parallelism", parallelism, 1)
         _check_mode(mode)
         if fmt not in FORMATS:
             raise ValueError(f"unknown format {fmt!r}; expected plain, json or csv")
@@ -200,18 +199,6 @@ def _span(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _bounded(name: str, value: int, bound: int) -> int:
-    if value > bound:
-        raise ValueError(f"{name} = {value} is above the bound of {bound}")
-    return value
-
-
-def _level(name: str, value: int) -> int:
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return _bounded(name, value, MAX_J)
-
-
 def _points(config: SweepConfig) -> int:
     return (config.j_max - config.j_min + 1) * (config.n_max - config.n_min + 1)
 
@@ -225,10 +212,10 @@ def _grid_size(config: SweepConfig) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _bounded("N", args.n[1], MAX_N)
-    _bounded("j", args.j[1], MAX_J)
+    _check_int("N", args.n[1], high=MAX_N)
+    _check_int("j", args.j[1], high=MAX_J)
     config = SweepConfig(*args.j, *args.n, args.mode, args.parallelism, args.format, args.timings)
-    _bounded("grid size", _grid_size(config), MAX_GRID)
+    _check_int("grid size", _grid_size(config), high=MAX_GRID)
     with _open_out(args.out) as out:
         start = time.perf_counter()
         failures = run_sweep(config, out)
@@ -248,14 +235,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    jmax = _level("--jmax", args.jmax)
+    jmax = _check_int("--jmax", args.jmax, 1, MAX_J)
     with _open_out(args.out) as out:
         out.writelines(table_pieces(args.kind, jmax, args.format))
     return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    N, j = _bounded("N", args.N, MAX_N), _bounded("j", args.j, MAX_J)
+    N, j = _check_int("N", args.N, high=MAX_N), _check_int("j", args.j, high=MAX_J)
     if args.side == "both":
         cell = _sweep_cell((j, N, N, "fast"))
         sys.stdout.write(_render_reports(cell, "plain", 0).removeprefix(f"j={j} N={N} "))
@@ -265,7 +252,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_mapcount(args: argparse.Namespace) -> int:
-    spec = mapcount_spec_from_file(args.coeff_file, _level("--j", args.j))
+    spec = mapcount_spec_from_file(args.coeff_file, _check_int("--j", args.j, 1, MAX_J))
     nu_bits = spec.nu.bit_length()
     bits = (spec.j + 2) * (2 * spec.nu + 2 * nu_bits)
     # At cap bits the d term alone is above the bound, so the lcm stops growing
@@ -276,7 +263,7 @@ def cmd_mapcount(args: argparse.Namespace) -> int:
             break
     den_bits = min(lcm.bit_length() - 1, cap)
     cost = 3 * spec.g * (spec.j + 1) * (8 + nu_bits) + (bits >> 8) ** 2 + (den_bits >> 6) ** 2
-    _bounded("map-count cost", cost, MAX_MAPCOUNT_COST)
+    _check_int("map-count cost", cost, high=MAX_MAPCOUNT_COST)
     print(map_count(spec))
     return 0
 

@@ -50,18 +50,14 @@ __all__ = [
 def falling(a: int, n: int) -> int:
     """Falling factorial (a)_n = prod_{m=0}^{n-1} (a - m), by ``math.prod``; 1 when n = 0."""
     _check_int("a", a)
-    _check_int("n", n)
-    if n < 0:  # else the empty range's product would be 1
-        raise ValueError(f"falling({a}, {n}): n must be >= 0")
+    _check_int("n", n, 0)  # else the empty range's product would be 1
     return math.prod(range(a, a - n, -1))
 
 
 def rising(a: int, n: int) -> int:
     """Rising factorial a^(n) = prod_{m=0}^{n-1} (a + m), by ``math.prod``; 1 when n = 0."""
     _check_int("a", a)
-    _check_int("n", n)
-    if n < 0:  # else the empty range's product would be 1
-        raise ValueError(f"rising({a}, {n}): n must be >= 0")
+    _check_int("n", n, 0)  # else the empty range's product would be 1
     return math.prod(range(a, a + n))
 
 
@@ -70,8 +66,8 @@ class _RecurrenceTable:
     row 0 is (1,), and row top+1 is next[0] = margin(top+1), then
     next[i] = weight(top, i) * prev[i] + prev[i-1] for 1 <= i <= top, then 1.
     Rows are published whole, so concurrent readers see only whole rows, and
-    row k < 0 is a ValueError. Sibling subclasses: ``_StirlingTable``,
-    ``_LahTable``, ``triangles.Triangle``."""
+    ``row`` checks its k by ``_check_int``, as an int >= 0, before growing.
+    Sibling subclasses: ``_StirlingTable``, ``_LahTable``, ``triangles.Triangle``."""
 
     def __init__(
         self, margin: Callable[[int], int], weight: Callable[[int, int], int]
@@ -82,9 +78,7 @@ class _RecurrenceTable:
         self._lock = threading.Lock()
 
     def row(self, k: int) -> tuple[int, ...]:
-        if k < 0:
-            raise ValueError(f"row {k}: k must be >= 0")
-        if k >= len(self._rows):
+        if _check_int("k", k, 0) >= len(self._rows):
             self._grow_to(k)
         return self._rows[k]
 
@@ -122,10 +116,8 @@ def stirling2(k: int, i: int) -> int:
     Counts partitions of a k-set into i nonempty blocks; 0 above the
     diagonal and for (i = 0, k >= 1), per the usual conventions.
     """
-    _check_int("k", k)
-    _check_int("i", i)
-    if k < 0 or i < 0:
-        raise ValueError(f"stirling2({k}, {i}): indices must be >= 0")
+    _check_int("k", k, 0)
+    _check_int("i", i, 0)
     return _STIRLING.row(k)[i] if i <= k else 0
 
 
@@ -193,9 +185,8 @@ def monomial_to_falling(k: int) -> FallingPoly:
     """The monomial x^k expressed in the falling basis.
 
     Coefficient of (x)_i is S(k, i), read as row k of the Stirling table;
-    for k = 0 this is the constant 1. k must be an int; the table rejects k < 0.
+    for k = 0 this is the constant 1. k must be an int; the row checks k.
     """
-    _check_int("k", k)
     return FallingPoly(_STIRLING.row(k))
 
 
@@ -204,7 +195,6 @@ def rising_to_falling(k: int) -> FallingPoly:
 
     Coefficient of (x)_i is the Lah number L(k, i) = C(k-1, i-1) * k!/i!
     for 1 <= i <= k, read as row k of the Lah table; for k = 0 this is the
-    constant 1. k must be an int; the table rejects k < 0.
+    constant 1. k must be an int; the row checks k.
     """
-    _check_int("k", k)
     return FallingPoly(_LAH.row(k))

@@ -57,9 +57,7 @@ def _check_run(j: int, n_min: int, n_max: int) -> None:
     """The identity's domain, checked first by each run: j an int >= 0,
     then both bounds ints (else a TypeError, bools included), and a
     non-empty run (n_min <= n_max) from N >= 1. A point is the run N..N."""
-    _check_int("j", j)
-    if j < 0:
-        raise ValueError(f"j = {j} must be >= 0")
+    _check_int("j", j, 0)
     _check_int("N", n_min)
     _check_int("N", n_max)
     if n_min < 1 and n_min <= n_max:

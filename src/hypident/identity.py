@@ -184,10 +184,8 @@ def lhs_fast(N: int, j: int) -> int:
 
 def binomial_falling_sum(N: int, i: int) -> int:
     """sum_{l=0}^{N} C(N,l) (l)_i, in closed form: 2^{N-i} (N)_i."""
-    if N < 1:
-        raise ValueError(f"binomial_falling_sum(N={N}, i={i}): N must be >= 1")
-    if not 0 <= i <= N:
-        raise ValueError(f"binomial_falling_sum(N={N}, i={i}): need 0 <= i <= N")
+    _check_int("N", N, 1)
+    _check_int("i", i, 0, N)
     return pow2(N - i) * falling(N, i)
 
 
@@ -239,14 +237,11 @@ def _check_map_domain(g: int, l: int, j: int, nu: int) -> None:
     nu >= 2, else a ValueError, each in that order."""
     for name, value in (("g", g), ("l", l), ("j", j), ("nu", nu)):
         _check_int(name, value)
-    if g < 1:
-        raise ValueError(f"g = {g} must be >= 1")
+    _check_int("g", g, 1)
     if not 0 <= l <= 3 * g - 1:
         raise ValueError(f"l = {l} must satisfy 0 <= l <= 3g-1 = {3 * g - 1}")
-    if j < 1:
-        raise ValueError(f"j = {j} must be >= 1")
-    if nu < 2:
-        raise ValueError(f"nu = {nu} must be >= 2")
+    _check_int("j", j, 1)
+    _check_int("nu", nu, 2)
 
 
 def _summand(g: int, l: int, j: int, nu: int, z: int | Fraction) -> tuple[int, int]:

@@ -579,7 +579,7 @@ def test_parallelism_flag(capsys, monkeypatch):
     for bad in ("0", "-3"):
         code, out, err = run_cli(capsys, "verify", "--parallelism", bad)
         assert (code, out) == (2, "")
-        assert err == "error: parallelism must be >= 1\n"
+        assert err == f"error: parallelism = {bad} must be >= 1\n"
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--parallelism", "bogus"])
     assert exc.value.code == 2
@@ -1279,9 +1279,9 @@ def test_mapcount_j_below_one_is_a_usage_error(tmp_path, capsys, j):
     good = write_coeffs(tmp_path, '{"nu": 2, "g": 1, "a": ["1", "0", "0"]}')
     for path in (good, str(tmp_path / "missing.json")):
         assert run_cli(capsys, "mapcount", path, "--j", j) == (
-            2, "", f"error: --j must be >= 1, got {j}\n")
+            2, "", f"error: --j = {j} must be >= 1\n")
     assert run_cli(capsys, "table", "R", "--jmax", j) == (
-        2, "", f"error: --jmax must be >= 1, got {j}\n")
+        2, "", f"error: --jmax = {j} must be >= 1\n")
 
 
 def test_mapcount_length_mismatch(tmp_path, capsys):

@@ -485,7 +485,7 @@ def test_a_map_count_input_gets_one_error_from_the_summand_the_spec_and_mapcount
             json.dump({"nu": nu, "g": g, "a": list(weights)}, fh)
         code, out, err = run(["mapcount", path, "--j", str(j)])
     if j < 1:
-        assert (code, out, err) == (2, "", f"error: --j must be >= 1, got {j}\n")
+        assert (code, out, err) == (2, "", f"error: --j = {j} must be >= 1\n")
     elif error is not None:
         assert (code, out, err) == (2, "", f"error: {path}: {error[1]}\n")
     else:

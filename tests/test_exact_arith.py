@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hypident.exact_arith import binomial, double_factorial_odd, factorial, pow2
-from hypident.factorial_basis import falling, rising
+from hypident.exact_arith import _check_int, binomial, double_factorial_odd, factorial, pow2
+from hypident.factorial_basis import falling, rising, stirling2
+from hypident.identity import binomial_falling_sum
 
 from oracles import odd_product
 
@@ -131,6 +132,35 @@ def test_scalar_helpers_reject_a_bool_or_float(helper, args, name, value, type_n
     args = tuple(value if arg is None else arg for arg in args)
     with pytest.raises(TypeError, match=f"^{name} must be an int, got {type_name}$"):
         helper(*args)
+
+
+@pytest.mark.parametrize("helper, args, error, message", [
+    (_check_int, ("x", True, 0, 9), TypeError, "x must be an int, got bool"),
+    (_check_int, ("x", 2.0, 0, 9), TypeError, "x must be an int, got float"),
+    (_check_int, ("x", -1, 0, 9), ValueError, "x = -1 must be >= 0"),
+    (_check_int, ("x", 10, 0, 9), ValueError, "x = 10 is above the bound of 9"),
+    (double_factorial_odd, (-1,), ValueError, "j = -1 must be >= 0"),
+    (falling, (5, -1), ValueError, "n = -1 must be >= 0"),
+    (rising, (5, -1), ValueError, "n = -1 must be >= 0"),
+    (stirling2, (-1, 0), ValueError, "k = -1 must be >= 0"),
+    (stirling2, (0, -1), ValueError, "i = -1 must be >= 0"),
+    (binomial_falling_sum, (0, 0), ValueError, "N = 0 must be >= 1"),
+    (binomial_falling_sum, (3, -1), ValueError, "i = -1 must be >= 0"),
+], ids=lambda case: getattr(case, "__name__", None))
+def test_one_check_of_type_and_range(helper, args, error, message):
+    """``_check_int`` is the package's one check of an int argument: a bool
+    or a float is a TypeError, and a value below low or above high a
+    ValueError naming the argument and its value. Each helper whose range
+    it checks fails with its message one below the helper's floor."""
+    with pytest.raises(error, match=f"^{message}$"):
+        helper(*args)
+
+
+@pytest.mark.parametrize("value, low, high", [
+    (0, 0, 9), (9, 0, 9), (-5, None, None), (10**30, 1, None), (-10**30, None, 0),
+])
+def test_check_int_returns_a_value_inside_its_bounds(value, low, high):
+    assert _check_int("x", value, low, high) == value
 
 
 nonzero_ints = st.integers(min_value=-10**6, max_value=10**6).filter(lambda v: v != 0)

@@ -182,12 +182,18 @@ def test_binomial_falling_sum_matches_direct_summation():
 
 
 def test_binomial_falling_sum_domain():
-    with pytest.raises(ValueError):
-        binomial_falling_sum(0, 0)
-    with pytest.raises(ValueError):
-        binomial_falling_sum(3, 4)
-    with pytest.raises(ValueError):
-        binomial_falling_sum(3, -1)
+    """The sum checks its own arguments, N an int >= 1 and then i an int in
+    0..N, so each error names N or i, not the helper the sum calls."""
+    for args, error, message in (
+        ((0, 0), ValueError, "N = 0 must be >= 1"),
+        ((3, 4), ValueError, "i = 4 is above the bound of 3"),
+        ((3, 5), ValueError, "i = 5 is above the bound of 3"),
+        ((3, -1), ValueError, "i = -1 must be >= 0"),
+        ((True, 0), TypeError, "N must be an int, got bool"),
+        ((2.0, 1), TypeError, "N must be an int, got float"),
+    ):
+        with pytest.raises(error, match=f"^{message}$"):
+            binomial_falling_sum(*args)
 
 
 # -- check_identity ----------------------------------------------------------

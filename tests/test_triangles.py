@@ -439,11 +439,15 @@ def test_concurrent_growth_is_consistent(fresh_table, serial, read):
 ], ids=["Triangle", "_STIRLING"])
 def test_a_negative_level_is_a_value_error_not_a_row_from_the_end(table):
     """row(k) for k < 0 raises a ValueError naming k, however far the table
-    has grown, and leaves the table as it was."""
+    has grown, and a k that is not an int (a bool included) a TypeError;
+    either leaves the table as it was."""
     table.row(3)
     rows = list(table._rows)
     for k in (-1, -2, -len(rows)):
-        with pytest.raises(ValueError, match=f"^row {k}: k must be >= 0$"):
+        with pytest.raises(ValueError, match=f"^k = {k} must be >= 0$"):
+            table.row(k)
+    for k, kind in ((True, "bool"), (1.5, "float")):
+        with pytest.raises(TypeError, match=f"^k must be an int, got {kind}$"):
             table.row(k)
     assert table._rows == rows
 

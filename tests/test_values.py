@@ -88,7 +88,7 @@ def test_sweep_config_defaults_and_checks():
         ((4, 3, 1, 5), "bad j range 4..3"),
         ((1, 3, 0, 5), r"N = 0 is outside the identity's domain \(N >= 1\)"),
         ((1, 3, 6, 5), "bad N range 6..5"),
-        ((1, 3, 1, 5, "fast", 0), "parallelism must be >= 1"),
+        ((1, 3, 1, 5, "fast", 0), "parallelism = 0 must be >= 1"),
     ):
         with pytest.raises(ValueError, match=message):
             SweepConfig(*args)
