@@ -9,11 +9,12 @@ are converted on entry:
     x^k       = sum_i S(k, i) * (x)_i           (Stirling, second kind)
     x^(k)     = sum_i C(k-1, i-1) * k!/i! * (x)_i   (Lah coefficients)
 
-Both coefficient rows come from ``_RecurrenceTable``, the one lazy table
-class: ``monomial_to_falling(k)`` is row k of ``_STIRLING``, grown by
+A single basis element comes from ``_RecurrenceTable``, the one lazy
+table class: ``monomial_to_falling(k)`` is row k of ``_STIRLING``, grown by
 S(k+1, i) = i*S(k, i) + S(k, i-1), and ``rising_to_falling(k)`` is row k
-of ``_LAH``, grown by L(k+1, i) = (k+i)*L(k, i) + L(k, i-1). Closed forms
-are reserved for the test oracles.
+of ``_LAH``, grown by L(k+1, i) = (k+i)*L(k, i) + L(k, i-1). A whole
+polynomial changes basis by Horner's rule (``_powers_to_falling``,
+``_risings_to_falling``). Closed forms are reserved for the test oracles.
 
 A polynomial is evaluated at one point by Horner's rule (``poly_eval``)
 and over a run of consecutive integers by forward differences
@@ -31,7 +32,7 @@ import threading
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 from itertools import accumulate
-from operator import mul
+from operator import add, mul
 
 from .exact_arith import _check_int
 
@@ -65,8 +66,8 @@ class _RecurrenceTable:
     """Lower-triangular rows of exact integers, grown on demand under a lock:
     row 0 is (1,), and row top+1 is next[0] = margin(top+1), then
     next[i] = weight(top, i) * prev[i] + prev[i-1] for 1 <= i <= top, then 1.
-    Rows are published whole, so concurrent readers see only whole rows, and
-    ``row`` checks its k by ``_check_int``, as an int >= 0, before growing.
+    Rows are published whole, so concurrent readers see only whole rows.
+    ``row`` checks k by ``_check_int``, as an int >= 0; ``_row`` does not.
     Sibling subclasses: ``_StirlingTable``, ``_LahTable``, ``triangles.Triangle``."""
 
     def __init__(
@@ -78,7 +79,10 @@ class _RecurrenceTable:
         self._lock = threading.Lock()
 
     def row(self, k: int) -> tuple[int, ...]:
-        if _check_int("k", k, 0) >= len(self._rows):
+        return self._row(_check_int("k", k, 0))
+
+    def _row(self, k: int) -> tuple[int, ...]:
+        if k >= len(self._rows):
             self._grow_to(k)
         return self._rows[k]
 
@@ -118,7 +122,7 @@ def stirling2(k: int, i: int) -> int:
     """
     _check_int("k", k, 0)
     _check_int("i", i, 0)
-    return _STIRLING.row(k)[i] if i <= k else 0
+    return _STIRLING._row(k)[i] if i <= k else 0
 
 
 class FallingPoly(namedtuple("FallingPoly", "coeffs")):
@@ -198,3 +202,24 @@ def rising_to_falling(k: int) -> FallingPoly:
     constant 1. k must be an int; the row checks k.
     """
     return FallingPoly(_LAH.row(k))
+
+
+# sum_k w_k x^k in the falling basis, untrimmed, for w = coeffs (non-empty):
+# Horner's rule w_0 + x (w_1 + x (...)), where x times sum_i v_i (x)_i is
+# sum_i (i v_i + v_{i-1}) (x)_i by x (x)_i = (x)_{i+1} + i (x)_i. Each step
+# multiplies the big coefficients by small ints only.
+def _powers_to_falling(coeffs: list[int]) -> list[int]:
+    v = [coeffs[-1]]
+    for w in reversed(coeffs[:-1]):
+        v = [w, *map(add, map(mul, range(1, len(v)), v[1:]), v), v[-1]]
+    return v
+
+
+# sum_k w_k x^(k) in the falling basis, untrimmed, for w = coeffs (non-empty):
+# Horner's rule w_0 + x (w_1 + (x+1) (w_2 + ...)), where (x+k) times
+# sum_i v_i (x)_i is sum_i ((i+k) v_i + v_{i-1}) (x)_i.
+def _risings_to_falling(coeffs: list[int]) -> list[int]:
+    v = [coeffs[-1]]
+    for k in range(len(coeffs) - 2, -1, -1):
+        v = [k * v[0] + coeffs[k], *map(add, map(mul, range(k + 1, k + len(v)), v[1:]), v), v[-1]]
+    return v

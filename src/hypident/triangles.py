@@ -30,9 +30,11 @@ principal verification target, so collapsing them would test nothing.
 Every route builds a row whole. The recurrence routes build level by
 level and keep every row, so random access to (i, j) builds every row up
 to j; the closed forms, ``l_poly_from_series`` and ``vanishing_sum`` build
-the row of their level on their own. Recurrence rows grow as Stirling
-rows do, in ``factorial_basis._RecurrenceTable``: under a lock, and
-published whole, so concurrent readers see only whole rows.
+the row of their level on their own, the R closed form and the L series
+by Horner's rule in the falling basis, reading no Stirling or Lah row.
+Recurrence rows grow as Stirling rows do, in
+``factorial_basis._RecurrenceTable``: under a lock, and published whole,
+so concurrent readers see only whole rows.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from operator import add, mul
 
 from .exact_arith import _check_int, binomial, double_factorial_odd, factorial, pow2
 from .factorial_basis import (
-    FallingPoly, _RecurrenceTable, monomial_to_falling, rising_to_falling,
+    FallingPoly, _powers_to_falling, _RecurrenceTable, _risings_to_falling,
 )
 from .render import dump
 
@@ -83,7 +85,7 @@ def _check_index(i: int, j: int, kind: str) -> None:
 
 class Triangle(_RecurrenceTable):
     """A ``_RecurrenceTable`` named by kind, read from level 1 up: ``entry``
-    checks its index, and ``triangle_row`` a row's level."""
+    checks its index, and ``triangle_row`` a row's level, then each ``_row``."""
 
     def __init__(
         self,
@@ -100,7 +102,7 @@ class Triangle(_RecurrenceTable):
 
     def entry(self, i: int, j: int) -> int:
         _check_index(i, j, self.kind)
-        return self.row(j)[i]
+        return self._row(j)[i]
 
 
 _C = Triangle("C", double_factorial_odd, lambda j, k: 2 * j + 1)
@@ -135,7 +137,8 @@ def r_entry_closed(i: int, j: int) -> int:
         R(i, j) = 2^{j-i} * sum_{k=i}^{j} C(k,j) S(k,i),
 
     which at i = 0 is the 2^j (2j-1)!! marginal, since S(k,0) = 0 for
-    k >= 1. Reads row j, built whole by ``_r_closed_row``.
+    k >= 1. Reads row j, built whole by ``_r_closed_row`` as sum_k C(k,j) x^k
+    taken into the falling basis by Horner's rule, with no Stirling row.
     """
     _check_index(i, j, "R")
     return _r_closed_row(j)[i]
@@ -180,12 +183,9 @@ def _l_closed_row(j: int) -> tuple[int, ...]:
 # Callers read one level at a time, so only the last row is kept.
 @lru_cache(maxsize=1)
 def _r_closed_row(j: int) -> tuple[int, ...]:
-    # x^k is Stirling row k in the falling basis, so the sums over k for
-    # every i at once are the C(., j)-weighted sum of Stirling rows 0..j.
-    sums = [0] * (j + 1)
-    for k, c in enumerate(_C.row(j)):
-        sums[: k + 1] = map(add, sums, [c * s for s in monomial_to_falling(k).coeffs])
-    return tuple(v << (j - i) for i, v in enumerate(sums))
+    # sum_k C(k,j) S(k,i) for every i at once is the falling-basis form of
+    # sum_k C(k,j) x^k, the C row read as a polynomial in x (j is checked).
+    return tuple(v << (j - i) for i, v in enumerate(_powers_to_falling(_C._row(j))))
 
 
 def r_poly(j: int) -> FallingPoly:
@@ -199,21 +199,17 @@ def l_poly(j: int) -> FallingPoly:
 
 
 def l_poly_from_series(j: int) -> FallingPoly:
-    """L_j assembled term by term from its rising-factorial series.
+    """L_j assembled from its rising-factorial series.
 
-    Sums C(j,k) * (2j)!/(j+k)! * x^(k) over k = 0..j, converting each
-    rising factorial through the Lah transform. The weight of term k+1 is
-    that of term k times the exact ratio (j-k) / ((k+1)(j+k+1)). A
+    The series sum_k C(j,k) * (2j)!/(j+k)! * x^(k), k = 0..j, steps each
+    weight from the last by the exact ratio (j-k) / ((k+1)(j+k+1)) and
+    changes basis whole by Horner's rule, reading no Lah row. A
     construction route independent of both l_entry paths.
     """
     _check_index(0, j, "L")
-    coeffs = [0] * (j + 1)
-    weight = factorial(2 * j) // factorial(j)
-    for k in range(j + 1):
-        lah = rising_to_falling(k).coeffs
-        coeffs[: k + 1] = map(add, coeffs, [weight * c for c in lah])
-        weight = weight * (j - k) // ((k + 1) * (j + k + 1))
-    return FallingPoly(coeffs)
+    weights = accumulate(range(j), lambda w, k: w * (j - k) // ((k + 1) * (j + k + 1)),
+                         initial=factorial(2 * j) // factorial(j))
+    return FallingPoly(_risings_to_falling(list(weights)))
 
 
 def vanishing_sum(i: int, j: int) -> int:
@@ -268,9 +264,9 @@ def triangle_row(kind: str, j: int) -> tuple[int, ...]:
     """
     _check_row(kind, j)
     if kind == "C":
-        return _C.row(j)
+        return _C._row(j)
     if kind == "R":
-        return _R.row(j)
+        return _R._row(j)
     return _l_closed_row(j)
 
 

@@ -10,7 +10,8 @@ sum, C-triangle entries come from expanding the product in the monomial
 basis, L-triangle entries come from the binomial closed form summed entry
 by entry with ``math.comb``, R-triangle rows come from the
 Stirling-weighted sum with those two oracles, Lah numbers come from their
-definition with ``math.comb`` and ``factorial``, a Taylor shift by 1 is
+definition with ``math.comb`` and ``factorial``, L-triangle rows also come
+from the L series summed with those Lah numbers, a Taylor shift by 1 is
 its double sum with ``math.comb``, and a whole verify report is rendered
 in one piece, JSON by ``json.dumps(rows, indent=2)``.
 """
@@ -143,6 +144,15 @@ def r_row_by_stirling_sum(j: int) -> tuple[int, ...]:
 def lah_by_definition(k: int, i: int) -> int:
     """The coefficient of (x)_i in x^(k): C(k-1, i-1) k!/i! for 1 <= i <= k."""
     return comb(k - 1, i - 1) * factorial(k) // factorial(i)
+
+
+def l_row_by_lah_sum(j: int) -> tuple[int, ...]:
+    """L(0..j, j) as the series sum_k C(j,k) (2j)!/(j+k)! x^(k) in the
+    falling basis, every rising factorial by its Lah numbers from their
+    definition; x^(0) = 1 = (x)_0 is the only term with an i = 0 part."""
+    weights = [comb(j, k) * factorial(2 * j) // factorial(j + k) for k in range(j + 1)]
+    return (weights[0], *(
+        sum(weights[k] * lah_by_definition(k, i) for k in range(i, j + 1)) for i in range(1, j + 1)))
 
 
 def l_entry_by_binomial_sum(i: int, j: int) -> int:

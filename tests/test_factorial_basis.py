@@ -239,3 +239,21 @@ def test_transform_negative_rejected():
         monomial_to_falling(-1)
     with pytest.raises(ValueError):
         rising_to_falling(-2)
+
+
+def _table_weighted_sum(row, w):
+    """sum_k w_k * row(k).coeffs, each row zero-padded to len(w), untrimmed."""
+    total = [0] * len(w)
+    for k, wk in enumerate(w):
+        for i, c in enumerate(row(k).coeffs):
+            total[i] += wk * c
+    return total
+
+
+@given(st.lists(st.integers(-(10**40), 10**40), min_size=1, max_size=40))
+def test_horner_transforms_match_the_basis_tables(w):
+    """The whole-polynomial transforms agree with the single-element tables:
+    sum_k w_k x^k and sum_k w_k x^(k) in the falling basis are the
+    w-weighted sums of Stirling and Lah rows, zeros and negatives included."""
+    assert factorial_basis._powers_to_falling(w) == _table_weighted_sum(monomial_to_falling, w)
+    assert factorial_basis._risings_to_falling(w) == _table_weighted_sum(rising_to_falling, w)

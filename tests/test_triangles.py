@@ -35,7 +35,7 @@ from hypident.triangles import (
 )
 
 from oracles import (
-    c_entry_by_expansion, l_entry_by_binomial_sum, r_row_by_stirling_sum,
+    c_entry_by_expansion, l_entry_by_binomial_sum, l_row_by_lah_sum, r_row_by_stirling_sum,
     taylor_shift_by_binomial_sum,
 )
 
@@ -85,9 +85,15 @@ def test_l_closed_rows_equal_r_rows_beyond_1000_bits():
 
 
 def test_r_closed_rows_match_stirling_sum():
-    for j in range(1, 61):
+    for j in range(1, 151):
         row = tuple(r_entry_closed(i, j) for i in range(j + 1))
         assert row == r_row_by_stirling_sum(j), j
+
+
+def test_l_series_rows_match_lah_sum():
+    # Rows 1..60, and past 1000 bits at j = 150.
+    for j in [*range(1, 61), 150]:
+        assert l_poly_from_series(j).coeffs == l_row_by_lah_sum(j), j
 
 
 def _names_read(fn) -> set[str]:
@@ -102,10 +108,13 @@ def _names_read(fn) -> set[str]:
 
 def test_closed_form_and_series_routes_read_no_other_route():
     """The R closed form reads no R recurrence row, and the L series no L
-    closed-form or L recurrence row: each route is built on its own."""
-    r_closed = _names_read(triangles.r_entry_closed) | _names_read(triangles._r_closed_row)
+    closed-form or L recurrence row, nor does the basis change each goes
+    through: each route is built on its own."""
+    r_closed = (_names_read(triangles.r_entry_closed) | _names_read(triangles._r_closed_row)
+                | _names_read(factorial_basis._powers_to_falling))
     assert not r_closed & {"_R", "r_entry", "r_poly", "triangle_row"}
-    l_series = _names_read(triangles.l_poly_from_series)
+    l_series = (_names_read(triangles.l_poly_from_series)
+                | _names_read(factorial_basis._risings_to_falling))
     assert not l_series & {
         "_l_closed_row", "_L_REC", "l_entry_closed", "l_entry_recurrence", "l_poly",
         "triangle_row",
@@ -287,6 +296,16 @@ def test_routes_agree_and_sums_vanish_up_to_the_cli_bound():
         assert [i for i in range(1, j + 1) if vanishing_sum(i, j) != 0] == [], j
 
 
+def test_every_route_gives_one_row_at_every_level_up_to_the_cli_bound():
+    """The five routes agree at every level 1..MAX_J, not only at MAX_J."""
+    for j in range(1, MAX_J + 1):
+        row = triangle_row("R", j)
+        assert row == triangle_row("L", j), j
+        assert row == tuple(l_entry_recurrence(i, j) for i in range(j + 1)), j
+        assert row == tuple(r_entry_closed(i, j) for i in range(j + 1)), j
+        assert row == l_poly_from_series(j).coeffs, j
+
+
 # -- exports ---------------------------------------------------------------
 
 def test_export_csv():
@@ -450,6 +469,20 @@ def test_a_negative_level_is_a_value_error_not_a_row_from_the_end(table):
         with pytest.raises(TypeError, match=f"^k must be an int, got {kind}$"):
             table.row(k)
     assert table._rows == rows
+
+
+def test_a_triangle_read_checks_its_level_once(monkeypatch):
+    """triangle_row and Triangle.entry check the level by their own index
+    check and read the row unchecked: the table's own k check is not made."""
+    calls = []
+    check = factorial_basis._check_int
+    monkeypatch.setattr(factorial_basis, "_check_int", lambda *a: calls.append(a) or check(*a))
+    row = triangle_row("R", 5)
+    entry = triangles._R.entry(2, 5)
+    assert calls == []
+    assert entry == row[2]
+    assert triangles._R.row(5) == row  # the public row still checks its k
+    assert calls == [("k", 5, 0)]
 
 
 def test_recurrence_tables_are_siblings():
